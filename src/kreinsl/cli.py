@@ -9,9 +9,6 @@ Exit codes: 0 success; 1 unexpected numerical failure; 2 I/O, parse, or
 configuration problems; 3 the kernel is not an accelerant; 4 input fails
 validation; 5 a characterization condition fails; 6 checks were
 inconclusive only.
-
-Heavy imports happen inside the command handlers so that --threads can cap
-the BLAS pools through the environment before numpy loads.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ class RunConfig:
     scan_step: float = 0.05
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
     seed: int = 0
-    threads: int | None = None
     log_level: str = "info"
 
     def resolved_lambda_max(self) -> float:
@@ -78,7 +74,6 @@ class RunConfig:
             "scan_step": self.scan_step,
             "tolerances": dict(sorted(self.tolerances.items())),
             "seed": self.seed,
-            "threads": self.threads,
             "log_level": self.log_level,
         }
 
@@ -130,12 +125,12 @@ def build_config(args) -> RunConfig:
     if args.config:
         doc = read_config_file(args.config)
         for key in ("grid_m", "n_bins", "lambda_max", "scan_step", "seed",
-                    "threads", "log_level"):
+                    "log_level"):
             if key in doc:
                 setattr(cfg, key, doc[key])
         if isinstance(doc.get("tolerances"), dict):
             cfg.tolerances.update(doc["tolerances"])
-    for key in ("grid_m", "n_bins", "lambda_max", "scan_step", "seed", "threads"):
+    for key in ("grid_m", "n_bins", "lambda_max", "scan_step", "seed"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             setattr(cfg, key, val)
@@ -371,8 +366,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory (default .)")
     p.add_argument("--config", default=None, help="TOML config file")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS thread pools")
     p.add_argument("--log-level", default=None,
                    choices=["debug", "info", "warning", "error"])
 
@@ -412,12 +405,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     logging.basicConfig(level=(args.log_level or "info").upper(),
                         format="%(levelname)s %(message)s")
+
+    from numpy.linalg import LinAlgError
 
     from .core import (
         ConfigurationError,
@@ -443,6 +434,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except KreinslError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except LinAlgError as exc:
+        print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

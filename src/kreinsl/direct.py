@@ -57,7 +57,9 @@ REFINE_TOL = 1e-10
 CONTOUR_POINTS = 64
 
 # Max batch of (cell, lambda) pairs materialized at once when precomputing
-# step transfer matrices; keeps peak memory around a hundred MB.
+# step transfer matrices.  It caps pairs, not bytes: one (m, L, 2r, 2r)
+# complex array at the cap is 2e6 (2r)^2 16 B, about 512 MB at r = 2, and
+# peak memory grows as r^2 (1.27 GB measured at r = 2, m = 256).
 _CHUNK = 2_000_000
 
 

@@ -127,3 +127,37 @@ def constant_tau_phi1(c: float, lam: complex) -> complex:
 def constant_accelerant_r(hval: float, x: np.ndarray) -> np.ndarray:
     """Closed-form triangular solution for the constant kernel: -h/(1+hx)."""
     return -hval / (1.0 + hval * x)
+
+
+def krein_dense_rows(h_values: np.ndarray) -> np.ndarray:
+    """Discrete Krein solution by one dense numpy solve per grid row.
+
+    h_values holds r x r kernel samples H(x_k), k = 0..m, on the uniform
+    grid of [0, 1].  Row i solves
+        R_ij + H((i - j) h) + sum_k w_k R_ik H(|k - j| h) = 0,  j <= i,
+    with trapezoid weights w on [0, x_i] (all zero on row 0), transposed
+    into the column system (I + Hblk W) Y = -[H(i h)^T; ...; H(0)^T] for
+    Y = [R_i0^T; ...; R_ii^T], where Hblk has blocks H(|j - k| h)^T.
+    Real kernels are solved in real arithmetic.  Returns values[i, j] =
+    R(x_i, t_j), zero above the diagonal.
+    """
+    m = h_values.shape[0] - 1
+    r = h_values.shape[-1]
+    h = 1.0 / m
+    if not np.any(np.imag(h_values)):
+        h_values = np.real(h_values)
+    ht = np.swapaxes(h_values, -1, -2)
+    out = np.zeros((m + 1, m + 1, r, r), dtype=complex)
+    for i in range(m + 1):
+        n = i + 1
+        w = np.full(n, h)
+        w[0] = w[-1] = h / 2.0
+        if i == 0:
+            w[:] = 0.0
+        dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        hblk = ht[dist].transpose(0, 2, 1, 3).reshape(n * r, n * r)
+        system = np.eye(n * r) + hblk * np.repeat(w, r)[None, :]
+        rhs = -np.concatenate([ht[i - j] for j in range(n)], axis=0)
+        y = np.linalg.solve(system, rhs)
+        out[i, :n] = np.swapaxes(y.reshape(n, r, r), -1, -2)
+    return out

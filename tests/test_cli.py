@@ -116,6 +116,20 @@ def test_inverse_non_accelerant_exits_3(tmp_path, capsys):
     assert "x = 1" in capsys.readouterr().err
 
 
+def test_linalg_error_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(H):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("kreinsl.krein.solve_krein", broken)
+    data = nu0_file(tmp_path / "d.json", n=8)
+    rc = main(["inverse", str(data), "--grid-m", "64", "--n-bins", "8",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_validate_free_data(tmp_path):
     data = nu0_file(tmp_path / "d.json", n=8)
     rc = main(["validate", str(data), "--grid-m", "64", "--n-bins", "8",

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from kreinsl import krein
+from kreinsl.accelerant import build_accelerant
 from kreinsl.core import (
     GridSpec,
     MatrixGrid,
     NotAnAccelerantError,
+    SpectralData,
     TriangularKernel,
     sym_nystrom_square,
     sym_nystrom_triangular,
@@ -16,7 +19,12 @@ from kreinsl.krein import (
     transformation_kernels,
 )
 
-from oracles import constant_accelerant_r
+from oracles import (
+    constant_accelerant_r,
+    constant_tau_alphas,
+    constant_tau_lambdas,
+    krein_dense_rows,
+)
 
 
 def const_kernel(hval, m, r=1):
@@ -38,6 +46,22 @@ def smooth_kernel(m, r=2, scale=0.15, seed=3, hermitian=False):
     if hermitian:
         vals = (vals + np.conj(np.swapaxes(vals, -1, -2))) / 2.0
     return MatrixGrid(r, GridSpec(m), vals, hermitian=hermitian)
+
+
+def cos_kernel(m):
+    # not an accelerant: the pivots of I + h T_i lose definiteness at row
+    # 79 of 96, while every trapezoid row stays solvable
+    x = GridSpec(m).points()
+    return MatrixGrid(1, GridSpec(m), (-1.1 - 0.2 * np.cos(np.pi * x))[:, None, None],
+                      hermitian=True)
+
+
+def constant_tau_accelerant(c, m, n_bins):
+    # accelerant of the closed-form spectral data of tau = c (scalar)
+    lams = constant_tau_lambdas(c, n_bins + 1)
+    alphas = constant_tau_alphas(c, n_bins + 1)[:, None, None].astype(complex)
+    data = SpectralData(1, lams, alphas, includes_zero=True)
+    return build_accelerant(data, GridSpec(m), n_bins)
 
 
 class TestSolveKrein:
@@ -66,6 +90,48 @@ class TestSolveKrein:
         sol = solve_krein(smooth_kernel(24, hermitian=True))
         n = 25
         assert np.all(sol.R.values[np.triu_indices(n, k=1)] == 0)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("make", [
+        lambda: const_kernel(0.8, 128),
+        lambda: smooth_kernel(96, hermitian=True),
+        lambda: smooth_kernel(96, hermitian=False),
+        lambda: smooth_kernel(256, scale=0.3, seed=5, hermitian=True),
+        lambda: cos_kernel(96),
+    ], ids=["constant-m128", "hermitian-r2", "non-hermitian-r2",
+            "complex-hermitian-r2-m256", "fallback-cos-m96"])
+    def test_matches_dense_rows(self, make):
+        H = make()
+        sol = solve_krein(H)
+        assert np.abs(sol.R.values - krein_dense_rows(H.values)).max() <= 1e-12
+
+    def test_large_grid_residual(self):
+        sol = solve_krein(smooth_kernel(1024, scale=0.3, seed=5, hermitian=True))
+        assert sol.residual < 1e-12
+
+    def test_accelerants_never_fall_back(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense fallback entered")
+
+        monkeypatch.setattr(krein, "_dense_rows", refuse)
+        for H in (const_kernel(0.8, 128), smooth_kernel(96, hermitian=True),
+                  smooth_kernel(96, hermitian=False),
+                  constant_tau_accelerant(1.5, 128, 16)):
+            solve_krein(H)
+
+    def test_fallback_starts_at_first_degraded_pivot(self, monkeypatch):
+        starts = []
+        dense = krein._dense_rows
+
+        def spy(Td, h, start, values):
+            starts.append(start)
+            return dense(Td, h, start, values)
+
+        monkeypatch.setattr(krein, "_dense_rows", spy)
+        sol = solve_krein(cos_kernel(96))
+        assert starts == [79]
+        assert sol.residual < 1e-12
 
 
 class TestResidual:
