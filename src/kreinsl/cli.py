@@ -120,16 +120,37 @@ def read_config_file(path) -> dict:
     return out
 
 
+_CONFIG_KEYS = ("grid_m", "n_bins", "lambda_max", "scan_step", "seed",
+                "log_level")
+
+
+def _check_config_keys(doc: dict, path) -> None:
+    """Refuse keys the run would ignore, so a misspelt one is not lost."""
+    from .core import ConfigurationError
+    for key, val in doc.items():
+        if key == "tolerances":
+            if not isinstance(val, dict):
+                raise ConfigurationError(f"{path}: [tolerances] must be a table")
+            for name in val:
+                if name not in _DEFAULT_TOLERANCES:
+                    raise ConfigurationError(
+                        f"{path}: unknown key {name!r} in [tolerances]; known: "
+                        f"{', '.join(sorted(_DEFAULT_TOLERANCES))}")
+        elif key not in _CONFIG_KEYS:
+            raise ConfigurationError(
+                f"{path}: unknown config key {key!r}; known: "
+                f"{', '.join(_CONFIG_KEYS)}, [tolerances]")
+
+
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         doc = read_config_file(args.config)
-        for key in ("grid_m", "n_bins", "lambda_max", "scan_step", "seed",
-                    "log_level"):
+        _check_config_keys(doc, args.config)
+        for key in _CONFIG_KEYS:
             if key in doc:
                 setattr(cfg, key, doc[key])
-        if isinstance(doc.get("tolerances"), dict):
-            cfg.tolerances.update(doc["tolerances"])
+        cfg.tolerances.update(doc.get("tolerances", {}))
     for key in ("grid_m", "n_bins", "lambda_max", "scan_step", "seed"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:

@@ -182,6 +182,11 @@ class TriangularKernel:
 
     values[i, j] ~ K(x_i, t_j) for j <= i; entries above the diagonal are
     stored as zero and stand for the implicit extension by zero.
+
+    A complex array with a zero upper triangle is kept without a copy, as
+    a read-only view: the (m+1)^2 r^2 solver buffers are the largest arrays
+    of the package, and the caller hands them over.  Otherwise the values
+    are copied and the upper triangle zeroed.
     """
 
     r: int
@@ -194,11 +199,14 @@ class TriangularKernel:
         want = (n, n, self.r, self.r)
         if v.shape != want:
             raise ValidationError(f"triangular kernel has shape {v.shape}, expected {want}")
-        iu = np.triu_indices(n, k=1)
-        if np.any(v[iu] != 0):
+        # row by row: no (n^2/2, r, r) temporary
+        if any(np.any(v[i, i + 1:]) for i in range(n - 1)):
             v = v.copy()
-            v[iu] = 0.0
-        self.values = _frozen(v)
+            for i in range(n - 1):
+                v[i, i + 1:] = 0.0
+        v = v.view()
+        v.flags.writeable = False
+        self.values = v
 
 
 @dataclass

@@ -17,6 +17,16 @@ exactly; for constant tau the scheme is exact up to roundoff, which
 classical Runge-Kutta phase error cannot deliver at the eigenvalue
 tolerances this module has to meet.
 
+A batch of L lambdas is propagated by one loop over the 2m factors that
+updates a single (2r, r, 2, L) accumulator.  For scalar and Hermitian tau
+each factor acts in the eigenbasis of its lambda-independent generator
+hu = V diag(d) V^H, where it is one fixed basis change (a GEMM on the
+accumulator) and r independent 2 x 2 blocks per lambda built from the
+scalars cosh, sinhc of sqrt(d^2 - v^2).  Factor coefficients are formed
+for a byte-capped block of factors at a time, so memory is
+O(L r^2 + m r^2): no array with a full cell axis and a lambda axis exists,
+and the peak for 2000 lambdas at r = 2 is about 15 MB at any m.
+
 The scheme needs tau at the two Gauss nodes of every cell.  It reads the
 grid samples through the not-a-knot cubic spline, whose fourth-order error
 matches the scheme's; the piecewise-linear reading used elsewhere in the
@@ -26,8 +36,10 @@ eigenvalues to second order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,53 +68,48 @@ CLUSTER_TOL = 1e-8
 REFINE_TOL = 1e-10
 CONTOUR_POINTS = 64
 
-# Max batch of (cell, lambda) pairs materialized at once when precomputing
-# step transfer matrices.  It caps pairs, not bytes: one (m, L, 2r, 2r)
-# complex array at the cap is 2e6 (2r)^2 16 B, about 512 MB at r = 2, and
-# peak memory grows as r^2 (1.27 GB measured at r = 2, m = 256).
-_CHUNK = 2_000_000
+# Byte cap of one block of factor coefficients in _propagate_many: each
+# (factors, r, L) array of a block, or (factors, L, r, r) for matrix
+# coefficients, stays within it, so a block's temporaries take a few MB
+# whatever m and L are, while small batches still get all 2m factors in
+# one vectorized evaluation.
+_COEF_BYTES = 1 << 20
 
 
-def _cosh_sinhc_scalar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cosh(sqrt(m)) and sinh(sqrt(m))/sqrt(m), elementwise, any sign."""
-    w = np.sqrt(m.astype(complex))
-    c = np.cosh(w)
-    small = np.abs(w) < 1e-4
-    ws = np.where(small, 1.0, w)
-    s = np.sinh(ws) / ws
-    s = np.where(small, 1.0 + m / 6.0 + m * m / 120.0, s)
-    return c, s
-
-
-def _cosh_sinhc_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched cosh(sqrt(M)), sinh(sqrt(M))/sqrt(M) for (..., r, r) blocks.
+def _cosh_sinhc(m: np.ndarray, blocks: bool) -> tuple[np.ndarray, np.ndarray]:
+    """cosh(sqrt(M)) and sinh(sqrt(M))/sqrt(M), of (..., r, r) blocks or,
+    without blocks, elementwise.
 
     Taylor series after scaling M by 4^-s, then s double-angle steps
     C <- 2C^2 - I, S <- S C.  Both series are entire in M, so no square
-    roots or eigendecompositions are needed.
+    roots or eigendecompositions are needed and the sign of M is free.
+    The series stops once the scaled norm bounds its remainder by 1e-18.
     """
-    import math
-
-    r = m.shape[-1]
-    eye = np.eye(r, dtype=complex)
-    nrm = float(np.max(np.abs(m).sum(axis=-1))) if m.size else 0.0
+    if blocks:
+        mul = np.matmul
+        one = np.eye(m.shape[-1])
+        nrm = float(np.max(np.abs(m).sum(axis=-1))) if m.size else 0.0
+    else:
+        mul = np.multiply
+        one = 1.0
+        nrm = float(np.max(np.abs(m))) if m.size else 0.0
     s_steps = 0
     while nrm > 1.0:
         nrm /= 4.0
         s_steps += 1
     z = m / (4.0 ** s_steps)
+    kmax = 1
+    while nrm ** (kmax + 1) / math.factorial(2 * kmax + 2) > 1e-18:
+        kmax += 1
 
-    kmax = 10
-    ck = [1.0 / math.factorial(2 * k) for k in range(kmax + 1)]
-    sk = [1.0 / math.factorial(2 * k + 1) for k in range(kmax + 1)]
-    c = ck[kmax] * np.broadcast_to(eye, z.shape).copy()
-    s = sk[kmax] * np.broadcast_to(eye, z.shape).copy()
+    c = one / math.factorial(2 * kmax)
+    s = one / math.factorial(2 * kmax + 1)
     for k in range(kmax - 1, -1, -1):
-        c = ck[k] * eye + z @ c
-        s = sk[k] * eye + z @ s
+        c = one / math.factorial(2 * k) + mul(z, c)
+        s = one / math.factorial(2 * k + 1) + mul(z, s)
     for _ in range(s_steps):
-        s = s @ c
-        c = 2.0 * (c @ c) - eye
+        s = mul(s, c)
+        c = 2.0 * mul(c, c) - one
     return c, s
 
 
@@ -187,93 +194,85 @@ def _step_generators(tau_values: np.ndarray, h: float):
     return hu, hu @ hu
 
 
-def _transfer_matrices_hermitian(hu: np.ndarray, lams: np.ndarray,
-                                 h: float, r: int) -> np.ndarray:
-    """Transfer matrices through the eigenbasis of each Hermitian generator.
-
-    With hu = V diag(d) V^H the block-scalar square has eigenvalues
-    d_i^2 - v^2, so the cosh/sinh-type functions reduce to scalar
-    evaluations recombined in the fixed per-cell eigenbasis; this skips
-    the Taylor matrix series entirely.
-    """
-    m_cells = hu.shape[1]
-    L = lams.size
-    v = 0.5 * h * lams
-    out = np.empty((m_cells, L, 2 * r, 2 * r), dtype=complex)
-    for f in range(2):
-        d, vec = np.linalg.eigh(hu[f])
-        vec_b = vec[:, None]
-        vech_b = np.conj(np.swapaxes(vec, -1, -2))[:, None]
-        marg = (d ** 2)[:, None, :] - (v ** 2)[None, :, None]
-        c, s = _cosh_sinhc_scalar(marg)
-        cmat = (vec_b * c[..., None, :]) @ vech_b
-        smat = (vec_b * s[..., None, :]) @ vech_b
-        su = (vec_b * (s * d[:, None, :])[..., None, :]) @ vech_b
-        sv = smat * v[None, :, None, None]
-        blk = np.empty((m_cells, L, 2 * r, 2 * r), dtype=complex)
-        blk[..., :r, :r] = cmat - su
-        blk[..., :r, r:] = sv
-        blk[..., r:, :r] = -sv
-        blk[..., r:, r:] = cmat + su
-        if f == 0:
-            out[:] = blk
-        else:
-            out[:] = blk @ out
-    return out
-
-
-def _transfer_matrices(hu: np.ndarray, hu2: np.ndarray, lams: np.ndarray,
-                       h: float, r: int) -> np.ndarray:
-    """All per-cell transfer matrices, shape (m, L, 2r, 2r)."""
-    m_cells = hu.shape[1]
-    L = lams.size
-    v = 0.5 * h * lams  # (L,)
-    out = np.empty((m_cells, L, 2 * r, 2 * r), dtype=complex)
-    for f in range(2):
-        # M = (h u)^2 - v^2 I, shape (m, L, r, r)
-        if r == 1:
-            marg = hu2[f, :, None, 0, 0] - (v ** 2)[None, :]
-            c, s = _cosh_sinhc_scalar(marg)
-            c = c[..., None, None]
-            s = s[..., None, None]
-        else:
-            marg = hu2[f][:, None] - (v ** 2)[None, :, None, None] * np.eye(r)
-            c, s = _cosh_sinhc_matrix(marg)
-        su = s @ hu[f][:, None]
-        sv = s * v[None, :, None, None]
-        blk = np.empty((m_cells, L, 2 * r, 2 * r), dtype=complex)
-        blk[..., :r, :r] = c - su
-        blk[..., :r, r:] = sv
-        blk[..., r:, :r] = -sv
-        blk[..., r:, r:] = c + su
-        if f == 0:
-            out[:] = blk
-        else:
-            out[:] = blk @ out
-    return out
-
-
 def _propagate_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
-    """Fundamental matrix W(1, lam, tau) for a batch of lambdas: (L, 2r, 2r)."""
+    """Fundamental matrix W(1, lam, tau) for a batch of lambdas: (L, 2r, 2r).
+
+    One loop over the 2m CF4 factors, in the order they act, updates an
+    accumulator laid out as (2r, r, 2, L): column, row i of the top and
+    bottom halves, half, lambda last.  A factor maps the pair of rows
+    (top_i, bot_i) to P (top_i, bot_i) + Q (bot_i, top_i) with per-lambda
+    coefficients P = (c - s hu, c + s hu), Q = (s v, -s v).
+
+    For scalar and Hermitian tau the accumulator is kept in the eigenbasis
+    of the current generator, hu = V diag(d) V^H.  Entering a factor is
+    then the fixed basis change V_k^H V_{k-1} (one GEMM, V_{-1} = I), and
+    c, s are the scalars cosh, sinhc of sqrt(d^2 - v^2): r independent
+    2 x 2 blocks.  Non-Hermitian generators with r > 1 have no unitary
+    eigenbasis; their c, s are r x r matrices.
+    Coefficients are evaluated for a block of factors at once, capped at
+    _COEF_BYTES per array, so memory is O(L r^2 + m r^2) and no array has
+    both a cell and a lambda axis beyond one block.
+    """
     lams = np.asarray(lams, dtype=complex).ravel()
     r = tau.r
-    h = tau.spec.h
-    hu, hu2 = _step_generators(tau.values, h)
-    m_cells = tau.spec.m
     L = lams.size
-    w = np.broadcast_to(np.eye(2 * r, dtype=complex), (L, 2 * r, 2 * r)).copy()
-    chunk = max(1, _CHUNK // max(1, m_cells))
-    for lo in range(0, L, chunk):
-        sub = lams[lo:lo + chunk]
-        if tau.hermitian and r > 1:
-            steps = _transfer_matrices_hermitian(hu, sub, h, r)
+    # factors in the order they act: cell 0 first, cell 0 second, cell 1 ...
+    hu, hu2 = (np.swapaxes(g, 0, 1).reshape(-1, r, r)
+               for g in _step_generators(tau.values, tau.spec.h))
+    v = 0.5 * tau.spec.h * lams
+    eigen = r == 1 or tau.hermitian
+    vecs = None
+    if r == 1:
+        d = hu[:, 0]
+    elif tau.hermitian:
+        d, vecs = np.linalg.eigh(hu)
+        prev = np.concatenate([np.eye(r)[None], vecs[:-1]])
+        turns = np.conj(np.swapaxes(vecs, -1, -2)) @ prev
+    if eigen:
+        apply = np.multiply
+        per_factor = r * max(L, 1) * 16
+    else:
+        apply = partial(np.einsum, "ijhl,cjhl->cihl")
+        per_factor = r * r * max(L, 1) * 16
+
+    acc = np.zeros((2 * r, r, 2, L), dtype=complex)
+    for i in range(r):
+        acc[i, i, 0] = 1.0
+        acc[r + i, i, 1] = 1.0
+    work = np.empty_like(acc)
+    tmp = np.empty_like(acc)
+    block = max(1, _COEF_BYTES // per_factor)
+    for lo in range(0, hu.shape[0], block):
+        hi = min(lo + block, hu.shape[0])
+        if eigen:
+            dk = d[lo:hi, :, None]
+            c, s = _cosh_sinhc(dk * dk - (v * v)[None, None, :], False)
+            su = s * dk
+            # (factor, row, half, lambda)
+            P = np.stack([c - su, c + su], axis=2)
+            sv = s * v
+            Q = np.stack([sv, -sv], axis=2)
         else:
-            steps = _transfer_matrices(hu, hu2, sub, h, r)
-        acc = w[lo:lo + sub.size]
-        for i in range(m_cells):
-            acc = steps[i] @ acc
-        w[lo:lo + sub.size] = acc
-    return w
+            c, s = _cosh_sinhc(hu2[lo:hi, None]
+                               - (v * v)[None, :, None, None] * np.eye(r),
+                               True)
+            su = s @ hu[lo:hi, None]
+            sv = s * v[None, :, None, None]
+            # (factor, row, column of the r x r block, half, lambda)
+            P = np.moveaxis(np.stack([c - su, c + su], axis=-1), 1, -1)
+            Q = np.moveaxis(np.stack([sv, -sv], axis=-1), 1, -1)
+        for k in range(hi - lo):
+            if vecs is not None:
+                np.matmul(turns[lo + k], acc.reshape(2 * r, r, -1),
+                          out=work.reshape(2 * r, r, -1))
+                acc, work = work, acc
+            apply(P[k], acc, out=work)
+            apply(Q[k], acc[:, :, ::-1], out=tmp)
+            np.add(work, tmp, out=work)
+            acc, work = work, acc
+    if vecs is not None:
+        acc = (vecs[-1] @ acc.reshape(2 * r, r, -1)).reshape(acc.shape)
+    return acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, 2 * r)
 
 
 def _blocks(w: np.ndarray, r: int):

@@ -4,13 +4,17 @@ Nothing here shares code with the package's solvers: eigenvalues and
 norming constants come from a quadratic-form finite-difference
 discretization (assembled from the energy integral of the quasi-derivative,
 so the natural boundary conditions are built in), refined by Richardson
-extrapolation; closed forms cover the constant-coefficient cases.
+extrapolation; closed forms cover the constant-coefficient cases.  The
+propagator reference chains scipy's matrix exponential through the same
+fourth-order scheme the package uses, with scipy's spline reading of the
+samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.interpolate import make_interp_spline
+from scipy.linalg import eigh, eigh_tridiagonal, expm
 
 
 def fd_eigen_r1(tau_samples: np.ndarray, m: int, count: int):
@@ -161,3 +165,41 @@ def krein_dense_rows(h_values: np.ndarray) -> np.ndarray:
         y = np.linalg.solve(system, rhs)
         out[i, :n] = np.swapaxes(y.reshape(n, r, r), -1, -2)
     return out
+
+
+def cf4_fundamental_matrix(tau_values: np.ndarray, lams) -> np.ndarray:
+    """W(1, lam) of W' = Q W, Q = [[-tau, lam I], [-lam I, tau]], W(0) = I.
+
+    tau_values holds r x r samples at the m+1 nodes of the uniform grid of
+    [0, 1]; tau between them is the not-a-knot cubic spline
+    (scipy.interpolate.make_interp_spline).  Each cell applies the
+    fourth-order commutator-free pair
+        exp(h (a2 Q(t1) + a1 Q(t2))) exp(h (a1 Q(t1) + a2 Q(t2))),
+    a1,2 = 1/4 +- sqrt(3)/6, at the Gauss nodes t1 < t2, each exponential
+    by scipy.linalg.expm on the full 2r x 2r matrix.  Returns (L, 2r, 2r).
+    """
+    m = tau_values.shape[0] - 1
+    r = tau_values.shape[-1]
+    h = 1.0 / m
+    lams = np.asarray(lams, dtype=complex).ravel()
+    knots = np.arange(m + 1.0)
+    spline = make_interp_spline(knots, tau_values, k=3, axis=0)
+    g = np.sqrt(3.0) / 6.0
+    a1, a2 = 0.25 + g, 0.25 - g
+    tau1 = spline(knots[:-1] + 0.5 - g)
+    tau2 = spline(knots[:-1] + 0.5 + g)
+
+    def generator(t):
+        q = np.zeros((lams.size, 2 * r, 2 * r), dtype=complex)
+        q[:, :r, :r] = -t
+        q[:, r:, r:] = t
+        q[:, :r, r:] = lams[:, None, None] * np.eye(r)
+        q[:, r:, :r] = -lams[:, None, None] * np.eye(r)
+        return q
+
+    w = np.tile(np.eye(2 * r, dtype=complex), (lams.size, 1, 1))
+    for n in range(m):
+        q1, q2 = generator(tau1[n]), generator(tau2[n])
+        w = expm(h * (a1 * q1 + a2 * q2)) @ w
+        w = expm(h * (a2 * q1 + a1 * q2)) @ w
+    return w

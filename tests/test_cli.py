@@ -214,6 +214,21 @@ def test_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau)
+    for text, key in (("grid_mm = 32\n", "grid_mm"),
+                      ("threads = 4\n", "threads"),
+                      ("[tolerances]\nhermitean = 1e-9\n", "hermitean")):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(text)
+        rc = main(["direct", str(tau), "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_determinism_direct_outputs(tmp_path):
     tau = tmp_path / "tau.json"
     write_zero_tau(tau)

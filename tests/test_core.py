@@ -104,6 +104,24 @@ def test_triangular_kernel_zeroes_upper_part():
     assert np.all(k.values[np.triu_indices(9, k=1)] == 0)
 
 
+def test_triangular_kernel_keeps_callers_buffer():
+    import tracemalloc
+
+    n, r = 257, 2
+    vals = np.zeros((n, n, r, r), dtype=complex)
+    for i in range(n):
+        vals[i, : i + 1] = 1.0 + 0.5j
+    tracemalloc.start()
+    try:
+        k = TriangularKernel(r, GridSpec(n - 1), vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(k.values, vals)
+    assert not k.values.flags.writeable
+    assert peak < vals.nbytes / 16  # 4.2 MB array; no copy, no triangle temporary
+
+
 def _random_grid(seed, r=2, m=16, hermitian=False):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(m + 1, r, r)) + 1j * rng.normal(size=(m + 1, r, r))

@@ -9,6 +9,7 @@ from kreinsl.core import (
     PoleProximityError,
 )
 from kreinsl.direct import (
+    _propagate_many,
     find_eigenvalues,
     norming_constants,
     propagate,
@@ -17,6 +18,7 @@ from kreinsl.direct import (
 )
 
 from oracles import (
+    cf4_fundamental_matrix,
     constant_tau_lambdas,
     constant_tau_phi1,
     fd_eigen_r1_refined,
@@ -70,6 +72,74 @@ class TestPropagate:
         tau = MatrixGrid(2, GridSpec(m), vals)
         bv = propagate(tau, 2.0 + 1.5j)
         assert bv.identity_residual < 1e-8
+
+
+# real points, a residue contour around 3.2 and two points near the top
+# of a 32-bin run
+ORACLE_LAMBDAS = np.concatenate([
+    [0.0, 0.7, 3.2, 11.0],
+    3.2 + 0.4 * np.exp(2j * np.pi * np.arange(8) / 8),
+    [99.5, 101.3],
+])
+
+
+def _oracle_gap(tau, lams):
+    want = cf4_fundamental_matrix(tau.values, lams)
+    got = _propagate_many(tau, lams)
+    err = np.linalg.norm(got - want, 2, axis=(-2, -1))
+    return float(np.max(err / np.linalg.norm(want, 2, axis=(-2, -1))))
+
+
+class TestPropagatorOracle:
+    """The fused propagator against scipy's expm chained through the same
+    CF4 scheme on scipy's spline reading of the samples."""
+
+    def test_zero_tau(self):
+        assert _oracle_gap(zero_tau(2, 64), ORACLE_LAMBDAS) <= 1e-12
+
+    def test_real_scalar(self):
+        tau = smooth_tau(1, 64)
+        assert not np.any(tau.values.imag)
+        assert _oracle_gap(tau, ORACLE_LAMBDAS) <= 1e-12
+
+    def test_real_symmetric_r2(self):
+        m = 64
+        tau = MatrixGrid(2, GridSpec(m), smooth_tau(2, m).values.real,
+                         hermitian=True)
+        assert _oracle_gap(tau, ORACLE_LAMBDAS) <= 1e-12
+
+    def test_complex_hermitian_r3(self):
+        tau = smooth_tau(3, 64)
+        assert np.any(tau.values.imag)
+        assert _oracle_gap(tau, ORACLE_LAMBDAS) <= 1e-12
+
+    def test_non_hermitian_r2_complex_lambda(self):
+        rng = np.random.default_rng(5)
+        m = 64
+        vals = 0.2 * (rng.normal(size=(m + 1, 2, 2))
+                      + 1j * rng.normal(size=(m + 1, 2, 2)))
+        tau = MatrixGrid(2, GridSpec(m), vals)
+        assert _oracle_gap(tau, [2.0 + 1.5j]) <= 1e-12
+
+
+def test_propagation_memory_bounded_in_m():
+    # only an (L, 2r, 2r)-sized accumulator and one byte-capped block of
+    # factor coefficients are live; an (m, L, 2r, 2r) array of step
+    # matrices would be 1 GB here at m = 256
+    import tracemalloc
+
+    lams = np.linspace(0.1, 100.0, 2000)
+    peaks = {}
+    for m in (256, 1024):
+        tau = smooth_tau(2, m)
+        tracemalloc.start()
+        try:
+            _propagate_many(tau, lams)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[256] < 32 * 2 ** 20
+    assert peaks[1024] <= 1.5 * peaks[256]
 
 
 class TestWeyl:
@@ -210,6 +280,38 @@ class TestSpectralData:
         want = h * np.stack([_A1 * tg1 + _A2 * tg2, _A2 * tg1 + _A1 * tg2])
         hu, _ = _step_generators(coarse.values, h)
         assert np.abs(hu - want).max() <= 1e-13 * h
+
+    def test_matches_step_matrix_propagator(self):
+        # eigenvalues and norming constants of a scalar potential at m = 256,
+        # 32 bins, as the propagator that built per-cell step matrices
+        # produced them; the fused loop reorders roundoff only
+        lam_ref = np.array([
+            0.0, 3.1672720792967737, 6.212092134615238, 9.376629241623217,
+            12.568949417780598, 15.709814473113894, 18.851039532066665,
+            21.99239197146075, 25.13381382387889, 28.275278352645103,
+            31.41677112876156, 34.55828348663482, 37.69981004136771,
+            40.841347280926726, 43.982892776999634, 47.12444479280866,
+            50.26600205120761, 53.40756359089086, 56.54912867369001,
+            59.690696723038386, 62.832267281749175, 65.97383998247227,
+            69.11541452659722, 72.25699066882095, 75.39856820561275,
+            78.54014696683336, 81.68172680898621, 84.82330761019585,
+            87.96488926633276, 91.10647168789987, 94.24805479738242,
+            97.38963852754205, 100.53122281959185])
+        alpha_ref = np.array([
+            0.4751362544779487, 1.1698741262441972, 1.0111060337144744,
+            0.9744181146523351, 0.9788379545296996, 0.9898136060327095,
+            0.9937141219521946, 0.9956696273491628, 0.9968120292794391,
+            0.9975446508270214, 0.9980462291580933, 0.9984060589666998,
+            0.998673586152504, 0.9988782226579646, 0.9990384313757348,
+            0.9991663111359459, 0.9992700760921244, 0.9993554709427487,
+            0.9994266160937352, 0.9994865320087427, 0.9995374753125235,
+            0.9995811604043958, 0.9996189092404142, 0.9996517548024672,
+            0.9996805139780727, 0.9997058397970434, 0.999728259465602,
+            0.9997482024573292, 0.9997660215318429, 0.9997820086500167,
+            0.9997964071574531, 0.9998094212058223, 0.999821223106611])
+        data = spectral_data(smooth_tau(1, 256, seed=7), 32)
+        assert np.abs(data.lambdas - lam_ref).max() <= 1e-9
+        assert np.abs(data.alphas[:, 0, 0] - alpha_ref).max() <= 1e-9
 
     def test_block_diagonal_matches_scalar_merge(self):
         m = 256
