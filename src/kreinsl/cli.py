@@ -39,20 +39,19 @@ _DEFAULT_TOLERANCES = {
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters; lambda_max defaults to pi (n_bins + 1/2)."""
+    """Resolved run parameters."""
 
     grid_m: int = 256
     n_bins: int = 64
-    lambda_max: float | None = None
     scan_step: float = 0.05
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
     seed: int = 0
     log_level: str = "info"
 
     def resolved_lambda_max(self) -> float:
+        """The spectral truncation pi (n_bins + 1/2) that every run uses."""
         import math
-        return self.lambda_max if self.lambda_max is not None \
-            else math.pi * (self.n_bins + 0.5)
+        return math.pi * (self.n_bins + 0.5)
 
     def validate(self):
         from .core import ConfigurationError
@@ -62,9 +61,6 @@ class RunConfig:
             raise ConfigurationError("n_bins must be positive")
         if self.scan_step <= 0:
             raise ConfigurationError("scan_step must be positive")
-        import math
-        if self.resolved_lambda_max() < math.pi:
-            raise ConfigurationError("lambda_max must be at least pi")
 
     def to_json(self) -> dict:
         return {
@@ -120,8 +116,7 @@ def read_config_file(path) -> dict:
     return out
 
 
-_CONFIG_KEYS = ("grid_m", "n_bins", "lambda_max", "scan_step", "seed",
-                "log_level")
+_CONFIG_KEYS = ("grid_m", "n_bins", "scan_step", "seed", "log_level")
 
 
 def _check_config_keys(doc: dict, path) -> None:
@@ -151,7 +146,7 @@ def build_config(args) -> RunConfig:
             if key in doc:
                 setattr(cfg, key, doc[key])
         cfg.tolerances.update(doc.get("tolerances", {}))
-    for key in ("grid_m", "n_bins", "lambda_max", "scan_step", "seed"):
+    for key in ("grid_m", "n_bins", "scan_step", "seed"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             setattr(cfg, key, val)
@@ -382,7 +377,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="number of grid subintervals of [0, 1]")
     p.add_argument("--n-bins", dest="n_bins", type=int, default=None,
                    help="frequency-bin truncation level")
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
     p.add_argument("--scan-step", dest="scan_step", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory (default .)")

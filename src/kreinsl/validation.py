@@ -24,8 +24,9 @@ from .core import (
     GridSpec,
     MatrixGrid,
     SpectralData,
-    SquareKernel,
-    sym_nystrom_square,
+    ValidationError,
+    block_flatten,
+    trapezoid_weights,
 )
 from .direct import matrix_rank_psd
 
@@ -69,6 +70,8 @@ class A34Report:
     a4_min_eig: float
     a3_null_vector: np.ndarray
     a4_null_vector: np.ndarray
+    a3_n_below_band: int
+    a4_n_below_band: int
     n_bins: int
     clamped: bool
     a3_verdict: str
@@ -116,11 +119,13 @@ class ConditionReport:
             },
             "a3": {
                 "min_eig": self.a34.a3_min_eig,
+                "n_below_band": self.a34.a3_n_below_band,
                 "verdict": self.a34.a3_verdict,
                 "n_bins": self.a34.n_bins,
             },
             "a4": {
                 "min_eig": self.a34.a4_min_eig,
+                "n_below_band": self.a34.a4_n_below_band,
                 "verdict": self.a34.a4_verdict,
                 "n_bins": self.a34.n_bins,
             },
@@ -217,6 +222,25 @@ def check_a2(data: SpectralData, n_bins: int) -> A2Report:
                     n0_found=n0, n_bins=eff, clamped=clamped, verdict=verdict)
 
 
+def _identity_plus_nystrom(blocks: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Hermitian part of I + W^(1/2) K W^(1/2) from kernel samples K(x_i, x_j).
+
+    `blocks` is the (m+1, m+1, r, r) sample array and is overwritten.  The
+    arithmetic is that of `sym_nystrom_square` followed by the identity
+    shift and the Hermitian average, done in place so that no array larger
+    than the output matrix is made beside it.
+    """
+    s = np.sqrt(trapezoid_weights(spec))
+    blocks *= s[:, None, None, None]
+    blocks *= s[None, :, None, None]
+    mat = block_flatten(blocks)
+    mat += np.eye(mat.shape[0])
+    mat_h = mat.conj()
+    np.add(mat, mat_h.T, out=mat)
+    mat /= 2.0
+    return mat
+
+
 def completeness_matrices(data: SpectralData, spec: GridSpec,
                           n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Discretized I + even operator and I + odd operator of the dataset.
@@ -226,27 +250,33 @@ def completeness_matrices(data: SpectralData, spec: GridSpec,
     symmetrized Nystrom matrices shifted by the identity, whose
     eigenvalues approximate the operator spectra.
 
-    The accelerant is synthesized on a doubled grid: the kernel arguments
-    (x +- t)/2 then land on exact sample points, so the kernels carry no
-    interpolation error and a structurally null direction of the data
-    shows up as an eigenvalue at roundoff level rather than at O(h^2).
-    """
-    from .accelerant import build_heo
+    The accelerant H2 is synthesized on the doubled grid, H2[k] = H(k h/2):
+    the kernel arguments (x_i -+ x_j)/2 then land on its samples |i - j|
+    and i + j, so
 
+        H_e(x_i, x_j) = (H2[|i - j|] + H2[i + j]) / 2,
+        H_o(x_i, x_j) = (H2[|i - j|] - H2[i + j]) / 2
+
+    carry no interpolation error, and a structurally null direction of the
+    data shows up as an eigenvalue at roundoff level rather than at O(h^2).
+    The samples are gathered straight from H2, so the work arrays are the
+    size of the two output matrices.
+    """
     work = data
     if not data.includes_zero:
         work = prepend_unit_mass(data)
-    fine = GridSpec(2 * spec.m)
-    h2 = build_accelerant(work, fine, n_bins)
-    he2, ho2 = build_heo(h2)
-    he = SquareKernel(data.r, spec, he2.values[::2, ::2])
-    ho = SquareKernel(data.r, spec, ho2.values[::2, ::2])
-    n = (spec.m + 1) * data.r
-    eye = np.eye(n)
-    me = eye + sym_nystrom_square(he)
-    mo = eye + sym_nystrom_square(ho)
-    me = (me + me.conj().T) / 2.0
-    mo = (mo + mo.conj().T) / 2.0
+    h2 = build_accelerant(work, GridSpec(2 * spec.m), n_bins).values
+    i = np.arange(spec.m + 1)
+    a = h2[np.abs(i[:, None] - i[None, :])]
+    b = h2[i[:, None] + i[None, :]]
+    he = a + b
+    ho = np.subtract(a, b, out=a)
+    del a, b
+    he /= 2.0
+    ho /= 2.0
+    me = _identity_plus_nystrom(he, spec)
+    del he
+    mo = _identity_plus_nystrom(ho, spec)
     return me, mo
 
 
@@ -261,6 +291,35 @@ def prepend_unit_mass(data: SpectralData) -> SpectralData:
     )
 
 
+# Inverse iteration shifts below lambda_min by _SHIFT_REL times the spectral
+# radius (at least 1), well above the eigvalsh error and small enough that
+# two steps leave a residual far below EIG_BAND.
+_SHIFT_REL = 1e-12
+
+
+def smallest_eigenpair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smallest eigenvalue, a unit eigenvector for it, and the spectrum.
+
+    The eigenvalues come from `eigvalsh`, which skips the eigenvector work;
+    the vector from two steps of inverse iteration shifted just below the
+    smallest eigenvalue, so that M - shift I is positive definite even when
+    M is exactly the identity.  A cluster of eigenvalues closer together
+    than the shift yields some unit vector of the cluster's span.
+    """
+    eigs = np.linalg.eigvalsh(mat)
+    lam = float(eigs[0])
+    shift = lam - _SHIFT_REL * max(1.0, float(np.abs(eigs).max()))
+    shifted = mat.copy()
+    shifted.flat[::mat.shape[0] + 1] -= shift
+    # a fixed equidistributed start (the golden-ratio Weyl sequence); numpy's
+    # random module would be a lazy import costing about 13 ms per run
+    v = (np.arange(1, mat.shape[0] + 1) * 0.6180339887498949) % 1.0 - 0.5
+    for _ in range(2):
+        v = np.linalg.solve(shifted, v)
+        v /= np.linalg.norm(v)
+    return lam, v, eigs
+
+
 def check_a3_a4(data: SpectralData, spec: GridSpec, n_bins: int) -> A34Report:
     """Completeness verdicts through smallest operator eigenvalues.
 
@@ -271,18 +330,19 @@ def check_a3_a4(data: SpectralData, spec: GridSpec, n_bins: int) -> A34Report:
     reads as fail; inconclusive is reserved for truncations clamped by
     short data (where a clean margin might still appear with more lines).
     The eigenvector of the smallest eigenvalue is reported for diagnostics
-    in the weighted sample geometry.
+    in the weighted sample geometry, with the number of eigenvalues below
+    the band (the count of null directions).
     """
     eff, clamped = _effective_bins(data, n_bins)
     if eff == 0:
         z = np.zeros(0)
-        return A34Report(float("nan"), float("nan"), z, z, 0, True,
+        return A34Report(float("nan"), float("nan"), z, z, 0, 0, 0, True,
                          INCONCLUSIVE, INCONCLUSIVE)
     me, mo = completeness_matrices(data, spec, eff)
     out = []
     for mat in (me, mo):
-        w, v = np.linalg.eigh(mat)
-        out.append((float(w[0]), v[:, 0]))
+        lam, vec, eigs = smallest_eigenpair(mat)
+        out.append((lam, vec, int(np.count_nonzero(eigs < EIG_BAND))))
 
     def verdict(eig: float) -> str:
         if eig >= EIG_BAND:
@@ -292,6 +352,7 @@ def check_a3_a4(data: SpectralData, spec: GridSpec, n_bins: int) -> A34Report:
     return A34Report(
         a3_min_eig=out[0][0], a4_min_eig=out[1][0],
         a3_null_vector=out[0][1], a4_null_vector=out[1][1],
+        a3_n_below_band=out[0][2], a4_n_below_band=out[1][2],
         n_bins=eff, clamped=clamped,
         a3_verdict=verdict(out[0][0]), a4_verdict=verdict(out[1][0]),
     )
@@ -319,10 +380,8 @@ def accelerant_positivity(H: MatrixGrid, spec: GridSpec | None = None) -> float:
     accelerant, matching success of the triangular solve route.
     """
     if spec is not None and spec != H.spec:
-        raise ValueError("explicit grid disagrees with the kernel grid")
-    spec = H.spec
-    idx = np.abs(np.arange(spec.m + 1)[:, None] - np.arange(spec.m + 1)[None, :])
-    kernel = SquareKernel(H.r, spec, H.values[idx])
-    mat = np.eye((spec.m + 1) * H.r) + sym_nystrom_square(kernel)
-    mat = (mat + mat.conj().T) / 2.0
+        raise ValidationError("explicit grid disagrees with the kernel grid")
+    i = np.arange(H.spec.m + 1)
+    blocks = H.values[np.abs(i[:, None] - i[None, :])]
+    mat = _identity_plus_nystrom(blocks, H.spec)
     return float(np.linalg.eigvalsh(mat)[0])

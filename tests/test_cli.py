@@ -1,6 +1,8 @@
 import json
+import os
 
 import numpy as np
+import pytest
 
 from kreinsl.cli import main
 from kreinsl.core import (
@@ -152,6 +154,36 @@ def test_validate_deleted_line_exits_5(tmp_path):
     assert rep["verdicts"]["a3"] == "fail"
 
 
+def test_validate_report_counts_null_directions(tmp_path):
+    # one deleted line leaves one null direction in each of the even and
+    # odd matrices; the report carries the count and matches its schema
+    lams = np.concatenate([[0.0], np.pi * np.arange(2, 9)])
+    alphas = np.concatenate([
+        [0.5 * np.eye(1)], np.tile(np.eye(1), (7, 1, 1))]).astype(complex)
+    save_spectral_data(SpectralData(1, lams, alphas, includes_zero=True),
+                       tmp_path / "d.json")
+    assert main(["validate", str(tmp_path / "d.json"), "--grid-m", "128",
+                 "--n-bins", "8", "--out", str(tmp_path)]) == 5
+    rep = json.loads((tmp_path / "condition_report.json").read_text())
+    assert rep["a3"]["n_below_band"] == 1 and rep["a4"]["n_below_band"] == 1
+    _schema_validator("condition_report").validate(rep)
+
+
+def _schema_validator(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
+    docs = {}
+    for fname in sorted(os.listdir(root)):
+        with open(os.path.join(root, fname), encoding="utf-8") as fh:
+            docs[fname] = json.load(fh)
+    registry = referencing.Registry().with_resources(
+        (fname, referencing.Resource.from_contents(doc))
+        for fname, doc in docs.items())
+    return jsonschema.Draft202012Validator(docs[f"{name}.schema.json"],
+                                           registry=registry)
+
+
 def test_validate_short_data_exits_6(tmp_path):
     data = nu0_file(tmp_path / "d.json", n=3)
     rc = main(["validate", str(data), "--grid-m", "64", "--n-bins", "16",
@@ -212,6 +244,27 @@ def test_bad_config_exits_2(tmp_path):
     write_zero_tau(tau)
     rc = main(["direct", str(tau), "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_lambda_max_is_not_a_knob(tmp_path, capsys):
+    # the truncation is always pi (n_bins + 1/2): the flag is gone, a
+    # config file that sets lambda_max is refused, and the echo keeps the
+    # resolved value
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("lambda_max = 40.0\n")
+    rc = main(["direct", str(tau), "--config", str(cfg), "--n-bins", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'lambda_max'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["direct", str(tau), "--lambda-max", "40", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert main(["direct", str(tau), "--n-bins", "2",
+                 "--out", str(tmp_path / "ok")]) == 0
+    diag = json.loads((tmp_path / "ok" / "direct_diagnostics.json").read_text())
+    assert diag["lambda_max"] == diag["config"]["lambda_max"] == np.pi * 2.5
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -1,3 +1,10 @@
+import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +13,8 @@ from kreinsl.core import (
     MatrixGrid,
     NotAnAccelerantError,
     SpectralData,
+    ValidationError,
+    save_spectral_data,
     trapezoid_weights,
 )
 from kreinsl.krein import solve_krein
@@ -16,7 +25,9 @@ from kreinsl.validation import (
     check_a3_a4,
     check_all,
     completeness_matrices,
+    smallest_eigenpair,
 )
+from oracles import completeness_via_heo
 
 
 def nu0_truncation(r, n):
@@ -31,6 +42,36 @@ def delete_entry(data, j):
     keep[j] = False
     return SpectralData(data.r, data.lambdas[keep], data.alphas[keep],
                         includes_zero=data.includes_zero)
+
+
+def constant_r2_data(n_bins, seed=5):
+    """Closed-form data of tau = U diag(c1, c2) U* with a complex unitary U:
+    per channel lambda_n = sqrt(pi^2 n^2 + c^2), alpha_n = (pi n / lambda_n)^2
+    and alpha_0 = c / (1 - exp(-2c)), each times the channel projector."""
+    rng = np.random.default_rng(seed)
+    c1 = rng.uniform(0.4, 1.0)
+    c = (c1, c1 + rng.uniform(0.2, 0.6))
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, rr = np.linalg.qr(z)
+    u = q * (np.diag(rr) / np.abs(np.diag(rr)))
+    proj = [np.outer(u[:, k], u[:, k].conj()) for k in range(2)]
+    entries = [(0.0, sum(ck / (1.0 - math.exp(-2.0 * ck)) * p
+                         for ck, p in zip(c, proj)))]
+    for n in range(1, n_bins + 1):
+        for ck, p in zip(c, proj):
+            lam = math.sqrt(math.pi ** 2 * n ** 2 + ck ** 2)
+            entries.append((lam, (math.pi * n / lam) ** 2 * p))
+    entries.sort(key=lambda e: e[0])
+    return SpectralData(2, np.array([e[0] for e in entries]),
+                        np.array([e[1] for e in entries]), includes_zero=True)
+
+
+def fourier_data():
+    from kreinsl.direct import spectral_data
+    from kreinsl.synthetic import fourier_tau
+
+    spec = GridSpec(128)
+    return spectral_data(fourier_tau(2, 3, 0.25, 7, spec), 12), spec, 12
 
 
 class TestA1:
@@ -144,6 +185,102 @@ class TestCompleteness:
         assert np.abs(me_red - expected).max() < 1e-12
 
 
+class TestCompletenessIndexing:
+    """The direct H2(|i-j|) / H2(i+j) gather against the kernel squares."""
+
+    @pytest.mark.parametrize("case", ["r1_real", "r2_complex", "reduced"])
+    def test_bit_identical_to_heo_route(self, case):
+        if case == "r1_real":
+            lams = np.concatenate([[0.0], np.pi * np.arange(1, 13)
+                                   + 0.3 / np.arange(1, 13)])
+            alphas = np.concatenate([[0.7 * np.eye(1)],
+                                     np.tile(0.9 * np.eye(1), (12, 1, 1))])
+            data = SpectralData(1, lams, alphas.astype(complex), includes_zero=True)
+            spec, n_bins = GridSpec(96), 12
+        elif case == "r2_complex":
+            data, spec, n_bins = constant_r2_data(16), GridSpec(64), 16
+        else:
+            full = nu0_truncation(2, 8)
+            data = SpectralData(2, full.lambdas[2:], full.alphas[2:],
+                                includes_zero=False)
+            spec, n_bins = GridSpec(48), 8
+        me, mo = completeness_matrices(data, spec, n_bins)
+        me_ref, mo_ref = completeness_via_heo(data, spec, n_bins)
+        assert np.array_equal(me, me_ref)
+        assert np.array_equal(mo, mo_ref)
+
+    def test_memory_bounded_by_outputs(self):
+        # m = 384, r = 2: each output matrix is 9.5 MB; the kernel-square
+        # route peaked at 237 MB
+        data, spec = constant_r2_data(32), GridSpec(384)
+        tracemalloc.start()
+        try:
+            completeness_matrices(data, spec, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _completeness_case(name):
+    if name == "free":
+        return nu0_truncation(1, 8), GridSpec(64), 8
+    if name == "one_deleted":
+        return delete_entry(nu0_truncation(1, 16), 1), GridSpec(256), 16
+    if name == "three_deleted":
+        data = nu0_truncation(1, 12)
+        for j in (5, 3, 1):
+            data = delete_entry(data, j)
+        return data, GridSpec(128), 12
+    return fourier_data()
+
+
+class TestSmallestEigenpair:
+    @pytest.mark.parametrize("case", ["free", "one_deleted", "three_deleted",
+                                      "fourier"])
+    def test_matches_full_eigh(self, case):
+        # the free data give M = I exactly, so the shift must not vanish
+        data, spec, n_bins = _completeness_case(case)
+        for mat in completeness_matrices(data, spec, n_bins):
+            if case == "free":
+                assert np.array_equal(mat, np.eye(len(mat)))
+            lam, v, _ = smallest_eigenpair(mat)
+            assert abs(lam - np.linalg.eigh(mat)[0][0]) <= 1e-12
+            assert np.linalg.norm(v) == pytest.approx(1.0)
+            assert np.linalg.norm(mat @ v - lam * v) <= 1e-10 * np.linalg.norm(v)
+
+    def test_null_direction_counts(self):
+        data, spec, n_bins = _completeness_case("three_deleted")
+        rep = check_a3_a4(data, spec, n_bins)
+        assert rep.a3_n_below_band == 3 and rep.a4_n_below_band == 3
+        doc = check_all(data, spec, n_bins).to_json()
+        assert doc["a3"]["n_below_band"] == 3 and doc["a4"]["n_below_band"] == 3
+        free = check_a3_a4(nu0_truncation(1, 8), GridSpec(64), 8)
+        assert free.a3_n_below_band == 0 and free.a4_n_below_band == 0
+
+    def test_validate_imports_no_scipy(self, tmp_path):
+        # a lazy scipy import on the validate path would cost about 0.3 s
+        # per run; check it in a fresh interpreter
+        path = tmp_path / "data.json"
+        save_spectral_data(nu0_truncation(2, 8), path)
+        code = (
+            "import json, sys\n"
+            "from kreinsl.cli import main\n"
+            f"rc = main(['validate', {str(path)!r}, '--grid-m', '64',"
+            f" '--n-bins', '8', '--out', {str(tmp_path)!r}])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]))\n"
+        )
+        import kreinsl
+        src = os.path.dirname(os.path.dirname(kreinsl.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              check=True)
+        rc, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert rc == 0
+        assert loaded == []
+
+
 class TestPositivityRoutes:
     def test_zero_kernel(self):
         h = MatrixGrid(1, GridSpec(64), np.zeros((65, 1, 1)), hermitian=True)
@@ -158,6 +295,11 @@ class TestPositivityRoutes:
         vals = np.full((129, 1, 1), 0.8)
         h = MatrixGrid(1, GridSpec(128), vals, hermitian=True)
         assert accelerant_positivity(h) > 0.0
+
+    def test_grid_mismatch_is_validation_error(self):
+        h = MatrixGrid(1, GridSpec(64), np.zeros((65, 1, 1)), hermitian=True)
+        with pytest.raises(ValidationError):
+            accelerant_positivity(h, GridSpec(32))
 
     def test_agreement_with_solver_route(self):
         # positivity of I + (convolution) agrees with the triangular-solve
