@@ -24,7 +24,6 @@ from .core import (
     ValidationError,
     ConfigurationError,
     PoleProximityError,
-    ContourError,
     ExtractionError,
     ConsistencyError,
     CoverageError,
@@ -51,7 +50,6 @@ __all__ = [
     "ValidationError",
     "ConfigurationError",
     "PoleProximityError",
-    "ContourError",
     "ExtractionError",
     "ConsistencyError",
     "CoverageError",

@@ -130,16 +130,19 @@ def build_accelerant(data: SpectralData, spec: GridSpec, n_bins: int) -> MatrixG
     return MatrixGrid(data.r, spec, h, hermitian=True)
 
 
-def tail_proxy(data: SpectralData, spec: GridSpec, n_bins: int) -> float:
+def tail_proxy(data: SpectralData, spec: GridSpec, n_bins: int, *,
+               h_full: MatrixGrid | None = None) -> float:
     """L2 distance between the accelerants at n_bins and n_bins // 2 bins.
 
     A small value indicates the truncated cosine series has stabilized;
     there is no proven rate, so the proxy is reported rather than tested
-    against a bound.
+    against a bound.  A caller that already holds the n_bins accelerant
+    passes it as h_full, and only the half-truncation one is built.
     """
     if n_bins < 2:
         return float("nan")
-    h_full = build_accelerant(data, spec, n_bins)
+    if h_full is None:
+        h_full = build_accelerant(data, spec, n_bins)
     h_half = build_accelerant(data, spec, n_bins // 2)
     w = trapezoid_weights(spec)
     diff = np.linalg.norm(h_full.values - h_half.values, ord=2, axis=(-2, -1)) ** 2

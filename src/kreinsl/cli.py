@@ -172,8 +172,7 @@ def _load_tau(path, cfg: RunConfig):
 
 
 def _direct_diagnostics(tau, data, cfg: RunConfig) -> dict:
-    import numpy as np
-    from .direct import propagate
+    from .direct import propagate, rank_checks
     from .validation import check_a1
 
     samples = [1.0, 2.5, 7.75, 0.25 + cfg.resolved_lambda_max() / 2.0]
@@ -190,6 +189,7 @@ def _direct_diagnostics(tau, data, cfg: RunConfig) -> dict:
             "max_bin_count": a1.max_bin_count,
         },
         "entries": len(data),
+        **rank_checks(tau, data, cfg.n_bins),
         "lambda_max": cfg.resolved_lambda_max(),
     }
 
@@ -238,7 +238,7 @@ def _inverse_pipeline(data, cfg: RunConfig):
         "krein_residual": sol.residual,
         "min_pivot": sol.min_pivot,
         "hermitization_defect": defect,
-        "accelerant_tail_proxy": tail_proxy(data, spec, n_bins),
+        "accelerant_tail_proxy": tail_proxy(data, spec, n_bins, h_full=H),
         "n_bins_used": n_bins,
         "notes": notes,
     }

@@ -42,16 +42,12 @@ class PoleProximityError(KreinslError):
         self.sigma_min = sigma_min
 
 
-class ContourError(KreinslError):
-    """A residue-extraction contour passed too close to a pole."""
-
-
 class ExtractionError(KreinslError):
     """A norming-constant candidate failed its positivity check."""
 
 
 class ConsistencyError(KreinslError):
-    """Internal rank bookkeeping failed, signalling a missed eigenvalue."""
+    """The eigenvalue count, the roots found and the residue ranks disagree."""
 
 
 class CoverageError(KreinslError):
@@ -224,6 +220,13 @@ class SquareKernel:
         if v.shape != want:
             raise ValidationError(f"square kernel has shape {v.shape}, expected {want}")
         self.values = _frozen(v)
+
+
+def matrix_rank_psd(alpha: np.ndarray, rtol: float = 1e-9) -> int:
+    """Numerical rank of a Hermitian PSD matrix."""
+    w = np.linalg.eigvalsh((alpha + alpha.conj().T) / 2.0)
+    scale = max(float(w.max()), 0.0)
+    return int(np.count_nonzero(w > rtol * max(scale, 1e-300)))
 
 
 def _check_alpha(alpha: np.ndarray, idx: int) -> None:

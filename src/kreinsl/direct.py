@@ -18,14 +18,40 @@ classical Runge-Kutta phase error cannot deliver at the eigenvalue
 tolerances this module has to meet.
 
 A batch of L lambdas is propagated by one loop over the 2m factors that
-updates a single (2r, r, 2, L) accumulator.  For scalar and Hermitian tau
-each factor acts in the eigenbasis of its lambda-independent generator
+updates a single (columns, r, 2, L) accumulator.  For scalar and Hermitian
+tau each factor acts in the eigenbasis of its lambda-independent generator
 hu = V diag(d) V^H, where it is one fixed basis change (a GEMM on the
 accumulator) and r independent 2 x 2 blocks per lambda built from the
-scalars cosh, sinhc of sqrt(d^2 - v^2).  Factor coefficients are formed
-for a byte-capped block of factors at a time, so memory is
-O(L r^2 + m r^2): no array with a full cell axis and a lambda axis exists,
-and the peak for 2000 lambdas at r = 2 is about 15 MB at any m.
+scalars cosh, sinhc of sqrt(d^2 - v^2).  That setup (spline, generators,
+eigenbases, basis changes) is built once per tau (_Factors) and shared by
+every propagation of a direct solve.  Factor coefficients are formed for a
+byte-capped block of factors at a time, so memory is O(L r^2 + m r^2): no
+array with a full cell axis and a lambda axis exists, and the peak for
+2000 lambdas at r = 2 is about 15 MB at any m.  A propagation carries only
+the columns it needs: the r frame columns for counting and Newton steps,
+all 2r for residues, and dW/dlambda of the frame when asked, from the
+closed forms of dc/dv and ds/dv (lambda enters a factor only through
+v = h lambda / 2), so derivatives are those of the discrete scheme.
+
+Eigenvalues are counted, not scanned.  For Hermitian tau,
+J W' = (V - lambda) W with J = [[0, I], [-I, 0]] and V = [[0, tau], [tau, 0]]
+is a Hermitian canonical system, so the frame columns (X, Y) of W are
+Lagrangian and U = (X + iY)(X - iY)^{-1} is unitary.  Its eigenphases start
+at 0 and turn clockwise as lambda grows, and lambda is an eigenvalue
+exactly when one of them sits on a multiple of 2 pi at x = 1.  Lifting
+arg det U factor by factor along x gives N(lambda), the number of
+eigenvalues in [0, lambda) with multiplicity (lambda_0 = 0 counts r times):
+
+    N = (sum_j (theta_j mod 2 pi) - lifted arg det U) / (2 pi)   at x = 1,
+
+theta_j the eigenphases of U(1).  find_eigenvalues counts on the bin edges
+merged with a scan_step grid, bisects on N until each bracket holds one
+root (a root of multiplicity k stays one bracket with count jump k), and
+refines every root by Newton on the sum of the k eigenphases nearest 0; the
+count at each Newton point moves the bracket, and a step that leaves it
+bisects instead.  norming_constants takes the residues of the Weyl
+function by Keldysh's theorem from one propagation of W and dW/dlambda at
+all roots.
 
 The scheme needs tau at the two Gauss nodes of every cell.  It reads the
 grid samples through the not-a-knot cubic spline, whose fourth-order error
@@ -37,7 +63,6 @@ eigenvalues to second order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -47,13 +72,13 @@ from .core import (
     BoundaryValues,
     ConfigurationError,
     ConsistencyError,
-    ContourError,
     ExtractionError,
     MatrixGrid,
     PoleProximityError,
     SpectralData,
     ValidationError,
     bin_index,
+    matrix_rank_psd,
 )
 
 # Gauss nodes on [0, 1] and the two-exponential weights of the CF4 scheme.
@@ -64,9 +89,22 @@ _A2 = 0.25 - np.sqrt(3.0) / 6.0
 
 RANK_TOL = 1e-7
 WEYL_PIVOT_TOL = 1e-10
-CLUSTER_TOL = 1e-8
-REFINE_TOL = 1e-10
-CONTOUR_POINTS = 64
+
+# Largest change of arg det U between two lifts; the lift reads it modulo
+# 2 pi, so anything below pi is exact (see _lift_plan).
+_LIFT_MAX = 2.5
+# Bisection leaves a bracket narrower than this, relative to max(1, lambda):
+# its count jump is then the multiplicity of one root.
+_SPLIT_FLOOR = 1e-9
+# Newton stops once its step is below this, relative to max(1, lambda); the
+# last step is still taken, so the error left is of the order of its square.
+_NEWTON_TOL = 1e-10
+_NEWTON_ITERS = 60
+# Lambdas per propagation of a count.  A batch's accumulator and per-factor
+# buffers stay in cache, and each batch of an ascending grid gets its own
+# lift plan, so low batches lift less often: the 8000-point count of a
+# 128-bin run at m = 512 takes 1.3 s in batches against 1.9 s in one.
+_COUNT_BATCH = 1024
 
 # Byte cap of one block of factor coefficients in _propagate_many: each
 # (factors, r, L) array of a block, or (factors, L, r, r) for matrix
@@ -163,6 +201,23 @@ def _spline_curvatures(y: np.ndarray) -> np.ndarray:
     return curv
 
 
+def _sinhc_slope(z: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d/dz of sinh(sqrt z)/sqrt z, elementwise, given c = cosh(sqrt z) and
+    s = sinh(sqrt z)/sqrt z.
+
+    The closed form (c - s) / (2 z) cancels as z -> 0, so for |z| <= 1 the
+    Taylor series sum_k k z^(k-1) / (2k+1)! is summed instead (ten terms
+    leave a remainder below 1e-21).
+    """
+    t = np.zeros_like(z)
+    for k in range(10, 0, -1):
+        t = k / math.factorial(2 * k + 1) + z * t
+    big = np.abs(z) > 1.0
+    if np.any(big):
+        t = np.where(big, (c - s) / (2.0 * np.where(big, z, 1.0)), t)
+    return t
+
+
 def _step_generators(tau_values: np.ndarray, h: float):
     """Per-cell lambda-independent pieces of the two CF4 exponentials.
 
@@ -194,40 +249,134 @@ def _step_generators(tau_values: np.ndarray, h: float):
     return hu, hu @ hu
 
 
-def _propagate_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
-    """Fundamental matrix W(1, lam, tau) for a batch of lambdas: (L, 2r, 2r).
+class _Factors:
+    """The lambda-independent setup of tau's 2m CF4 factors, in the order
+    they act (cell 0 first, cell 0 second, cell 1 ...): the generators hu
+    and hu^2 (2m, r, r) and, for scalar and Hermitian tau, the eigenvalues
+    d (2m, r) of hu; for Hermitian r > 1 also the eigenbases vecs and the
+    basis changes turns = V_k^H V_{k-1} (V_{-1} = I).
+
+    Built once per tau by _factors.  find_eigenvalues, norming_constants
+    and count_eigenvalues accept it in place of the MatrixGrid, so a
+    direct solve's count, Newton and residue propagations share one.
+    """
+
+    # a plain class: a dataclass here would add milliseconds to every
+    # import of the package's validation path, which never propagates
+    __slots__ = ("tau", "hu", "hu2", "d", "vecs", "turns")
+
+    def __init__(self, tau: MatrixGrid, hu: np.ndarray, hu2: np.ndarray,
+                 d: np.ndarray | None, vecs: np.ndarray | None,
+                 turns: np.ndarray | None):
+        self.tau, self.hu, self.hu2 = tau, hu, hu2
+        self.d, self.vecs, self.turns = d, vecs, turns
+
+
+def _factors(tau) -> _Factors:
+    if isinstance(tau, _Factors):
+        return tau
+    r = tau.r
+    hu, hu2 = (np.swapaxes(g, 0, 1).reshape(-1, r, r)
+               for g in _step_generators(tau.values, tau.spec.h))
+    d = vecs = turns = None
+    if r == 1:
+        d = hu[:, 0]
+        if not np.any(d.imag):
+            d = d.real
+    elif tau.hermitian:
+        d, vecs = np.linalg.eigh(hu)
+        prev = np.concatenate([np.eye(r)[None], vecs[:-1]])
+        turns = np.conj(np.swapaxes(vecs, -1, -2)) @ prev
+    return _Factors(tau, hu, hu2, d, vecs, turns)
+
+
+def _lift_plan(fac: _Factors, lams: np.ndarray) -> tuple[int, int]:
+    """(sub-steps per factor, sub-steps per lift) that keep the change of
+    arg det U between two lifts within _LIFT_MAX.
+
+    In a factor's eigenbasis the frame's U obeys U' = -2iv U - D + U D U
+    (D = diag(d), unit time per factor), so (arg det U)' = -2 r v +
+    2 Im tr(D U) and one factor moves arg det U by at most
+    2 r |v| + 2 sum_i |d_i| = r h |lambda| + 2 sum_i |d_i|.  Below the
+    limit several factors share one lift; above it every factor is applied
+    as that many equal sub-steps, exp(G) = exp(G / n)^n, each lifted.
+    """
+    bound = (fac.tau.r * fac.tau.spec.h * float(np.max(np.abs(lams), initial=0.0))
+             + 2.0 * float(np.max(np.abs(fac.d).sum(axis=1))))
+    if bound > _LIFT_MAX:
+        return math.ceil(bound / _LIFT_MAX), 1
+    return 1, max(1, int(_LIFT_MAX / bound)) if bound > 0 else fac.hu.shape[0]
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of the (r, r) leading blocks of an (r, r, L) array."""
+    r = a.shape[0]
+    if r == 1:
+        return a[0, 0]
+    if r == 2:
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return np.linalg.det(np.moveaxis(a, -1, 0))
+
+
+def _det_phase(frame: np.ndarray) -> np.ndarray:
+    """det(X + iY) conj(det(X - iY)) of a (r, r, 2, L) frame accumulator:
+    its argument is arg det U.  A basis change acts on X and Y alike, so
+    the eigenbasis form gives the same value."""
+    x = frame[:, :, 0]
+    y = frame[:, :, 1]
+    return _det(x + 1j * y) * np.conj(_det(x - 1j * y))
+
+
+def _half_pairs(c, su, sv):
+    """The coefficient pair P = (c - su, c + su), Q = (sv, -sv), laid out
+    as (factor, row, half, lambda)."""
+    return np.stack([c - su, c + su], axis=2), np.stack([sv, -sv], axis=2)
+
+
+def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
+           lift: bool = False):
+    """Propagate the first ncol columns (r or 2r) of W(x, lam) to x = 1.
+
+    Returns (w, dw, arg): w (L, 2r, ncol); with deriv, dw (L, 2r, r) is
+    dW/dlam of the r frame columns, else None; with lift, arg (L,) is
+    arg det U at x = 1, lifted continuously from 0 at x = 0, else None.
 
     One loop over the 2m CF4 factors, in the order they act, updates an
-    accumulator laid out as (2r, r, 2, L): column, row i of the top and
-    bottom halves, half, lambda last.  A factor maps the pair of rows
-    (top_i, bot_i) to P (top_i, bot_i) + Q (bot_i, top_i) with per-lambda
-    coefficients P = (c - s hu, c + s hu), Q = (s v, -s v).
+    accumulator laid out as (column, row i of the top and bottom halves,
+    half, lambda last), the derivative columns after the value columns.  A
+    factor maps the pair of rows (top_i, bot_i) to
+    P (top_i, bot_i) + Q (bot_i, top_i) with per-lambda coefficients
+    P = (c - s hu, c + s hu), Q = (s v, -s v); the derivative columns get
+    the same map plus P_lam, Q_lam applied to the frame's values.
 
     For scalar and Hermitian tau the accumulator is kept in the eigenbasis
     of the current generator, hu = V diag(d) V^H.  Entering a factor is
     then the fixed basis change V_k^H V_{k-1} (one GEMM, V_{-1} = I), and
     c, s are the scalars cosh, sinhc of sqrt(d^2 - v^2): r independent
     2 x 2 blocks.  Non-Hermitian generators with r > 1 have no unitary
-    eigenbasis; their c, s are r x r matrices.
+    eigenbasis; their c, s are r x r matrices, and only plain propagation
+    is offered there.
     Coefficients are evaluated for a block of factors at once, capped at
     _COEF_BYTES per array, so memory is O(L r^2 + m r^2) and no array has
     both a cell and a lambda axis beyond one block.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    r = tau.r
+    if not np.any(lams.imag):
+        # real lambdas and generator eigenvalues give real c and s, which
+        # cost half as much to form
+        lams = lams.real
+    r = fac.tau.r
     L = lams.size
-    # factors in the order they act: cell 0 first, cell 0 second, cell 1 ...
-    hu, hu2 = (np.swapaxes(g, 0, 1).reshape(-1, r, r)
-               for g in _step_generators(tau.values, tau.spec.h))
-    v = 0.5 * tau.spec.h * lams
-    eigen = r == 1 or tau.hermitian
-    vecs = None
-    if r == 1:
-        d = hu[:, 0]
-    elif tau.hermitian:
-        d, vecs = np.linalg.eigh(hu)
-        prev = np.concatenate([np.eye(r)[None], vecs[:-1]])
-        turns = np.conj(np.swapaxes(vecs, -1, -2)) @ prev
+    eigen = fac.d is not None
+    if (deriv or lift) and not eigen:
+        raise ValidationError(
+            "lambda derivatives and eigenvalue counts need scalar or "
+            "Hermitian tau")
+    nf = fac.hu.shape[0]
+    sub, stride = _lift_plan(fac, lams) if lift else (1, 0)
+    dv = 0.5 * fac.tau.spec.h / sub
+    v = dv * lams
+    nder = r if deriv else 0
     if eigen:
         apply = np.multiply
         per_factor = r * max(L, 1) * 16
@@ -235,44 +384,72 @@ def _propagate_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
         apply = partial(np.einsum, "ijhl,cjhl->cihl")
         per_factor = r * r * max(L, 1) * 16
 
-    acc = np.zeros((2 * r, r, 2, L), dtype=complex)
-    for i in range(r):
-        acc[i, i, 0] = 1.0
-        acc[r + i, i, 1] = 1.0
+    acc = np.zeros((ncol + nder, r, 2, L), dtype=complex)
+    for i in range(ncol):
+        acc[i, i % r, i // r] = 1.0
     work = np.empty_like(acc)
     tmp = np.empty_like(acc)
+    arg = phase = None
+    if lift:
+        arg = np.zeros(L)
+        phase = np.ones(L, dtype=complex)
+        pending = 0
     block = max(1, _COEF_BYTES // per_factor)
-    for lo in range(0, hu.shape[0], block):
-        hi = min(lo + block, hu.shape[0])
+    for lo in range(0, nf, block):
+        hi = min(lo + block, nf)
         if eigen:
-            dk = d[lo:hi, :, None]
-            c, s = _cosh_sinhc(dk * dk - (v * v)[None, None, :], False)
-            su = s * dk
+            dk = fac.d[lo:hi, :, None] / sub
+            z = dk * dk - (v * v)[None, None, :]
+            c, s = _cosh_sinhc(z, False)
             # (factor, row, half, lambda)
-            P = np.stack([c - su, c + su], axis=2)
-            sv = s * v
-            Q = np.stack([sv, -sv], axis=2)
+            P, Q = _half_pairs(c, s * dk, s * v)
+            if deriv:
+                # dc/dv = -v s and ds/dv = -2 v ds/dz, with dv/dlam = dv
+                s_v = -2.0 * v * _sinhc_slope(z, c, s)
+                P_lam, Q_lam = _half_pairs(-dv * v * s, dv * s_v * dk,
+                                           dv * (s + v * s_v))
         else:
-            c, s = _cosh_sinhc(hu2[lo:hi, None]
+            c, s = _cosh_sinhc(fac.hu2[lo:hi, None]
                                - (v * v)[None, :, None, None] * np.eye(r),
                                True)
-            su = s @ hu[lo:hi, None]
+            su = s @ fac.hu[lo:hi, None]
             sv = s * v[None, :, None, None]
             # (factor, row, column of the r x r block, half, lambda)
             P = np.moveaxis(np.stack([c - su, c + su], axis=-1), 1, -1)
             Q = np.moveaxis(np.stack([sv, -sv], axis=-1), 1, -1)
         for k in range(hi - lo):
-            if vecs is not None:
-                np.matmul(turns[lo + k], acc.reshape(2 * r, r, -1),
-                          out=work.reshape(2 * r, r, -1))
+            if fac.turns is not None:
+                np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
+                          out=work.reshape(ncol + nder, r, -1))
                 acc, work = work, acc
-            apply(P[k], acc, out=work)
-            apply(Q[k], acc[:, :, ::-1], out=tmp)
-            np.add(work, tmp, out=work)
-            acc, work = work, acc
-    if vecs is not None:
-        acc = (vecs[-1] @ acc.reshape(2 * r, r, -1)).reshape(acc.shape)
-    return acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, 2 * r)
+            for _ in range(sub):
+                apply(P[k], acc, out=work)
+                apply(Q[k], acc[:, :, ::-1], out=tmp)
+                np.add(work, tmp, out=work)
+                if deriv:
+                    np.multiply(P_lam[k], acc[:r], out=tmp[:r])
+                    np.add(work[ncol:], tmp[:r], out=work[ncol:])
+                    np.multiply(Q_lam[k], acc[:r, :, ::-1], out=tmp[:r])
+                    np.add(work[ncol:], tmp[:r], out=work[ncol:])
+                acc, work = work, acc
+                if lift:
+                    pending += 1
+                    if pending == stride:
+                        now = _det_phase(acc[:r])
+                        arg += np.angle(now * np.conj(phase))
+                        phase, pending = now, 0
+    if lift and pending:
+        arg += np.angle(_det_phase(acc[:r]) * np.conj(phase))
+    if fac.vecs is not None:
+        acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
+    out = acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder)
+    return out[..., :ncol], (out[..., ncol:] if deriv else None), arg
+
+
+def _propagate_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
+    """Fundamental matrix W(1, lam, tau) for a batch of lambdas: (L, 2r, 2r)."""
+    fac = _factors(tau)
+    return _sweep(fac, lams, 2 * fac.tau.r)[0]
 
 
 def _blocks(w: np.ndarray, r: int):
@@ -326,58 +503,145 @@ def weyl_m(tau: MatrixGrid, lam: complex) -> np.ndarray:
     return _weyl_many(tau, np.array([lam]))[0]
 
 
-def _sigma_min_many(tau: MatrixGrid, lams) -> np.ndarray:
-    w = _propagate_many(tau, lams)
-    phi_t = _blocks(w, tau.r)[0]
-    return np.linalg.svd(phi_t, compute_uv=False)[..., -1]
+def _count(w: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """N(lambda) from a lifted frame sweep: (sum of the eigenphases of U(1)
+    reduced to [0, 2 pi) minus the lifted arg det U) / 2 pi."""
+    r = w.shape[-1]
+    x, y = w[:, :r, :r], w[:, r:, :r]
+    # eigenvalues of U^T = (X - iY)^{-T} (X + iY)^T, those of U
+    ut = np.linalg.solve(np.swapaxes(x - 1j * y, -1, -2),
+                         np.swapaxes(x + 1j * y, -1, -2))
+    reduced = np.mod(np.angle(np.linalg.eigvals(ut)), 2.0 * np.pi).sum(axis=-1)
+    n = (reduced - arg) / (2.0 * np.pi)
+    whole = np.rint(n)
+    if n.size and np.max(np.abs(n - whole)) > 0.25:
+        raise ConsistencyError(
+            f"eigenvalue count is not an integer (off by "
+            f"{np.max(np.abs(n - whole)):.3e}): arg det U lost track")
+    return whole.astype(int)
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+def count_eigenvalues(tau: MatrixGrid, lams) -> np.ndarray:
+    """N(lambda) for real lambda: the number of eigenvalues in [0, lambda),
+    with multiplicity, lambda_0 = 0 counted r times.  Exact up to roundoff
+    at lambdas within roundoff of an eigenvalue.  Needs Hermitian tau."""
+    fac = _factors(tau)
+    if not fac.tau.hermitian:
+        raise ValidationError("eigenvalue counts require Hermitian tau")
+    lams = np.asarray(lams, dtype=float).ravel()
+    out = np.empty(lams.size, dtype=int)
+    for lo in range(0, lams.size, _COUNT_BATCH):
+        part = slice(lo, lo + _COUNT_BATCH)
+        w, _, arg = _sweep(fac, lams[part], fac.tau.r, lift=True)
+        out[part] = _count(w, arg)
+    return out
 
 
-def _golden_refine(tau: MatrixGrid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorized golden-section minimization of sigma_min over brackets."""
-    a = lo.copy()
-    b = hi.copy()
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = _sigma_min_many(tau, x1)
-    f2 = _sigma_min_many(tau, x2)
-    while np.max(b - a) > REFINE_TOL:
-        take_left = f1 < f2
-        b = np.where(take_left, x2, b)
-        a = np.where(take_left, a, x1)
-        x_eval = np.where(take_left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        f_eval = _sigma_min_many(tau, x_eval)
-        x1, x2, f1, f2 = (np.where(take_left, x_eval, x2),
-                          np.where(take_left, x1, x_eval),
-                          np.where(take_left, f_eval, f2),
-                          np.where(take_left, f1, f_eval))
-    return (a + b) / 2.0
+def _isolate(fac: _Factors, lo, hi, n_lo, n_hi):
+    """Bisect the brackets (lo, hi] on N until each holds one root: count
+    jump 1, or a bracket below _SPLIT_FLOOR whose jump is the multiplicity.
+    All brackets split together, one propagation per round."""
+    while True:
+        split = (n_hi - n_lo > 1) & (hi - lo > _SPLIT_FLOOR * np.maximum(1.0, hi))
+        if not split.any():
+            return lo, hi, n_lo, n_hi
+        mid = 0.5 * (lo[split] + hi[split])
+        n_mid = np.clip(count_eigenvalues(fac, mid), n_lo[split], n_hi[split])
+        keep = ~split
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        n_lo, n_hi = (np.concatenate([n_lo[keep], n_lo[split], n_mid]),
+                      np.concatenate([n_hi[keep], n_mid, n_hi[split]]))
+        live = np.flatnonzero(n_hi > n_lo)
+        live = live[np.argsort(lo[live])]
+        lo, hi, n_lo, n_hi = lo[live], hi[live], n_lo[live], n_hi[live]
 
 
-def _orth_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if s.size else 1.0)
-    return u[:, keep]
+def _phase_step(w: np.ndarray, dw: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Newton step -g/g' per lambda, g the sum of the mult eigenphases of
+    U(1) nearest 0 (mod 2 pi).
+
+    With U = Z W^{-1}, Z = X + iY, W = X - iY, dU = (dZ - U dW) W^{-1}.  For
+    an orthonormal basis Q of the selected eigenvectors (U is normal) the
+    phases' sum moves at g' = Im tr(Q^H U^H dU Q), well defined however
+    close those phases are; they turn clockwise, so g' < 0.
+    """
+    r = w.shape[-1]
+    x, y = w[:, :r, :r], w[:, r:, :r]
+    dx, dy = dw[:, :r], dw[:, r:]
+    w_inv = np.linalg.inv(x - 1j * y)
+    u = (x + 1j * y) @ w_inv
+    du = ((dx + 1j * dy) - u @ (dx - 1j * dy)) @ w_inv
+    mu, vec = np.linalg.eig(u)
+    theta = np.angle(mu)
+    nearest = np.argsort(np.abs(theta), axis=-1)
+    step = np.empty(w.shape[0])
+    for k in np.unique(mult):
+        rows = np.flatnonzero(mult == k)
+        sel = nearest[rows, :k]
+        g = np.take_along_axis(theta[rows], sel, axis=-1).sum(axis=-1)
+        q = np.linalg.qr(np.take_along_axis(vec[rows], sel[:, None, :], axis=-1))[0]
+        qh = np.conj(np.swapaxes(q, -1, -2))
+        uh = np.conj(np.swapaxes(u[rows], -1, -2))
+        slope = np.trace(qh @ uh @ du[rows] @ q, axis1=-2, axis2=-1).imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step[rows] = np.where(slope < 0.0, -g / slope, np.nan)
+    return step
+
+
+def _refine(fac: _Factors, lo, hi, n_lo, mult) -> np.ndarray:
+    """Count-safeguarded Newton from each bracket's midpoint.
+
+    Every iteration is one lifted propagation of the frame and its lambda
+    derivative at the open roots: the count moves the bracket to the side
+    that holds the root, and a Newton step that leaves the bracket is
+    replaced by its midpoint.
+    """
+    r = fac.tau.r
+    lo = lo.copy()
+    hi = hi.copy()
+    lam = 0.5 * (lo + hi)
+    todo = np.arange(lam.size)
+    for _ in range(_NEWTON_ITERS):
+        if todo.size == 0:
+            return lam
+        at = lam[todo]
+        w, dw, arg = _sweep(fac, at, r, deriv=True, lift=True)
+        right = _count(w, arg) <= n_lo[todo]
+        lo[todo] = np.where(right, at, lo[todo])
+        hi[todo] = np.where(right, hi[todo], at)
+        step = _phase_step(w, dw, mult[todo])
+        tol = _NEWTON_TOL * np.maximum(1.0, at)
+        new = at + step
+        inside = (new > lo[todo] - tol) & (new < hi[todo] + tol)
+        lam[todo] = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[~(inside & (np.abs(step) <= tol))]
+    if todo.size == 0:
+        return lam
+    raise ConsistencyError(
+        f"Newton refinement left {todo.size} root(s) unconverged after "
+        f"{_NEWTON_ITERS} steps, first near lambda = {lam[todo[0]]:.9g}")
 
 
 def find_eigenvalues(tau: MatrixGrid, lambda_max: float,
                      scan_step: float = 0.05) -> list[tuple[float, np.ndarray]]:
     """Locate lambda_0 = 0 and all eigen square roots in (0, lambda_max].
 
-    Scans sigma_min of phi(1, lambda, tau) on a uniform lambda grid,
-    refines every interior local minimum by golden-section search to
-    |dlambda| <= 1e-10, and keeps the refined points whose smallest
-    singular values fall below the rank threshold.  Returns a list of
-    (lambda, kernel_basis) with orthonormal kernel columns; lambda = 0 is
-    always present with the full space as kernel.
-
-    Roots closer together than the merge tolerance are combined into one
-    entry with the union of their kernels (a cluster warning is emitted);
-    roots separated by less than scan_step may be missed, which the rank
-    bookkeeping in spectral_data subsequently reports.
+    Counts the eigenvalues below every bin edge pi (n + 1/2) and every
+    multiple of scan_step up to lambda_max (count_eigenvalues), bisects the
+    brackets whose count rises by more than one until each holds a single
+    root, and refines each root by count-safeguarded Newton to a step
+    below 1e-10 max(1, lambda).  Returns a list of (lambda, kernel_basis)
+    with orthonormal kernel columns; lambda = 0 is always present with the
+    full space as kernel.  Every root appears once, however close its
+    neighbours: a root of multiplicity k (a count jump of k across a
+    bracket narrower than 1e-9 max(1, lambda)) gets the k right singular
+    vectors of phi(1, lambda, tau) with the smallest singular values.
+    scan_step only refines the count grid; the count, not the grid,
+    guarantees that no root is missed.
     """
+    fac = _factors(tau)
+    tau = fac.tau
     if not tau.hermitian:
         raise ValidationError("eigenvalue search requires Hermitian tau")
     if lambda_max <= 0:
@@ -386,95 +650,88 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float,
         raise ConfigurationError(
             f"scan_step {scan_step} is too coarse; it must stay below pi/4"
         )
-    grid = np.arange(1, int(np.ceil((lambda_max + scan_step) / scan_step)) + 1) * scan_step
-    sig = _sigma_min_many(tau, grid)
-    interior = np.flatnonzero((sig[1:-1] < sig[:-2]) & (sig[1:-1] <= sig[2:])) + 1
-    out: list[tuple[float, np.ndarray]] = [(0.0, np.eye(tau.r, dtype=complex))]
-    if interior.size:
-        roots = _golden_refine(tau, grid[interior - 1], grid[interior + 1])
-        w = _propagate_many(tau, roots)
-        phi = _blocks(w, tau.r)[0]
-        _, s, vh = np.linalg.svd(phi)
-        found: list[tuple[float, np.ndarray]] = []
-        for k in range(roots.size):
-            thresh = RANK_TOL * max(1.0, float(s[k, 0]))
-            null = s[k] <= thresh
-            if not np.any(null) or roots[k] > lambda_max + 1e-9:
-                continue
-            basis = vh[k].conj().T[:, null]
-            found.append((float(roots[k]), basis))
-        found.sort(key=lambda p: p[0])
-        merged: list[tuple[float, np.ndarray]] = []
-        for lam, basis in found:
-            if merged and lam - merged[-1][0] < CLUSTER_TOL:
-                warnings.warn(
-                    f"eigenvalue cluster near lambda = {lam:.12g} merged",
-                    RuntimeWarning, stacklevel=2,
-                )
-                prev_lam, prev_basis = merged[-1]
-                merged[-1] = (prev_lam,
-                              _orth_columns(np.hstack([prev_basis, basis])))
-            else:
-                merged.append((lam, basis))
-        out.extend(merged)
+    r = tau.r
+    edges = np.pi * (np.arange(math.ceil(lambda_max / np.pi)) + 0.5)
+    steps = scan_step * np.arange(1, math.ceil(lambda_max / scan_step))
+    grid = np.unique(np.concatenate([edges[edges < lambda_max],
+                                     steps[steps < lambda_max], [lambda_max]]))
+    counts = np.concatenate([[r], count_eigenvalues(fac, grid)])
+    if np.any(np.diff(counts) < 0):
+        k = int(np.argmax(np.diff(counts) < 0))
+        raise ConsistencyError(
+            f"eigenvalue count falls from {counts[k]} to {counts[k + 1]} at "
+            f"lambda = {grid[k]:.9g}")
+    rise = np.flatnonzero(np.diff(counts) > 0)
+    lo, hi, n_lo, n_hi = _isolate(fac, np.concatenate([[0.0], grid])[rise],
+                                  grid[rise], counts[rise], counts[rise + 1])
+    mult = n_hi - n_lo
+    if np.any(mult > r):
+        k = int(np.argmax(mult > r))
+        raise ConsistencyError(
+            f"{mult[k]} eigenvalues within {hi[k] - lo[k]:.3e} of lambda = "
+            f"{lo[k]:.9g}, more than r = {r}")
+    out: list[tuple[float, np.ndarray]] = [(0.0, np.eye(r, dtype=complex))]
+    if lo.size == 0:
+        return out
+    roots = _refine(fac, lo, hi, n_lo, mult)
+    w = _sweep(fac, roots, r)[0]
+    vh = np.linalg.svd(-w[:, r:, :r])[2]
+    for lam, v, k in zip(roots, vh, mult):
+        out.append((float(lam), v[r - k:].conj().T))
     return out
-
-
-def _contour_radii(lams: np.ndarray) -> np.ndarray:
-    gaps = np.diff(lams)
-    radii = np.empty(lams.size)
-    for j in range(lams.size):
-        left = gaps[j - 1] if j > 0 else np.inf
-        right = gaps[j] if j < lams.size - 1 else np.inf
-        radii[j] = min(0.4 * min(left, right), 0.5)
-    return radii
 
 
 def norming_constants(tau: MatrixGrid, eigenvalues, *,
                       hermitize: bool = True) -> list[np.ndarray]:
-    """Norming constants by contour extraction of the Weyl-function residues.
+    """Norming constants: alpha_j is minus the residue of the Weyl function
+    m = -phi^{-1} psi at lambda_j (half of it at lambda_0 = 0), with
+    phi = phi(1, lam, tau) and psi = psi(1, lam, -tau).
 
-    alpha_j is minus the residue of m_tau at lambda_j (half of it at
-    lambda_0 = 0), computed with a 64-point trapezoid rule on a circle of
-    radius min(0.4 * gap to neighbours, 0.5); trapezoid sums on circles
-    converge geometrically for the analytic part, and the simple-pole part
-    is integrated exactly.  With hermitize the results are symmetrized and
-    clipped to the positive cone; an eigenvalue of alpha below -1e-6 aborts
-    with an extraction failure.
+    The poles are semisimple, so by Keldysh's theorem
+    phi(lam)^{-1} = K (L^* phi'(lam_j) K)^{-1} L^* / (lam - lam_j) + O(1),
+    where K and L are right and left kernel bases of phi(lam_j): the
+    singular vectors of its singular values up to RANK_TOL times
+    max(1, largest).  Hence
+
+        alpha_j = K (L^* phi'(lam_j) K)^{-1} L^* psi(lam_j),
+
+    from one propagation of W and dW/dlambda at all eigenvalues.  With
+    hermitize the results are symmetrized and clipped to the positive
+    cone; an eigenvalue of alpha below -1e-6 aborts with an extraction
+    failure.  Needs scalar or Hermitian tau.
     """
+    fac = _factors(tau)
     lams = np.asarray([float(l) for l in eigenvalues])
     if lams.size == 0:
         return []
     if lams[0] != 0.0:
         raise ConfigurationError("eigenvalue list must start with lambda_0 = 0")
-    radii = _contour_radii(lams)
-    theta = 2.0 * np.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS
-    phase = np.exp(1j * theta)
-    zs = lams[:, None] + radii[:, None] * phase[None, :]
-    try:
-        mvals = _weyl_many(tau, zs.ravel())
-    except PoleProximityError as exc:
-        raise ContourError(
-            f"residue contour hit a pole of the Weyl function ({exc}); "
-            "retry with a smaller radius"
-        ) from exc
-    mvals = mvals.reshape(lams.size, CONTOUR_POINTS, tau.r, tau.r)
-    alphas = -(radii[:, None, None] / CONTOUR_POINTS) * np.einsum(
-        "jk,jkab->jab", np.broadcast_to(phase, zs.shape), mvals)
-    alphas[0] *= 0.5
+    r = fac.tau.r
+    w, dw, _ = _sweep(fac, lams, 2 * r, deriv=True)
+    phi = -w[:, r:, :r]
+    dphi = -dw[:, r:, :]
+    psi = w[:, r:, r:]
+    u, s, vh = np.linalg.svd(phi)
+    alphas = []
+    for j in range(lams.size):
+        k = max(1, int(np.count_nonzero(s[j] <= RANK_TOL * max(1.0, s[j, 0]))))
+        right = vh[j, r - k:].conj().T
+        left_h = u[j, :, r - k:].conj().T
+        alphas.append(right @ np.linalg.solve(left_h @ dphi[j] @ right,
+                                              left_h @ psi[j]))
+    alphas[0] = 0.5 * alphas[0]
     if not hermitize:
-        return [alphas[j] for j in range(lams.size)]
+        return alphas
     out = []
     for j in range(lams.size):
         a = (alphas[j] + alphas[j].conj().T) / 2.0
-        w, v = np.linalg.eigh(a)
-        if w.min() < -1e-6:
+        w_eig, v = np.linalg.eigh(a)
+        if w_eig.min() < -1e-6:
             raise ExtractionError(
                 f"norming constant at lambda = {lams[j]:.9g} has eigenvalue "
-                f"{w.min():.3e} below the -1e-6 positivity floor"
+                f"{w_eig.min():.3e} below the -1e-6 positivity floor"
             )
-        a = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        out.append(a)
+        out.append((v * np.clip(w_eig, 0.0, None)) @ v.conj().T)
     return out
 
 
@@ -488,18 +745,12 @@ class EigenRecord:
     kernel_basis: np.ndarray
 
 
-def matrix_rank_psd(alpha: np.ndarray, rtol: float = 1e-9) -> int:
-    """Numerical rank of a Hermitian PSD matrix."""
-    w = np.linalg.eigvalsh((alpha + alpha.conj().T) / 2.0)
-    scale = max(float(w.max()), 0.0)
-    return int(np.count_nonzero(w > rtol * max(scale, 1e-300)))
-
-
 def eigen_records(tau: MatrixGrid, n_bins: int,
                   scan_step: float = 0.05) -> list[EigenRecord]:
     lambda_max = np.pi * (n_bins + 0.5)
-    pairs = find_eigenvalues(tau, lambda_max, scan_step)
-    alphas = norming_constants(tau, [lam for lam, _ in pairs])
+    fac = _factors(tau)
+    pairs = find_eigenvalues(fac, lambda_max, scan_step)
+    alphas = norming_constants(fac, [lam for lam, _ in pairs])
     return [
         EigenRecord(lam=lam, alpha=alpha, multiplicity=matrix_rank_psd(alpha),
                     kernel_basis=basis)
@@ -514,15 +765,17 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
     The truncation is lambda_max = pi (n_bins + 1/2), i.e. exactly the
     first n_bins frequency bins.  The cumulative rank identity
     sum_{n <= N} sum_{lambda_j in bin n} rank alpha_j = N r is verified at
-    N = n_bins; a violation signals a missed or spurious eigenvalue.
+    N = n_bins: the eigenvalue count fixes how many roots there are and
+    their multiplicities, so a violation means the residue ranks disagree
+    with the count.
     """
     recs = eigen_records(tau, n_bins, scan_step)
     total_rank = sum(r.multiplicity for r in recs[1:])
     if total_rank != n_bins * tau.r:
         raise ConsistencyError(
-            f"rank bookkeeping failed at truncation {n_bins}: counted "
-            f"{total_rank} instead of {n_bins * tau.r}; an eigenvalue was "
-            "missed or spuriously detected (try a smaller scan_step)"
+            f"rank bookkeeping failed at truncation {n_bins}: the norming "
+            f"constants have total rank {total_rank}, the eigenvalue count "
+            f"gives {n_bins * tau.r}"
         )
     for rec in recs[1:]:
         n = bin_index(rec.lam)
@@ -536,3 +789,36 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
         alphas=np.stack([rec.alpha for rec in recs]),
         includes_zero=True,
     )
+
+
+def rank_checks(tau: MatrixGrid, data: SpectralData, n_bins: int) -> dict:
+    """How firmly a direct solve's ranks were decided, from one lifted
+    propagation of the frame at the data's lambdas and the bin edges.
+
+    entry_checks, per entry: kernel_dim, the number of singular values of
+    phi(1, lambda, tau) up to the threshold RANK_TOL * max(1, largest);
+    alpha_rank, the numerical rank of alpha (equal to kernel_dim for a
+    consistent entry); kernel_sigma, the largest kernel singular value
+    over the threshold (below 1, near 0 for a well-resolved root); and
+    next_sigma, the smallest singular value above the kernel over the
+    threshold (above 1; None for a full kernel).
+    edge_counts: N(lambda) at the bin edges pi (n + 1/2), n = 0..n_bins.
+    """
+    fac = _factors(tau)
+    r = fac.tau.r
+    edges = np.pi * (np.arange(n_bins + 1) + 0.5)
+    w, _, arg = _sweep(fac, np.concatenate([edges, data.lambdas]), r, lift=True)
+    sig = np.linalg.svd(-w[edges.size:, r:, :r], compute_uv=False)
+    entries = []
+    for lam, alpha, s in zip(data.lambdas, data.alphas, sig):
+        thresh = RANK_TOL * max(1.0, float(s[0]))
+        k = int(np.count_nonzero(s <= thresh))
+        entries.append({
+            "lambda": float(lam),
+            "kernel_dim": k,
+            "alpha_rank": matrix_rank_psd(alpha),
+            "kernel_sigma": float(s[r - k] / thresh) if k else None,
+            "next_sigma": float(s[r - k - 1] / thresh) if k < r else None,
+        })
+    return {"entry_checks": entries,
+            "edge_counts": _count(w[:edges.size], arg[:edges.size]).tolist()}

@@ -26,9 +26,9 @@ from .core import (
     SpectralData,
     ValidationError,
     block_flatten,
+    matrix_rank_psd,
     trapezoid_weights,
 )
-from .direct import matrix_rank_psd
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 

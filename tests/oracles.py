@@ -7,7 +7,8 @@ so the natural boundary conditions are built in), refined by Richardson
 extrapolation; closed forms cover the constant-coefficient cases.  The
 propagator reference chains scipy's matrix exponential through the same
 fourth-order scheme the package uses, with scipy's spline reading of the
-samples.
+samples, and the norming-constant reference integrates the Weyl function
+built from it around residue contours.
 """
 
 from __future__ import annotations
@@ -226,3 +227,31 @@ def completeness_via_heo(data, spec, n_bins: int):
         out.append((mat + mat.conj().T) / 2.0)
     return tuple(out)
 
+
+
+def contour_norming_constants(tau_values: np.ndarray, lams, points: int = 64):
+    """Norming constants as minus the residues of the Weyl function at the
+    given square-root eigenvalues (half of it at lambda_0 = 0), by the
+    trapezoid rule on circles.
+
+    m(lam) = -phi(1, lam)^{-1} psi(1, lam, -tau) comes from
+    cf4_fundamental_matrix at `points` equispaced points of a circle of
+    radius min(0.4 * gap to the neighbours, 0.5) around each lambda_j; the
+    trapezoid sum converges geometrically in `points` for the analytic
+    part and integrates the simple pole exactly.  This is the contour route
+    the package used before its Keldysh residues.
+    """
+    lams = np.asarray(lams, dtype=float)
+    r = tau_values.shape[-1]
+    gaps = np.diff(lams)
+    left = np.concatenate([[np.inf], gaps])
+    right = np.concatenate([gaps, [np.inf]])
+    radii = np.minimum(0.4 * np.minimum(left, right), 0.5)
+    phase = np.exp(2j * np.pi * np.arange(points) / points)
+    zs = lams[:, None] + radii[:, None] * phase[None, :]
+    w = cf4_fundamental_matrix(tau_values, zs.ravel())
+    mvals = -np.linalg.solve(-w[:, r:, :r], w[:, r:, r:])
+    mvals = mvals.reshape(lams.size, points, r, r)
+    alphas = -(radii[:, None, None] / points) * np.einsum("k,jkab->jab", phase, mvals)
+    alphas[0] *= 0.5
+    return alphas

@@ -169,6 +169,26 @@ def test_validate_report_counts_null_directions(tmp_path):
     _schema_validator("condition_report").validate(rep)
 
 
+def test_direct_diagnostics_per_entry(tmp_path):
+    # a seeded r = 2 potential: every entry's kernel dimension equals its
+    # alpha rank, each bin edge adds r to the count, and the file matches
+    # its schema
+    from kreinsl.synthetic import fourier_tau
+
+    save_matrix_grid(fourier_tau(2, 3, 0.3, 5, GridSpec(64)), tmp_path / "tau.json")
+    assert main(["direct", str(tmp_path / "tau.json"), "--grid-m", "64",
+                 "--n-bins", "6", "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "direct_diagnostics.json").read_text())
+    _schema_validator("direct_diagnostics").validate(diag)
+    checks = diag["entry_checks"]
+    assert len(checks) == diag["entries"] == 13
+    assert all(c["kernel_dim"] == c["alpha_rank"] for c in checks)
+    assert checks[0]["kernel_dim"] == 2 and checks[0]["next_sigma"] is None
+    assert max(c["kernel_sigma"] for c in checks) < 1.0
+    assert min(c["next_sigma"] for c in checks[1:]) > 1.0
+    assert diag["edge_counts"] == [2 + 2 * n for n in range(7)]
+
+
 def _schema_validator(name):
     jsonschema = pytest.importorskip("jsonschema")
     referencing = pytest.importorskip("referencing")

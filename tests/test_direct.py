@@ -3,13 +3,16 @@ import pytest
 
 from kreinsl.core import (
     ConfigurationError,
-    ConsistencyError,
     GridSpec,
     MatrixGrid,
     PoleProximityError,
 )
 from kreinsl.direct import (
+    _factors,
+    _lift_plan,
     _propagate_many,
+    count_eigenvalues,
+    eigen_records,
     find_eigenvalues,
     norming_constants,
     propagate,
@@ -21,6 +24,7 @@ from oracles import (
     cf4_fundamental_matrix,
     constant_tau_lambdas,
     constant_tau_phi1,
+    contour_norming_constants,
     fd_eigen_r1_refined,
 )
 
@@ -211,6 +215,68 @@ class TestFindEigenvalues:
             find_eigenvalues(zero_tau(1, 64), 5.0, scan_step=1.0)
 
 
+class TestCount:
+    """N(lambda) by the lifted arg det U against the closed form for a
+    constant diag(c1, c2): 0 counted twice, and sqrt(pi^2 n^2 + c^2) per
+    channel.  The CF4 scheme is exact for constant tau, so the count must
+    be too."""
+
+    @staticmethod
+    def _closed_form(c, lams):
+        n = np.arange(1, 200)
+        roots = np.concatenate([np.sqrt(np.pi ** 2 * n ** 2 + ck ** 2) for ck in c])
+        return len(c) + (roots[None, :] < lams[:, None]).sum(axis=1)
+
+    @staticmethod
+    def _diag_tau(c, m):
+        vals = np.tile(np.diag(c).astype(complex), (m + 1, 1, 1))
+        return MatrixGrid(len(c), GridSpec(m), vals, hermitian=True)
+
+    @pytest.mark.parametrize("m, lam_max, sub", [
+        # per cell 2 r h lam_max = 4.0 > pi: one lift per factor is needed
+        (64, 20.5 * np.pi, 1),
+        # one factor alone moves arg det U by about 8: four sub-steps each
+        (16, 20.5 * np.pi, 4),
+    ])
+    def test_constant_diag_closed_form(self, m, lam_max, sub):
+        c = (0.7, -1.3)
+        tau = self._diag_tau(c, m)
+        roots = np.concatenate([
+            np.sqrt(np.pi ** 2 * np.arange(1, 30) ** 2 + ck ** 2) for ck in c])
+        # a grid plus points 1e-9 to either side of every root; N is only
+        # ambiguous within roundoff of a root
+        lams = np.sort(np.concatenate([np.linspace(0.05, lam_max, 1601),
+                                       roots - 1e-9, roots + 1e-9]))
+        lams = lams[lams <= lam_max]
+        want = self._closed_form(c, lams)
+        assert _lift_plan(_factors(tau), lams)[0] == sub
+        assert 2 * 2 * tau.spec.h * lam_max > np.pi
+        np.testing.assert_array_equal(count_eigenvalues(tau, lams), want)
+
+    def test_counts_bins_of_a_seeded_potential(self):
+        # every bin of the benchmark's r = 2 input holds two eigenvalues
+        tau = smooth_tau(2, 256, seed=91)
+        edges = np.pi * (np.arange(33) + 0.5)
+        np.testing.assert_array_equal(count_eigenvalues(tau, edges),
+                                      2 + 2 * np.arange(33))
+
+
+class TestKeldyshResidues:
+    """alpha from Keldysh's theorem against the 64-point residue contours
+    (tests/oracles.py) on the scipy expm propagator."""
+
+    @pytest.mark.parametrize("tau, n_bins", [
+        (zero_tau(2, 32), 4),
+        (const_tau(0.5, 64), 5),
+        (smooth_tau(2, 64), 5),
+    ], ids=["zero", "constant", "fourier"])
+    def test_matches_contour_oracle(self, tau, n_bins):
+        lams = [lam for lam, _ in find_eigenvalues(tau, np.pi * (n_bins + 0.5))]
+        got = norming_constants(tau, lams, hermitize=False)
+        want = contour_norming_constants(tau.values, lams)
+        assert max(np.linalg.norm(a - b, 2) for a, b in zip(got, want)) <= 1e-9
+
+
 class TestNormingConstants:
     def test_free_case(self):
         tau = zero_tau(2, 256)
@@ -313,6 +379,17 @@ class TestSpectralData:
         assert np.abs(data.lambdas - lam_ref).max() <= 1e-9
         assert np.abs(data.alphas[:, 0, 0] - alpha_ref).max() <= 1e-9
 
+    def test_every_close_pair_resolved(self):
+        # the benchmark's r = 2 input: its closest pair is 4.4e-4 apart, and
+        # each of the 64 roots is one entry whose kernel dimension is the
+        # rank of its norming constant
+        recs = eigen_records(smooth_tau(2, 256, seed=91), 32)
+        assert len(recs) == 65
+        assert [rec.kernel_basis.shape[1] for rec in recs[1:]] == [1] * 64
+        assert [rec.multiplicity for rec in recs[1:]] == [1] * 64
+        lams = np.array([rec.lam for rec in recs])
+        assert np.all(np.diff(lams) > 0)
+
     def test_block_diagonal_matches_scalar_merge(self):
         m = 256
         vals = np.tile(np.diag([0.0, 0.4]).astype(complex), (m + 1, 1, 1))
@@ -329,17 +406,17 @@ class TestSpectralData:
             assert abs(np.trace(alpha).real - src.alphas[j, 0, 0].real) < 1e-7
 
     def test_missed_eigenvalue_detected(self):
-        # a coarse scan cannot separate the diag(0, 1.86) pair near pi;
-        # the miss must surface loudly, either as a rank-count violation or
-        # as a failed residue extraction on the polluted contour
-        from kreinsl.core import ExtractionError
-
+        # the diag(0, 1.86) pair near pi (sqrt(pi^2 + 1.86^2) = 3.65 and pi)
+        # shares one step of a 0.6 grid; the count sees both roots, so even
+        # that coarse grid finds every entry
         m = 128
         vals = np.tile(np.diag([0.0, 1.86]).astype(complex), (m + 1, 1, 1))
         tau = MatrixGrid(2, GridSpec(m), vals, hermitian=True)
-        with pytest.raises((ConsistencyError, ExtractionError)):
-            spectral_data(tau, 2, scan_step=0.6)
-        assert len(spectral_data(tau, 2, scan_step=0.05)) == 5  # fine scan is fine
+        coarse = spectral_data(tau, 2, scan_step=0.6)
+        assert len(coarse) == 5
+        fine = spectral_data(tau, 2, scan_step=0.05)
+        assert len(fine) == 5
+        assert np.abs(coarse.lambdas - fine.lambdas).max() <= 1e-12
 
 
 def test_a1_diagnostics_flatten_with_bins():
