@@ -254,7 +254,8 @@ class TestCount:
         np.testing.assert_array_equal(count_eigenvalues(tau, lams), want)
 
     def test_counts_bins_of_a_seeded_potential(self):
-        # every bin of the benchmark's r = 2 input holds two eigenvalues
+        # every bin of the direct-r2 benchmark input at seed 91 holds two
+        # eigenvalues
         tau = smooth_tau(2, 256, seed=91)
         edges = np.pi * (np.arange(33) + 0.5)
         np.testing.assert_array_equal(count_eigenvalues(tau, edges),
@@ -380,9 +381,9 @@ class TestSpectralData:
         assert np.abs(data.alphas[:, 0, 0] - alpha_ref).max() <= 1e-9
 
     def test_every_close_pair_resolved(self):
-        # the benchmark's r = 2 input: its closest pair is 4.4e-4 apart, and
-        # each of the 64 roots is one entry whose kernel dimension is the
-        # rank of its norming constant
+        # the direct-r2 benchmark input at seed 91: its closest pair is
+        # 4.4e-4 apart, and each of the 64 roots is one entry whose kernel
+        # dimension is the rank of its norming constant
         recs = eigen_records(smooth_tau(2, 256, seed=91), 32)
         assert len(recs) == 65
         assert [rec.kernel_basis.shape[1] for rec in recs[1:]] == [1] * 64
@@ -406,9 +407,10 @@ class TestSpectralData:
             assert abs(np.trace(alpha).real - src.alphas[j, 0, 0].real) < 1e-7
 
     def test_missed_eigenvalue_detected(self):
-        # the diag(0, 1.86) pair near pi (sqrt(pi^2 + 1.86^2) = 3.65 and pi)
-        # shares one step of a 0.6 grid; the count sees both roots, so even
-        # that coarse grid finds every entry
+        # the diag(0, 1.86) pair near pi (pi and sqrt(pi^2 + 1.86^2) = 3.65)
+        # is closer than the 0.6 step, where a scan of the smallest singular
+        # value sees one minimum; the count sees both roots, so even that
+        # coarse grid finds every entry
         m = 128
         vals = np.tile(np.diag([0.0, 1.86]).astype(complex), (m + 1, 1, 1))
         tau = MatrixGrid(2, GridSpec(m), vals, hermitian=True)
