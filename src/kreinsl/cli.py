@@ -43,7 +43,6 @@ class RunConfig:
 
     grid_m: int = 256
     n_bins: int = 64
-    scan_step: float = 0.05
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
     seed: int = 0
     log_level: str = "info"
@@ -59,15 +58,12 @@ class RunConfig:
             raise ConfigurationError("grid_m must be at least 8")
         if self.n_bins < 1:
             raise ConfigurationError("n_bins must be positive")
-        if self.scan_step <= 0:
-            raise ConfigurationError("scan_step must be positive")
 
     def to_json(self) -> dict:
         return {
             "grid_m": self.grid_m,
             "n_bins": self.n_bins,
             "lambda_max": self.resolved_lambda_max(),
-            "scan_step": self.scan_step,
             "tolerances": dict(sorted(self.tolerances.items())),
             "seed": self.seed,
             "log_level": self.log_level,
@@ -116,7 +112,7 @@ def read_config_file(path) -> dict:
     return out
 
 
-_CONFIG_KEYS = ("grid_m", "n_bins", "scan_step", "seed", "log_level")
+_CONFIG_KEYS = ("grid_m", "n_bins", "seed", "log_level")
 
 
 def _check_config_keys(doc: dict, path) -> None:
@@ -146,7 +142,7 @@ def build_config(args) -> RunConfig:
             if key in doc:
                 setattr(cfg, key, doc[key])
         cfg.tolerances.update(doc.get("tolerances", {}))
-    for key in ("grid_m", "n_bins", "scan_step", "seed"):
+    for key in ("grid_m", "n_bins", "seed"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             setattr(cfg, key, val)
@@ -171,15 +167,14 @@ def _load_tau(path, cfg: RunConfig):
     return tau
 
 
-def _direct_diagnostics(tau, data, cfg: RunConfig) -> dict:
+def _direct_diagnostics(tau, data, report: dict, cfg: RunConfig) -> dict:
+    import numpy as np
     from .direct import propagate, rank_checks
     from .validation import check_a1
 
     samples = [1.0, 2.5, 7.75, 0.25 + cfg.resolved_lambda_max() / 2.0]
-    resid = {}
-    for lam in samples:
-        bv = propagate(tau, lam)
-        resid[f"{lam:.6g}"] = bv.identity_residual
+    resid = {f"{lam:.6g}": bv.identity_residual
+             for lam, bv in zip(samples, propagate(tau, np.array(samples)))}
     a1 = check_a1(data, cfg.n_bins)
     return {
         "identity_residuals": resid,
@@ -189,7 +184,7 @@ def _direct_diagnostics(tau, data, cfg: RunConfig) -> dict:
             "max_bin_count": a1.max_bin_count,
         },
         "entries": len(data),
-        **rank_checks(tau, data, cfg.n_bins),
+        **rank_checks(data, report),
         "lambda_max": cfg.resolved_lambda_max(),
     }
 
@@ -200,12 +195,13 @@ def cmd_direct(args) -> int:
 
     cfg = build_config(args)
     tau = _load_tau(args.tau_file, cfg)
-    data = spectral_data(tau, cfg.n_bins, scan_step=cfg.scan_step)
+    report = {}
+    data = spectral_data(tau, cfg.n_bins, report)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     data_path = os.path.join(outdir, "spectral_data.json")
     save_spectral_data(data, data_path)
-    diag = _direct_diagnostics(tau, data, cfg)
+    diag = _direct_diagnostics(tau, data, report, cfg)
     diag["config"] = cfg.to_json()
     _write_json(diag, os.path.join(outdir, "direct_diagnostics.json"))
     log.info("wrote %s (%d entries)", data_path, len(data))
@@ -309,8 +305,8 @@ def _roundtrip_once(tau, n_bins: int, grid_m: int, cfg: RunConfig):
 
     spec = GridSpec(grid_m)
     tau_m = resample_matrix_grid(tau, spec)
-    data = spectral_data(tau_m, n_bins, scan_step=cfg.scan_step)
-    sub_cfg = RunConfig(grid_m=grid_m, n_bins=n_bins, scan_step=cfg.scan_step,
+    data = spectral_data(tau_m, n_bins)
+    sub_cfg = RunConfig(grid_m=grid_m, n_bins=n_bins,
                         tolerances=cfg.tolerances, seed=cfg.seed)
     tau_hat, sigma_hat, diag = _inverse_pipeline(data, sub_cfg)
     errs = _relative_errors(tau_hat, tau_m)
@@ -354,7 +350,7 @@ def cmd_roundtrip(args) -> int:
             log.info("roundtrip n_bins=%d m=%d: rel L2 %.3e", nb, gm, errs["l2"])
 
     data, tau_hat = base
-    redata = spectral_data(tau_hat, cfg.n_bins, scan_step=cfg.scan_step)
+    redata = spectral_data(tau_hat, cfg.n_bins)
     k = min(len(data), len(redata))
     lam_dev = float(np.max(np.abs(data.lambdas[:k] - redata.lambdas[:k])))
     alpha_dev = float(np.max(np.linalg.norm(
@@ -377,7 +373,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="number of grid subintervals of [0, 1]")
     p.add_argument("--n-bins", dest="n_bins", type=int, default=None,
                    help="frequency-bin truncation level")
-    p.add_argument("--scan-step", dest="scan_step", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory (default .)")
     p.add_argument("--config", default=None, help="TOML config file")

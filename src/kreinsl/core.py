@@ -222,25 +222,37 @@ class SquareKernel:
         self.values = _frozen(v)
 
 
-def matrix_rank_psd(alpha: np.ndarray, rtol: float = 1e-9) -> int:
-    """Numerical rank of a Hermitian PSD matrix."""
-    w = np.linalg.eigvalsh((alpha + alpha.conj().T) / 2.0)
-    scale = max(float(w.max()), 0.0)
-    return int(np.count_nonzero(w > rtol * max(scale, 1e-300)))
+def matrix_rank_psd(alpha: np.ndarray, rtol: float = 1e-9):
+    """Numerical rank of a Hermitian PSD matrix (an int), or of each of a
+    stack of them (an int array)."""
+    w = np.linalg.eigvalsh((alpha + np.conj(np.swapaxes(alpha, -1, -2))) / 2.0)
+    scale = np.maximum(w.max(axis=-1, keepdims=True), 0.0)
+    ranks = np.count_nonzero(w > rtol * np.maximum(scale, 1e-300), axis=-1)
+    return int(ranks) if np.ndim(alpha) == 2 else ranks
 
 
-def _check_alpha(alpha: np.ndarray, idx: int) -> None:
-    nrm = np.linalg.norm(alpha, 2)
-    if nrm == 0.0:
+def _check_alphas(al: np.ndarray) -> None:
+    """Each alpha must be nonzero, Hermitian and PSD; the first entry that
+    fails raises, with the first of those checks it fails."""
+    nrm = np.linalg.norm(al, 2, axis=(-2, -1))
+    herm = np.conj(np.swapaxes(al, -1, -2))
+    asym = np.linalg.norm(al - herm, 2, axis=(-2, -1))
+    eigmin = np.linalg.eigvalsh((al + herm) / 2.0).min(axis=-1)
+    zero = nrm == 0.0
+    skew = asym > HERMITIAN_RTOL * (1.0 + nrm)
+    neg = eigmin < -PSD_RTOL * nrm
+    bad = np.flatnonzero(zero | skew | neg)
+    if bad.size == 0:
+        return
+    idx = int(bad[0])
+    if zero[idx]:
         raise ValidationError(f"zero norming matrix at index {idx}")
-    if np.linalg.norm(alpha - alpha.conj().T, 2) > HERMITIAN_RTOL * (1.0 + nrm):
+    if skew[idx]:
         raise ValidationError(f"non-Hermitian norming matrix at index {idx}")
-    eigmin = float(np.min(np.linalg.eigvalsh((alpha + alpha.conj().T) / 2.0)))
-    if eigmin < -PSD_RTOL * nrm:
-        raise ValidationError(
-            f"norming matrix at index {idx} is not positive semidefinite "
-            f"(eigenvalue {eigmin:.3e})"
-        )
+    raise ValidationError(
+        f"norming matrix at index {idx} is not positive semidefinite "
+        f"(eigenvalue {eigmin[idx]:.3e})"
+    )
 
 
 @dataclass
@@ -271,8 +283,7 @@ class SpectralData:
         for j in range(1, lam.size):
             if lam[j] <= lam[j - 1]:
                 raise ValidationError(f"non-increasing lambda at index {j}")
-        for j in range(lam.size):
-            _check_alpha(al[j], j)
+        _check_alphas(al)
         if self.includes_zero:
             if lam[0] != 0.0:
                 raise ValidationError("dataset flagged includes_zero but lambda_0 != 0")

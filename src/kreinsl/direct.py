@@ -45,13 +45,19 @@ eigenvalues in [0, lambda) with multiplicity (lambda_0 = 0 counts r times):
     N = (sum_j (theta_j mod 2 pi) - lifted arg det U) / (2 pi)   at x = 1,
 
 theta_j the eigenphases of U(1).  find_eigenvalues counts on the bin edges
-merged with a scan_step grid, bisects on N until each bracket holds one
-root (a root of multiplicity k stays one bracket with count jump k), and
-refines every root by Newton on the sum of the k eigenphases nearest 0; the
-count at each Newton point moves the bracket, and a step that leaves it
-bisects instead.  norming_constants takes the residues of the Weyl
-function by Keldysh's theorem from one propagation of W and dW/dlambda at
-all roots.
+only.  A bracket whose count rises by more than one is split at points
+that Newton predictions place: one propagation of W and dW/dlambda at a
+point gives its count and, per eigenphase, lambda - theta_j / theta_j',
+and the next points go between consecutive predicted roots and just
+outside the outermost ones, so a k-fold root closes into a bracket of
+width below 1e-9 with count jump k in a few rounds; a bracket without
+usable predictions is bisected.  Every root is then refined by Newton on
+the sum of the k eigenphases nearest 0, starting at its best prediction;
+the count at each Newton point moves the bracket, and a step that leaves
+it bisects instead.  On a smooth r = 2 potential with 32 bins a direct
+solve takes 7 propagations, residues included.  norming_constants takes
+the residues of the Weyl function by Keldysh's theorem from one
+propagation of W and dW/dlambda at all roots.
 
 The scheme needs tau at the two Gauss nodes of every cell.  It reads the
 grid samples through the not-a-knot cubic spline, whose fourth-order error
@@ -93,17 +99,22 @@ WEYL_PIVOT_TOL = 1e-10
 # Largest change of arg det U between two lifts; the lift reads it modulo
 # 2 pi, so anything below pi is exact (see _lift_plan).
 _LIFT_MAX = 2.5
-# Bisection leaves a bracket narrower than this, relative to max(1, lambda):
-# its count jump is then the multiplicity of one root.
+# A bracket narrower than this, relative to max(1, lambda), is not split
+# further: its count jump is then the multiplicity of one root.
 _SPLIT_FLOOR = 1e-9
+# Count points go this far, relative to max(1, lambda), outside the
+# outermost predicted roots of a bracket, so a root predicted that closely
+# lands in a bracket below _SPLIT_FLOOR.
+_PREDICT_HALF = 0.25 * _SPLIT_FLOOR
 # Newton stops once its step is below this, relative to max(1, lambda); the
 # last step is still taken, so the error left is of the order of its square.
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 60
 # Lambdas per propagation of a count.  A batch's accumulator and per-factor
 # buffers stay in cache, and each batch of an ascending grid gets its own
-# lift plan, so low batches lift less often: the 8000-point count of a
-# 128-bin run at m = 512 takes 1.3 s in batches against 1.9 s in one.
+# lift plan, so low batches lift less often: counting 8000 ascending
+# lambdas up to 404 at r = 2, m = 512 takes 1.3 s in batches against 1.9 s
+# in one.
 _COUNT_BATCH = 1024
 
 # Byte cap of one block of factor coefficients in _propagate_many: each
@@ -461,23 +472,26 @@ def _blocks(w: np.ndarray, r: int):
     return phi_tau, psi_tau, phi_mtau, psi_mtau
 
 
-def propagate(tau: MatrixGrid, lam: complex) -> BoundaryValues:
-    """Boundary matrices of the fundamental system at one lambda.
+def propagate(tau: MatrixGrid, lam):
+    """Boundary matrices of the fundamental system at one lambda, or at
+    each of a 1-D array of lambdas (a list, one propagation per sign).
 
     Integrates the 2r x 2r system for tau (which carries the -tau blocks
     as well) and reports the residual of the inverse-pair identity
     W(1, lam, tau) W(1, conj(lam), -tau*)^* = I alongside.
     """
-    w1 = _propagate_many(tau, np.array([lam]))[0]
-    phi_t, psi_t, phi_mt, psi_mt = _blocks(w1, tau.r)
+    lams = np.asarray(lam)
+    w1 = _propagate_many(tau, lams.ravel())
     minus_star = MatrixGrid(tau.r, tau.spec,
                             -np.conj(np.swapaxes(tau.values, -1, -2)),
                             hermitian=tau.hermitian)
-    w2 = _propagate_many(minus_star, np.array([np.conj(lam)]))[0]
-    resid = float(np.linalg.norm(w1 @ w2.conj().T - np.eye(2 * tau.r), 2))
-    return BoundaryValues(lam=lam, phi_tau=phi_t, psi_tau=psi_t,
-                          phi_mtau=phi_mt, psi_mtau=psi_mt,
-                          identity_residual=resid)
+    w2 = _propagate_many(minus_star, np.conj(lams.ravel()))
+    resid = np.linalg.norm(w1 @ np.conj(np.swapaxes(w2, -1, -2))
+                           - np.eye(2 * tau.r), 2, axis=(-2, -1))
+    points = lams.ravel() if lams.ndim else [lam]
+    out = [BoundaryValues(at, *blocks, identity_residual=float(res))
+           for at, *blocks, res in zip(points, *_blocks(w1, tau.r), resid)]
+    return out if lams.ndim else out[0]
 
 
 def _weyl_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
@@ -503,15 +517,39 @@ def weyl_m(tau: MatrixGrid, lam: complex) -> np.ndarray:
     return _weyl_many(tau, np.array([lam]))[0]
 
 
-def _count(w: np.ndarray, arg: np.ndarray) -> np.ndarray:
-    """N(lambda) from a lifted frame sweep: (sum of the eigenphases of U(1)
-    reduced to [0, 2 pi) minus the lifted arg det U) / 2 pi."""
+def _eigenphases(w: np.ndarray) -> np.ndarray:
+    """Eigenphases (L, r) of U(1), in (-pi, pi], from a frame sweep."""
     r = w.shape[-1]
     x, y = w[:, :r, :r], w[:, r:, :r]
     # eigenvalues of U^T = (X - iY)^{-T} (X + iY)^T, those of U
     ut = np.linalg.solve(np.swapaxes(x - 1j * y, -1, -2),
                          np.swapaxes(x + 1j * y, -1, -2))
-    reduced = np.mod(np.angle(np.linalg.eigvals(ut)), 2.0 * np.pi).sum(axis=-1)
+    return np.angle(np.linalg.eigvals(ut))
+
+
+def _phase_data(w: np.ndarray, dw: np.ndarray):
+    """Eigenphases theta (L, r) of U(1), unit eigenvectors vec (L, r, r)
+    and U^H dU/dlambda (L, r, r), from a frame sweep with its derivative.
+
+    With U = Z W^{-1}, Z = X + iY, W = X - iY, dU = (dZ - U dW) W^{-1}.
+    For an orthonormal basis Q of eigenvectors (U is normal) the sum of
+    their phases moves at Im tr(Q^H U^H dU Q); the phases turn clockwise,
+    so that slope is negative.
+    """
+    r = w.shape[-1]
+    x, y = w[:, :r, :r], w[:, r:, :r]
+    dx, dy = dw[:, :r], dw[:, r:]
+    w_inv = np.linalg.inv(x - 1j * y)
+    u = (x + 1j * y) @ w_inv
+    du = ((dx + 1j * dy) - u @ (dx - 1j * dy)) @ w_inv
+    mu, vec = np.linalg.eig(u)
+    return np.angle(mu), vec, np.conj(np.swapaxes(u, -1, -2)) @ du
+
+
+def _count(arg: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """N(lambda) from a lifted frame sweep: (sum of the eigenphases theta
+    of U(1) reduced to [0, 2 pi) minus the lifted arg det U) / 2 pi."""
+    reduced = np.mod(theta, 2.0 * np.pi).sum(axis=-1)
     n = (reduced - arg) / (2.0 * np.pi)
     whole = np.rint(n)
     if n.size and np.max(np.abs(n - whole)) > 0.25:
@@ -533,112 +571,178 @@ def count_eigenvalues(tau: MatrixGrid, lams) -> np.ndarray:
     for lo in range(0, lams.size, _COUNT_BATCH):
         part = slice(lo, lo + _COUNT_BATCH)
         w, _, arg = _sweep(fac, lams[part], fac.tau.r, lift=True)
-        out[part] = _count(w, arg)
+        out[part] = _count(arg, _eigenphases(w))
     return out
 
 
-def _isolate(fac: _Factors, lo, hi, n_lo, n_hi):
-    """Bisect the brackets (lo, hi] on N until each holds one root: count
-    jump 1, or a bracket below _SPLIT_FLOOR whose jump is the multiplicity.
-    All brackets split together, one propagation per round."""
-    while True:
-        split = (n_hi - n_lo > 1) & (hi - lo > _SPLIT_FLOOR * np.maximum(1.0, hi))
-        if not split.any():
-            return lo, hi, n_lo, n_hi
-        mid = 0.5 * (lo[split] + hi[split])
-        n_mid = np.clip(count_eigenvalues(fac, mid), n_lo[split], n_hi[split])
-        keep = ~split
-        lo = np.concatenate([lo[keep], lo[split], mid])
-        hi = np.concatenate([hi[keep], mid, hi[split]])
-        n_lo, n_hi = (np.concatenate([n_lo[keep], n_lo[split], n_mid]),
-                      np.concatenate([n_hi[keep], n_mid, n_hi[split]]))
-        live = np.flatnonzero(n_hi > n_lo)
-        live = live[np.argsort(lo[live])]
-        lo, hi, n_lo, n_hi = lo[live], hi[live], n_lo[live], n_hi[live]
+def _predict(lams: np.ndarray, theta, vec, uhdu) -> np.ndarray:
+    """One Newton prediction lambda - theta_j / theta_j' per eigenphase,
+    (L, r), with theta_j' = Im q_j^H U^H dU q_j; NaN where theta_j' >= 0
+    or the quotient is not finite."""
+    slope = np.einsum("lij,lik,lkj->lj", np.conj(vec), uhdu, vec).imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pred = lams[:, None] - theta / slope
+    return np.where((slope < 0.0) & np.isfinite(pred), pred, np.nan)
 
 
-def _phase_step(w: np.ndarray, dw: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Newton step -g/g' per lambda, g the sum of the mult eigenphases of
-    U(1) nearest 0 (mod 2 pi).
+def _split_points(lo: float, hi: float, pred: np.ndarray,
+                  halve: bool) -> np.ndarray:
+    """New count points inside the bracket (lo, hi) from the predictions
+    pred of its ends: _PREDICT_HALF outside the outermost usable ones and
+    between consecutive ones more than _SPLIT_FLOOR apart (closer ones
+    are one root, as the floor has it), or the midpoint when none is
+    usable.  A prediction within _PREDICT_HALF outside the bracket is
+    usable: it places a root at an end that the count there did not take
+    in.  With halve the midpoint joins whenever the other points leave a
+    piece wider than half the bracket."""
+    d = _PREDICT_HALF * max(1.0, hi)
+    p = np.unique(pred[(pred > lo - d) & (pred < hi + d)])
+    pts = p[:0]
+    if p.size:
+        apart = np.diff(p) > _SPLIT_FLOOR * max(1.0, hi)
+        pts = np.concatenate([[p[0] - d], 0.5 * (p[1:] + p[:-1])[apart],
+                              [p[-1] + d]])
+        pts = pts[(pts > lo) & (pts < hi)]
+    if pts.size == 0 or (
+            halve and np.diff(np.concatenate([[lo], pts, [hi]])).max()
+            > 0.5 * (hi - lo)):
+        pts = np.append(pts, 0.5 * (lo + hi))
+    return np.unique(pts)
 
-    With U = Z W^{-1}, Z = X + iY, W = X - iY, dU = (dZ - U dW) W^{-1}.  For
-    an orthonormal basis Q of the selected eigenvectors (U is normal) the
-    phases' sum moves at g' = Im tr(Q^H U^H dU Q), well defined however
-    close those phases are; they turn clockwise, so g' < 0.
+
+def _isolate(fac: _Factors, lams: np.ndarray, counts: np.ndarray):
+    """Split the brackets between the counted points lams (ascending, with
+    counts N) until each holds one root: count jump 1, or a bracket below
+    _SPLIT_FLOOR whose jump is the multiplicity.
+
+    Each round is one lifted propagation with dW/dlambda at new points in
+    every bracket still to split.  It gives their counts and one Newton
+    prediction per eigenphase, from which the next round places its points
+    (_split_points): a k-fold root predicted within _PREDICT_HALF ends up
+    in a bracket narrower than _SPLIT_FLOOR with jump k.  From the fourth
+    round on every split also halves its bracket at least, so a bracket
+    whose predictions do not close in still shrinks as fast as bisection.
+
+    Returns the brackets (lo, hi, n_lo, n_hi) that hold roots and a Newton
+    start in each: the prediction from its ends that lies inside it with
+    the shortest step, or its midpoint when there is none.
     """
-    r = w.shape[-1]
-    x, y = w[:, :r, :r], w[:, r:, :r]
-    dx, dy = dw[:, :r], dw[:, r:]
-    w_inv = np.linalg.inv(x - 1j * y)
-    u = (x + 1j * y) @ w_inv
-    du = ((dx + 1j * dy) - u @ (dx - 1j * dy)) @ w_inv
-    mu, vec = np.linalg.eig(u)
-    theta = np.angle(mu)
+    r = fac.tau.r
+    pred = np.full((lams.size, r), np.nan)
+    rounds = 0
+    while True:
+        lo, hi = lams[:-1], lams[1:]
+        split = np.flatnonzero((np.diff(counts) > 1)
+                               & (hi - lo > _SPLIT_FLOOR * np.maximum(1.0, hi)))
+        if split.size == 0:
+            break
+        rounds += 1
+        new = [_split_points(lo[b], hi[b], pred[b:b + 2].ravel(), rounds > 3)
+               for b in split]
+        owner = np.repeat(split, [p.size for p in new])
+        new = np.concatenate(new)
+        w, dw, arg = _sweep(fac, new, r, deriv=True, lift=True)
+        theta, vec, uhdu = _phase_data(w, dw)
+        n_new = np.clip(_count(arg, theta), counts[owner], counts[owner + 1])
+        order = np.argsort(np.concatenate([lams, new]), kind="stable")
+        lams = np.concatenate([lams, new])[order]
+        # two new points within roundoff of one root may read it in either
+        # order; the larger count holds for both
+        counts = np.maximum.accumulate(np.concatenate([counts, n_new])[order])
+        pred = np.concatenate([pred, _predict(new, theta, vec, uhdu)])[order]
+    live = np.flatnonzero(np.diff(counts) > 0)
+    lo, hi = lams[live], lams[live + 1]
+    ends = np.repeat(np.stack([lo, hi], axis=1), r, axis=1)
+    cand = np.concatenate([pred[live], pred[live + 1]], axis=1)
+    step = np.where((cand > lo[:, None]) & (cand < hi[:, None]),
+                    np.abs(cand - ends), np.inf)
+    best = np.argmin(step, axis=1)
+    rows = np.arange(live.size)
+    start = np.where(np.isfinite(step[rows, best]), cand[rows, best],
+                     0.5 * (lo + hi))
+    return lo, hi, counts[live], counts[live + 1], start
+
+
+def _phase_step(theta, vec, uhdu, mult: np.ndarray) -> np.ndarray:
+    """Newton step -g/g' per lambda, g the sum of the mult eigenphases of
+    U(1) nearest 0 (mod 2 pi), g' = Im tr(Q^H U^H dU Q) for an orthonormal
+    basis Q of their eigenvectors: well defined however close those phases
+    are (see _phase_data)."""
     nearest = np.argsort(np.abs(theta), axis=-1)
-    step = np.empty(w.shape[0])
+    step = np.empty(theta.shape[0])
     for k in np.unique(mult):
         rows = np.flatnonzero(mult == k)
         sel = nearest[rows, :k]
         g = np.take_along_axis(theta[rows], sel, axis=-1).sum(axis=-1)
         q = np.linalg.qr(np.take_along_axis(vec[rows], sel[:, None, :], axis=-1))[0]
         qh = np.conj(np.swapaxes(q, -1, -2))
-        uh = np.conj(np.swapaxes(u[rows], -1, -2))
-        slope = np.trace(qh @ uh @ du[rows] @ q, axis1=-2, axis2=-1).imag
+        slope = np.trace(qh @ uhdu[rows] @ q, axis1=-2, axis2=-1).imag
         with np.errstate(divide="ignore", invalid="ignore"):
             step[rows] = np.where(slope < 0.0, -g / slope, np.nan)
     return step
 
 
-def _refine(fac: _Factors, lo, hi, n_lo, mult) -> np.ndarray:
-    """Count-safeguarded Newton from each bracket's midpoint.
+def _refine(fac: _Factors, lo, hi, n_lo, mult, lam):
+    """Count-safeguarded Newton from the starts lam, one per bracket.
 
     Every iteration is one lifted propagation of the frame and its lambda
     derivative at the open roots: the count moves the bracket to the side
     that holds the root, and a Newton step that leaves the bracket is
-    replaced by its midpoint.
+    replaced by its midpoint.  Returns the roots and, per root, the right
+    singular vectors of phi(1, lambda, tau) at the last Newton point
+    (within the Newton tolerance of the root), smallest singular values
+    last.
     """
     r = fac.tau.r
     lo = lo.copy()
     hi = hi.copy()
-    lam = 0.5 * (lo + hi)
+    lam = lam.copy()
+    vh = np.empty((lam.size, r, r), dtype=complex)
     todo = np.arange(lam.size)
     for _ in range(_NEWTON_ITERS):
         if todo.size == 0:
-            return lam
+            return lam, vh
         at = lam[todo]
         w, dw, arg = _sweep(fac, at, r, deriv=True, lift=True)
-        right = _count(w, arg) <= n_lo[todo]
+        theta, vec, uhdu = _phase_data(w, dw)
+        right = _count(arg, theta) <= n_lo[todo]
         lo[todo] = np.where(right, at, lo[todo])
         hi[todo] = np.where(right, hi[todo], at)
-        step = _phase_step(w, dw, mult[todo])
+        step = _phase_step(theta, vec, uhdu, mult[todo])
         tol = _NEWTON_TOL * np.maximum(1.0, at)
         new = at + step
         inside = (new > lo[todo] - tol) & (new < hi[todo] + tol)
         lam[todo] = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
-        todo = todo[~(inside & (np.abs(step) <= tol))]
+        done = inside & (np.abs(step) <= tol)
+        vh[todo[done]] = np.linalg.svd(-w[done, r:, :r])[2]
+        todo = todo[~done]
     if todo.size == 0:
-        return lam
+        return lam, vh
     raise ConsistencyError(
         f"Newton refinement left {todo.size} root(s) unconverged after "
         f"{_NEWTON_ITERS} steps, first near lambda = {lam[todo[0]]:.9g}")
 
 
-def find_eigenvalues(tau: MatrixGrid, lambda_max: float,
-                     scan_step: float = 0.05) -> list[tuple[float, np.ndarray]]:
+def find_eigenvalues(tau: MatrixGrid, lambda_max: float, *,
+                     report: dict | None = None
+                     ) -> list[tuple[float, np.ndarray]]:
     """Locate lambda_0 = 0 and all eigen square roots in (0, lambda_max].
 
-    Counts the eigenvalues below every bin edge pi (n + 1/2) and every
-    multiple of scan_step up to lambda_max (count_eigenvalues), bisects the
-    brackets whose count rises by more than one until each holds a single
-    root, and refines each root by count-safeguarded Newton to a step
-    below 1e-10 max(1, lambda).  Returns a list of (lambda, kernel_basis)
-    with orthonormal kernel columns; lambda = 0 is always present with the
-    full space as kernel.  Every root appears once, however close its
-    neighbours: a root of multiplicity k (a count jump of k across a
-    bracket narrower than 1e-9 max(1, lambda)) gets the k right singular
-    vectors of phi(1, lambda, tau) with the smallest singular values.
-    scan_step only refines the count grid; the count, not the grid,
-    guarantees that no root is missed.
+    Counts the eigenvalues below every bin edge pi (n + 1/2) under
+    lambda_max and below lambda_max itself (count_eigenvalues), splits the
+    brackets whose count rises by more than one at points placed by
+    eigenphase Newton predictions until each holds a single root
+    (_isolate), and refines each root by count-safeguarded Newton from its
+    bracket's best prediction to a step below 1e-10 max(1, lambda).  The
+    count, not where the points fall, guarantees that no root is missed.
+
+    Returns a list of (lambda, kernel_basis) with orthonormal kernel
+    columns; lambda = 0 is always present with the full space as kernel.
+    Every root appears once, however close its neighbours: a root of
+    multiplicity k (a count jump of k across a bracket narrower than
+    1e-9 max(1, lambda)) gets the k right singular vectors of
+    phi(1, lambda, tau) with the smallest singular values.  With a report
+    dict, its "edge_counts" gets the counts at the edges and lambda_max.
     """
     fac = _factors(tau)
     tau = fac.tau
@@ -646,24 +750,18 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float,
         raise ValidationError("eigenvalue search requires Hermitian tau")
     if lambda_max <= 0:
         raise ConfigurationError("lambda_max must be positive")
-    if scan_step >= np.pi / 4.0:
-        raise ConfigurationError(
-            f"scan_step {scan_step} is too coarse; it must stay below pi/4"
-        )
     r = tau.r
     edges = np.pi * (np.arange(math.ceil(lambda_max / np.pi)) + 0.5)
-    steps = scan_step * np.arange(1, math.ceil(lambda_max / scan_step))
-    grid = np.unique(np.concatenate([edges[edges < lambda_max],
-                                     steps[steps < lambda_max], [lambda_max]]))
+    grid = np.append(edges[edges < lambda_max], lambda_max)
     counts = np.concatenate([[r], count_eigenvalues(fac, grid)])
     if np.any(np.diff(counts) < 0):
         k = int(np.argmax(np.diff(counts) < 0))
         raise ConsistencyError(
             f"eigenvalue count falls from {counts[k]} to {counts[k + 1]} at "
             f"lambda = {grid[k]:.9g}")
-    rise = np.flatnonzero(np.diff(counts) > 0)
-    lo, hi, n_lo, n_hi = _isolate(fac, np.concatenate([[0.0], grid])[rise],
-                                  grid[rise], counts[rise], counts[rise + 1])
+    if report is not None:
+        report["edge_counts"] = counts[1:].tolist()
+    lo, hi, n_lo, n_hi, start = _isolate(fac, np.append(0.0, grid), counts)
     mult = n_hi - n_lo
     if np.any(mult > r):
         k = int(np.argmax(mult > r))
@@ -673,16 +771,14 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float,
     out: list[tuple[float, np.ndarray]] = [(0.0, np.eye(r, dtype=complex))]
     if lo.size == 0:
         return out
-    roots = _refine(fac, lo, hi, n_lo, mult)
-    w = _sweep(fac, roots, r)[0]
-    vh = np.linalg.svd(-w[:, r:, :r])[2]
+    roots, vh = _refine(fac, lo, hi, n_lo, mult, start)
     for lam, v, k in zip(roots, vh, mult):
         out.append((float(lam), v[r - k:].conj().T))
     return out
 
 
-def norming_constants(tau: MatrixGrid, eigenvalues, *,
-                      hermitize: bool = True) -> list[np.ndarray]:
+def norming_constants(tau: MatrixGrid, eigenvalues, *, hermitize: bool = True,
+                      report: dict | None = None) -> list[np.ndarray]:
     """Norming constants: alpha_j is minus the residue of the Weyl function
     m = -phi^{-1} psi at lambda_j (half of it at lambda_0 = 0), with
     phi = phi(1, lam, tau) and psi = psi(1, lam, -tau).
@@ -698,7 +794,8 @@ def norming_constants(tau: MatrixGrid, eigenvalues, *,
     from one propagation of W and dW/dlambda at all eigenvalues.  With
     hermitize the results are symmetrized and clipped to the positive
     cone; an eigenvalue of alpha below -1e-6 aborts with an extraction
-    failure.  Needs scalar or Hermitian tau.
+    failure.  With a report dict, its "sigma" gets the singular values of
+    phi(lam_j), (L, r) in descending order.  Needs scalar or Hermitian tau.
     """
     fac = _factors(tau)
     lams = np.asarray([float(l) for l in eigenvalues])
@@ -712,6 +809,8 @@ def norming_constants(tau: MatrixGrid, eigenvalues, *,
     dphi = -dw[:, r:, :]
     psi = w[:, r:, r:]
     u, s, vh = np.linalg.svd(phi)
+    if report is not None:
+        report["sigma"] = s
     alphas = []
     for j in range(lams.size):
         k = max(1, int(np.count_nonzero(s[j] <= RANK_TOL * max(1.0, s[j, 0]))))
@@ -746,20 +845,21 @@ class EigenRecord:
 
 
 def eigen_records(tau: MatrixGrid, n_bins: int,
-                  scan_step: float = 0.05) -> list[EigenRecord]:
+                  report: dict | None = None) -> list[EigenRecord]:
     lambda_max = np.pi * (n_bins + 0.5)
     fac = _factors(tau)
-    pairs = find_eigenvalues(fac, lambda_max, scan_step)
-    alphas = norming_constants(fac, [lam for lam, _ in pairs])
+    pairs = find_eigenvalues(fac, lambda_max, report=report)
+    alphas = norming_constants(fac, [lam for lam, _ in pairs], report=report)
+    ranks = matrix_rank_psd(np.stack(alphas))
     return [
-        EigenRecord(lam=lam, alpha=alpha, multiplicity=matrix_rank_psd(alpha),
+        EigenRecord(lam=lam, alpha=alpha, multiplicity=int(rank),
                     kernel_basis=basis)
-        for (lam, basis), alpha in zip(pairs, alphas)
+        for (lam, basis), alpha, rank in zip(pairs, alphas, ranks)
     ]
 
 
 def spectral_data(tau: MatrixGrid, n_bins: int,
-                  scan_step: float = 0.05) -> SpectralData:
+                  report: dict | None = None) -> SpectralData:
     """Full direct solve: eigenvalues plus norming constants up to bin n_bins.
 
     The truncation is lambda_max = pi (n_bins + 1/2), i.e. exactly the
@@ -767,9 +867,10 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
     sum_{n <= N} sum_{lambda_j in bin n} rank alpha_j = N r is verified at
     N = n_bins: the eigenvalue count fixes how many roots there are and
     their multiplicities, so a violation means the residue ranks disagree
-    with the count.
+    with the count.  A report dict collects what rank_checks reads: the
+    counts at the bin edges and the singular values of phi at every entry.
     """
-    recs = eigen_records(tau, n_bins, scan_step)
+    recs = eigen_records(tau, n_bins, report)
     total_rank = sum(r.multiplicity for r in recs[1:])
     if total_rank != n_bins * tau.r:
         raise ConsistencyError(
@@ -791,9 +892,9 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
     )
 
 
-def rank_checks(tau: MatrixGrid, data: SpectralData, n_bins: int) -> dict:
-    """How firmly a direct solve's ranks were decided, from one lifted
-    propagation of the frame at the data's lambdas and the bin edges.
+def rank_checks(data: SpectralData, report: dict) -> dict:
+    """How firmly a direct solve's ranks were decided, from the report
+    that spectral_data filled; nothing is propagated again.
 
     entry_checks, per entry: kernel_dim, the number of singular values of
     phi(1, lambda, tau) up to the threshold RANK_TOL * max(1, largest);
@@ -804,21 +905,17 @@ def rank_checks(tau: MatrixGrid, data: SpectralData, n_bins: int) -> dict:
     threshold (above 1; None for a full kernel).
     edge_counts: N(lambda) at the bin edges pi (n + 1/2), n = 0..n_bins.
     """
-    fac = _factors(tau)
-    r = fac.tau.r
-    edges = np.pi * (np.arange(n_bins + 1) + 0.5)
-    w, _, arg = _sweep(fac, np.concatenate([edges, data.lambdas]), r, lift=True)
-    sig = np.linalg.svd(-w[edges.size:, r:, :r], compute_uv=False)
+    r = data.r
     entries = []
-    for lam, alpha, s in zip(data.lambdas, data.alphas, sig):
+    for lam, rank, s in zip(data.lambdas, matrix_rank_psd(data.alphas),
+                            report["sigma"]):
         thresh = RANK_TOL * max(1.0, float(s[0]))
         k = int(np.count_nonzero(s <= thresh))
         entries.append({
             "lambda": float(lam),
             "kernel_dim": k,
-            "alpha_rank": matrix_rank_psd(alpha),
+            "alpha_rank": int(rank),
             "kernel_sigma": float(s[r - k] / thresh) if k else None,
             "next_sigma": float(s[r - k - 1] / thresh) if k < r else None,
         })
-    return {"entry_checks": entries,
-            "edge_counts": _count(w[:edges.size], arg[:edges.size]).tolist()}
+    return {"entry_checks": entries, "edge_counts": report["edge_counts"]}

@@ -8,7 +8,9 @@ extrapolation; closed forms cover the constant-coefficient cases.  The
 propagator reference chains scipy's matrix exponential through the same
 fourth-order scheme the package uses, with scipy's spline reading of the
 samples, and the norming-constant reference integrates the Weyl function
-built from it around residue contours.
+built from it around residue contours.  The one exception is
+roots_by_bisection, which shares the package's eigenvalue count but none of
+its root search.
 """
 
 from __future__ import annotations
@@ -255,3 +257,34 @@ def contour_norming_constants(tau_values: np.ndarray, lams, points: int = 64):
     alphas = -(radii[:, None, None] / points) * np.einsum("k,jkab->jab", phase, mvals)
     alphas[0] *= 0.5
     return alphas
+
+
+def roots_by_bisection(tau, lambda_max: float, tol: float = 1e-13):
+    """Eigen square roots in (0, lambda_max] and their multiplicities by
+    plain bisection on the package's count N(lambda).
+
+    Counts at the bin edges pi (n + 1/2) below lambda_max and at
+    lambda_max, then halves every bracket whose count rises, all at once,
+    until each is narrower than tol; a bracket that still holds k roots
+    gives one root of multiplicity k at its midpoint.
+    """
+    from kreinsl.direct import count_eigenvalues
+
+    edges = np.pi * (np.arange(int(np.ceil(lambda_max / np.pi))) + 0.5)
+    grid = np.append(edges[edges < lambda_max], lambda_max)
+    n = np.append(tau.r, count_eigenvalues(tau, grid))
+    live = np.flatnonzero(np.diff(n) > 0)
+    lo, hi = np.append(0.0, grid)[live], grid[live]
+    n_lo, n_hi = n[live], n[live + 1]
+    while np.any(hi - lo > tol):
+        wide = hi - lo > tol
+        mid = 0.5 * (lo[wide] + hi[wide])
+        n_mid = np.clip(count_eigenvalues(tau, mid), n_lo[wide], n_hi[wide])
+        lo = np.concatenate([lo[~wide], lo[wide], mid])
+        hi = np.concatenate([hi[~wide], mid, hi[wide]])
+        n_lo, n_hi = (np.concatenate([n_lo[~wide], n_lo[wide], n_mid]),
+                      np.concatenate([n_hi[~wide], n_mid, n_hi[wide]]))
+        keep = np.flatnonzero(n_hi > n_lo)
+        keep = keep[np.argsort(lo[keep])]
+        lo, hi, n_lo, n_hi = lo[keep], hi[keep], n_lo[keep], n_hi[keep]
+    return 0.5 * (lo + hi), n_hi - n_lo

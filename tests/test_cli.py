@@ -242,7 +242,6 @@ def test_config_file_and_flag_override(tmp_path):
         "# run configuration\n"
         "grid_m = 128\n"
         "n_bins = 3\n"
-        "scan_step = 0.05\n"
         "[tolerances]\n"
         'miura_equals = 1e-7\n'
     )
@@ -285,6 +284,54 @@ def test_lambda_max_is_not_a_knob(tmp_path, capsys):
                  "--out", str(tmp_path / "ok")]) == 0
     diag = json.loads((tmp_path / "ok" / "direct_diagnostics.json").read_text())
     assert diag["lambda_max"] == diag["config"]["lambda_max"] == np.pi * 2.5
+
+
+def test_scan_step_is_not_a_knob(tmp_path, capsys):
+    # the direct map counts at the bin edges only: the flag is gone, a
+    # config file that sets scan_step is refused, and the echo has no such
+    # key
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau)
+    with pytest.raises(SystemExit) as exc:
+        main(["direct", str(tau), "--scan-step", "0.05", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("scan_step = 0.05\n")
+    rc = main(["direct", str(tau), "--config", str(cfg), "--n-bins", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'scan_step'" in capsys.readouterr().err
+    assert main(["direct", str(tau), "--n-bins", "2",
+                 "--out", str(tmp_path / "ok")]) == 0
+    diag = json.loads((tmp_path / "ok" / "direct_diagnostics.json").read_text())
+    assert "scan_step" not in diag["config"]
+
+
+def test_direct_diagnostics_propagate_once_per_sign(tmp_path, monkeypatch):
+    # the rank checks read the solve's own edge counts and singular values,
+    # and the four identity residuals take one propagation of tau and one
+    # of -tau*
+    import kreinsl.direct as direct
+
+    calls = []
+    sweep, solve = direct._sweep, direct.spectral_data
+
+    def counted(*args, **kwargs):
+        calls.append("sweep")
+        return sweep(*args, **kwargs)
+
+    def solved(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        calls.append("solved")
+        return out
+
+    monkeypatch.setattr(direct, "_sweep", counted)
+    monkeypatch.setattr(direct, "spectral_data", solved)
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau, r=2)
+    assert main(["direct", str(tau), "--n-bins", "4",
+                 "--out", str(tmp_path)]) == 0
+    assert calls[calls.index("solved"):] == ["solved", "sweep", "sweep"]
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

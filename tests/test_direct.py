@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kreinsl.core import (
-    ConfigurationError,
     GridSpec,
     MatrixGrid,
     PoleProximityError,
@@ -26,7 +25,13 @@ from oracles import (
     constant_tau_phi1,
     contour_norming_constants,
     fd_eigen_r1_refined,
+    roots_by_bisection,
 )
+
+
+def diag_tau(c, m):
+    vals = np.tile(np.diag(c).astype(complex), (m + 1, 1, 1))
+    return MatrixGrid(len(c), GridSpec(m), vals, hermitian=True)
 
 
 def zero_tau(r, m):
@@ -67,6 +72,18 @@ class TestPropagate:
             worst = max(propagate(tau, lam).identity_residual
                         for lam in (0.7, 3.2, 11.0, 19.5))
             assert worst < 1e-12
+
+    def test_batch_matches_scalar_calls(self):
+        tau = smooth_tau(2, 64)
+        lams = np.array([0.7, 3.2, 11.0, 19.5])
+        batch = propagate(tau, lams)
+        assert len(batch) == lams.size
+        for lam, bv in zip(lams, batch):
+            one = propagate(tau, lam)
+            assert bv.lam == one.lam == lam
+            for name in ("phi_tau", "psi_tau", "phi_mtau", "psi_mtau"):
+                assert np.abs(getattr(bv, name) - getattr(one, name)).max() <= 1e-13
+            assert abs(bv.identity_residual - one.identity_residual) <= 1e-14
 
     def test_identity_residual_complex_lambda_non_hermitian(self):
         rng = np.random.default_rng(5)
@@ -201,7 +218,7 @@ class TestFindEigenvalues:
         m = 256
         vals = np.tile(np.diag([0.0, 0.5]).astype(complex), (m + 1, 1, 1))
         tau = MatrixGrid(2, GridSpec(m), vals, hermitian=True)
-        pairs = find_eigenvalues(tau, 7.0, scan_step=0.003)
+        pairs = find_eigenvalues(tau, 7.0)
         lams = np.array([l for l, _ in pairs])
         expected = np.sort(np.concatenate([
             [0.0], [np.pi, 2 * np.pi],
@@ -210,9 +227,70 @@ class TestFindEigenvalues:
         for lam, basis in pairs[1:]:
             assert basis.shape == (2, 1)
 
-    def test_scan_step_guard(self):
-        with pytest.raises(ConfigurationError):
-            find_eigenvalues(zero_tau(1, 64), 5.0, scan_step=1.0)
+
+class TestRootSearch:
+    """The predicted-split root search against plain bisection on the
+    count, and the number of propagations a direct solve takes."""
+
+    @pytest.mark.parametrize("tau, lambda_max", [
+        (smooth_tau(2, 256, seed=91), np.pi * 32.5),
+        (smooth_tau(4, 128, seed=7), np.pi * 8.5),
+        (diag_tau([0.0, 0.5], 256), np.pi * 8.5),
+        (diag_tau([0.5, 0.5, 1.0], 128), np.pi * 8.5),
+    ], ids=["direct-r2", "r4", "diag-0-.5", "diag-.5-.5-1"])
+    def test_matches_bisection_oracle(self, tau, lambda_max):
+        pairs = find_eigenvalues(tau, lambda_max)
+        want, mult = roots_by_bisection(tau, lambda_max)
+        got = np.array([lam for lam, _ in pairs[1:]])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-11
+        assert [basis.shape[1] for _, basis in pairs[1:]] == mult.tolist()
+
+    @staticmethod
+    def _sweeps(monkeypatch, tau, n_bins):
+        import kreinsl.direct as direct
+
+        calls = []
+        sweep = direct._sweep
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(direct, "_sweep", counted)
+        recs = eigen_records(tau, n_bins)
+        return len(calls), recs
+
+    def test_propagations_on_seeded_potential(self, monkeypatch):
+        # the direct-r2 benchmark input at seed 91: edge count, two split
+        # rounds, Newton and the residues; a 0.05 count grid with
+        # bisection and midpoint Newton took 15
+        sweeps, recs = self._sweeps(monkeypatch, smooth_tau(2, 256, seed=91), 32)
+        assert sweeps <= 10
+        assert len(recs) == 65
+
+    @pytest.mark.parametrize("c", [
+        (0.0, 0.0), (0.7, 0.7), (0.5, 0.5, 1.0),
+    ], ids=["zero", "0.7 I", "diag(.5, .5, 1)"])
+    def test_propagations_with_multiple_roots(self, monkeypatch, c):
+        # exact double roots: nearest the bin centre for tau = 0, off it for
+        # 0.7 I; bisection to the 1e-9 floor took 31, 31 and 33
+        n_bins = 32
+        sweeps, recs = self._sweeps(monkeypatch, diag_tau(list(c), 256), n_bins)
+        assert sweeps <= 12
+        n = np.arange(1, n_bins + 1)
+        exact = {}
+        for ck in c:
+            for lam in np.sqrt(np.pi ** 2 * n ** 2 + ck ** 2):
+                exact[lam] = exact.get(lam, 0) + 1
+        lams = np.array(sorted(exact))
+        got = np.array([rec.lam for rec in recs[1:]])
+        assert got.shape == lams.shape
+        assert np.abs(got - lams).max() <= 1e-10
+        assert [rec.multiplicity for rec in recs[1:]] \
+            == [exact[lam] for lam in lams]
+        assert [rec.kernel_basis.shape[1] for rec in recs[1:]] \
+            == [exact[lam] for lam in lams]
 
 
 class TestCount:
@@ -227,11 +305,6 @@ class TestCount:
         roots = np.concatenate([np.sqrt(np.pi ** 2 * n ** 2 + ck ** 2) for ck in c])
         return len(c) + (roots[None, :] < lams[:, None]).sum(axis=1)
 
-    @staticmethod
-    def _diag_tau(c, m):
-        vals = np.tile(np.diag(c).astype(complex), (m + 1, 1, 1))
-        return MatrixGrid(len(c), GridSpec(m), vals, hermitian=True)
-
     @pytest.mark.parametrize("m, lam_max, sub", [
         # per cell 2 r h lam_max = 4.0 > pi: one lift per factor is needed
         (64, 20.5 * np.pi, 1),
@@ -240,7 +313,7 @@ class TestCount:
     ])
     def test_constant_diag_closed_form(self, m, lam_max, sub):
         c = (0.7, -1.3)
-        tau = self._diag_tau(c, m)
+        tau = diag_tau(c, m)
         roots = np.concatenate([
             np.sqrt(np.pi ** 2 * np.arange(1, 30) ** 2 + ck ** 2) for ck in c])
         # a grid plus points 1e-9 to either side of every root; N is only
@@ -395,7 +468,7 @@ class TestSpectralData:
         m = 256
         vals = np.tile(np.diag([0.0, 0.4]).astype(complex), (m + 1, 1, 1))
         tau2 = MatrixGrid(2, GridSpec(m), vals, hermitian=True)
-        d2 = spectral_data(tau2, 2, scan_step=0.003)
+        d2 = spectral_data(tau2, 2)
         d0 = spectral_data(zero_tau(1, m), 2)
         dc = spectral_data(const_tau(0.4, m), 2)
         merged = np.sort(np.concatenate([d0.lambdas, dc.lambdas[1:]]))
@@ -408,17 +481,18 @@ class TestSpectralData:
 
     def test_missed_eigenvalue_detected(self):
         # the diag(0, 1.86) pair near pi (pi and sqrt(pi^2 + 1.86^2) = 3.65)
-        # is closer than the 0.6 step, where a scan of the smallest singular
-        # value sees one minimum; the count sees both roots, so even that
-        # coarse grid finds every entry
+        # shares bin 1, where a scan of the smallest singular value on a
+        # step of 0.6 sees one minimum; the count at the bin edges sees both
+        # roots, and every entry lands on its closed form
         m = 128
         vals = np.tile(np.diag([0.0, 1.86]).astype(complex), (m + 1, 1, 1))
         tau = MatrixGrid(2, GridSpec(m), vals, hermitian=True)
-        coarse = spectral_data(tau, 2, scan_step=0.6)
-        assert len(coarse) == 5
-        fine = spectral_data(tau, 2, scan_step=0.05)
-        assert len(fine) == 5
-        assert np.abs(coarse.lambdas - fine.lambdas).max() <= 1e-12
+        data = spectral_data(tau, 2)
+        assert len(data) == 5
+        exact = np.sort(np.concatenate([
+            np.pi * np.arange(3), np.sqrt(np.pi ** 2 * np.arange(1, 3) ** 2
+                                          + 1.86 ** 2)]))
+        assert np.abs(data.lambdas - exact).max() <= 1e-12
 
 
 def test_a1_diagnostics_flatten_with_bins():
