@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 log = logging.getLogger("kreinsl")
 
@@ -30,20 +30,12 @@ EXIT_VALIDATION = 4
 EXIT_CONDITION_FAIL = 5
 EXIT_INCONCLUSIVE = 6
 
-_DEFAULT_TOLERANCES = {
-    "miura_equals": 1e-6,
-    "hermitian": 1e-12,
-    "psd": 1e-10,
-}
-
-
 @dataclass
 class RunConfig:
     """Resolved run parameters."""
 
     grid_m: int = 256
     n_bins: int = 64
-    tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
     seed: int = 0
     log_level: str = "info"
 
@@ -64,7 +56,6 @@ class RunConfig:
             "grid_m": self.grid_m,
             "n_bins": self.n_bins,
             "lambda_max": self.resolved_lambda_max(),
-            "tolerances": dict(sorted(self.tolerances.items())),
             "seed": self.seed,
             "log_level": self.log_level,
         }
@@ -118,19 +109,11 @@ _CONFIG_KEYS = ("grid_m", "n_bins", "seed", "log_level")
 def _check_config_keys(doc: dict, path) -> None:
     """Refuse keys the run would ignore, so a misspelt one is not lost."""
     from .core import ConfigurationError
-    for key, val in doc.items():
-        if key == "tolerances":
-            if not isinstance(val, dict):
-                raise ConfigurationError(f"{path}: [tolerances] must be a table")
-            for name in val:
-                if name not in _DEFAULT_TOLERANCES:
-                    raise ConfigurationError(
-                        f"{path}: unknown key {name!r} in [tolerances]; known: "
-                        f"{', '.join(sorted(_DEFAULT_TOLERANCES))}")
-        elif key not in _CONFIG_KEYS:
+    for key in doc:
+        if key not in _CONFIG_KEYS:
             raise ConfigurationError(
                 f"{path}: unknown config key {key!r}; known: "
-                f"{', '.join(_CONFIG_KEYS)}, [tolerances]")
+                f"{', '.join(_CONFIG_KEYS)}")
 
 
 def build_config(args) -> RunConfig:
@@ -141,7 +124,6 @@ def build_config(args) -> RunConfig:
         for key in _CONFIG_KEYS:
             if key in doc:
                 setattr(cfg, key, doc[key])
-        cfg.tolerances.update(doc.get("tolerances", {}))
     for key in ("grid_m", "n_bins", "seed"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -306,8 +288,7 @@ def _roundtrip_once(tau, n_bins: int, grid_m: int, cfg: RunConfig):
     spec = GridSpec(grid_m)
     tau_m = resample_matrix_grid(tau, spec)
     data = spectral_data(tau_m, n_bins)
-    sub_cfg = RunConfig(grid_m=grid_m, n_bins=n_bins,
-                        tolerances=cfg.tolerances, seed=cfg.seed)
+    sub_cfg = RunConfig(grid_m=grid_m, n_bins=n_bins, seed=cfg.seed)
     tau_hat, sigma_hat, diag = _inverse_pipeline(data, sub_cfg)
     errs = _relative_errors(tau_hat, tau_m)
     return data, tau_m, tau_hat, errs, diag

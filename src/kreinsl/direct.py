@@ -45,19 +45,21 @@ eigenvalues in [0, lambda) with multiplicity (lambda_0 = 0 counts r times):
     N = (sum_j (theta_j mod 2 pi) - lifted arg det U) / (2 pi)   at x = 1,
 
 theta_j the eigenphases of U(1).  find_eigenvalues counts on the bin edges
-only.  A bracket whose count rises by more than one is split at points
-that Newton predictions place: one propagation of W and dW/dlambda at a
-point gives its count and, per eigenphase, lambda - theta_j / theta_j',
-and the next points go between consecutive predicted roots and just
-outside the outermost ones, so a k-fold root closes into a bracket of
-width below 1e-9 with count jump k in a few rounds; a bracket without
-usable predictions is bisected.  Every root is then refined by Newton on
-the sum of the k eigenphases nearest 0, starting at its best prediction;
-the count at each Newton point moves the bracket, and a step that leaves
-it bisects instead.  On a smooth r = 2 potential with 32 bins a direct
-solve takes 7 propagations, residues included.  norming_constants takes
-the residues of the Weyl function by Keldysh's theorem from one
-propagation of W and dW/dlambda at all roots.
+only, then runs one loop over the brackets whose count rises.  Each round
+is one propagation of W and dW/dlambda at new points; it gives their
+counts and, per eigenphase, a Newton prediction lambda - theta_j / theta_j'.
+A bracket whose count rises by k > 1 is split at points between and just
+outside the predicted roots, so a k-fold root closes into a bracket of
+width below 1e-9 with count jump k in a few rounds; every other bracket
+gets one Newton point per round, a single root from the best prediction
+of its ends with the count moving the bracket, a k-fold one by Newton on
+the sum of its k eigenphases inside its fixed bracket.  So the count jump
+alone decides each root's multiplicity k, and roots refine in the same
+rounds as the splitting.  On a smooth r = 2 potential with 32 bins a
+direct solve takes 6 propagations, residues included.  norming_constants
+takes the residues of the Weyl function by Keldysh's theorem, on kernels
+of the dimension k the count gave, from one propagation of W and
+dW/dlambda at all roots.
 
 The scheme needs tau at the two Gauss nodes of every cell.  It reads the
 grid samples through the not-a-knot cubic spline, whose fourth-order error
@@ -93,6 +95,7 @@ _C2 = 0.5 + np.sqrt(3.0) / 6.0
 _A1 = 0.25 + np.sqrt(3.0) / 6.0
 _A2 = 0.25 - np.sqrt(3.0) / 6.0
 
+# Scale of the singular values that rank_checks reports.
 RANK_TOL = 1e-7
 WEYL_PIVOT_TOL = 1e-10
 
@@ -109,7 +112,8 @@ _PREDICT_HALF = 0.25 * _SPLIT_FLOOR
 # Newton stops once its step is below this, relative to max(1, lambda); the
 # last step is still taken, so the error left is of the order of its square.
 _NEWTON_TOL = 1e-10
-_NEWTON_ITERS = 60
+# Rounds of the root search before it gives up on a bracket.
+_ROUNDS = 100
 # Lambdas per propagation of a count.  A batch's accumulator and per-factor
 # buffers stay in cache, and each batch of an ascending grid gets its own
 # lift plan, so low batches lift less often: counting 8000 ascending
@@ -575,14 +579,17 @@ def count_eigenvalues(tau: MatrixGrid, lams) -> np.ndarray:
     return out
 
 
-def _predict(lams: np.ndarray, theta, vec, uhdu) -> np.ndarray:
-    """One Newton prediction lambda - theta_j / theta_j' per eigenphase,
-    (L, r), with theta_j' = Im q_j^H U^H dU q_j; NaN where theta_j' >= 0
-    or the quotient is not finite."""
+def _predict(theta, vec, uhdu) -> np.ndarray:
+    """One Newton step -theta_j / theta_j' per eigenphase, (L, r), with
+    theta_j' = Im q_j^H U^H dU q_j; NaN where theta_j' >= 0 or the quotient
+    is not finite.  The sign, zero included, is the side of the point on
+    which its count puts that root: + for theta_j mod 2 pi below pi, a
+    root the count has not taken in, - for one it has (see _count)."""
     slope = np.einsum("lij,lik,lkj->lj", np.conj(vec), uhdu, vec).imag
     with np.errstate(divide="ignore", invalid="ignore"):
-        pred = lams[:, None] - theta / slope
-    return np.where((slope < 0.0) & np.isfinite(pred), pred, np.nan)
+        step = np.abs(theta / slope)
+    step = np.where(np.mod(theta, 2.0 * np.pi) < np.pi, step, -step)
+    return np.where((slope < 0.0) & np.isfinite(step), step, np.nan)
 
 
 def _split_points(lo: float, hi: float, pred: np.ndarray,
@@ -610,59 +617,6 @@ def _split_points(lo: float, hi: float, pred: np.ndarray,
     return np.unique(pts)
 
 
-def _isolate(fac: _Factors, lams: np.ndarray, counts: np.ndarray):
-    """Split the brackets between the counted points lams (ascending, with
-    counts N) until each holds one root: count jump 1, or a bracket below
-    _SPLIT_FLOOR whose jump is the multiplicity.
-
-    Each round is one lifted propagation with dW/dlambda at new points in
-    every bracket still to split.  It gives their counts and one Newton
-    prediction per eigenphase, from which the next round places its points
-    (_split_points): a k-fold root predicted within _PREDICT_HALF ends up
-    in a bracket narrower than _SPLIT_FLOOR with jump k.  From the fourth
-    round on every split also halves its bracket at least, so a bracket
-    whose predictions do not close in still shrinks as fast as bisection.
-
-    Returns the brackets (lo, hi, n_lo, n_hi) that hold roots and a Newton
-    start in each: the prediction from its ends that lies inside it with
-    the shortest step, or its midpoint when there is none.
-    """
-    r = fac.tau.r
-    pred = np.full((lams.size, r), np.nan)
-    rounds = 0
-    while True:
-        lo, hi = lams[:-1], lams[1:]
-        split = np.flatnonzero((np.diff(counts) > 1)
-                               & (hi - lo > _SPLIT_FLOOR * np.maximum(1.0, hi)))
-        if split.size == 0:
-            break
-        rounds += 1
-        new = [_split_points(lo[b], hi[b], pred[b:b + 2].ravel(), rounds > 3)
-               for b in split]
-        owner = np.repeat(split, [p.size for p in new])
-        new = np.concatenate(new)
-        w, dw, arg = _sweep(fac, new, r, deriv=True, lift=True)
-        theta, vec, uhdu = _phase_data(w, dw)
-        n_new = np.clip(_count(arg, theta), counts[owner], counts[owner + 1])
-        order = np.argsort(np.concatenate([lams, new]), kind="stable")
-        lams = np.concatenate([lams, new])[order]
-        # two new points within roundoff of one root may read it in either
-        # order; the larger count holds for both
-        counts = np.maximum.accumulate(np.concatenate([counts, n_new])[order])
-        pred = np.concatenate([pred, _predict(new, theta, vec, uhdu)])[order]
-    live = np.flatnonzero(np.diff(counts) > 0)
-    lo, hi = lams[live], lams[live + 1]
-    ends = np.repeat(np.stack([lo, hi], axis=1), r, axis=1)
-    cand = np.concatenate([pred[live], pred[live + 1]], axis=1)
-    step = np.where((cand > lo[:, None]) & (cand < hi[:, None]),
-                    np.abs(cand - ends), np.inf)
-    best = np.argmin(step, axis=1)
-    rows = np.arange(live.size)
-    start = np.where(np.isfinite(step[rows, best]), cand[rows, best],
-                     0.5 * (lo + hi))
-    return lo, hi, counts[live], counts[live + 1], start
-
-
 def _phase_step(theta, vec, uhdu, mult: np.ndarray) -> np.ndarray:
     """Newton step -g/g' per lambda, g the sum of the mult eigenphases of
     U(1) nearest 0 (mod 2 pi), g' = Im tr(Q^H U^H dU Q) for an orthonormal
@@ -682,67 +636,33 @@ def _phase_step(theta, vec, uhdu, mult: np.ndarray) -> np.ndarray:
     return step
 
 
-def _refine(fac: _Factors, lo, hi, n_lo, mult, lam):
-    """Count-safeguarded Newton from the starts lam, one per bracket.
-
-    Every iteration is one lifted propagation of the frame and its lambda
-    derivative at the open roots: the count moves the bracket to the side
-    that holds the root, and a Newton step that leaves the bracket is
-    replaced by its midpoint.  Returns the roots and, per root, the right
-    singular vectors of phi(1, lambda, tau) at the last Newton point
-    (within the Newton tolerance of the root), smallest singular values
-    last.
-    """
-    r = fac.tau.r
-    lo = lo.copy()
-    hi = hi.copy()
-    lam = lam.copy()
-    vh = np.empty((lam.size, r, r), dtype=complex)
-    todo = np.arange(lam.size)
-    for _ in range(_NEWTON_ITERS):
-        if todo.size == 0:
-            return lam, vh
-        at = lam[todo]
-        w, dw, arg = _sweep(fac, at, r, deriv=True, lift=True)
-        theta, vec, uhdu = _phase_data(w, dw)
-        right = _count(arg, theta) <= n_lo[todo]
-        lo[todo] = np.where(right, at, lo[todo])
-        hi[todo] = np.where(right, hi[todo], at)
-        step = _phase_step(theta, vec, uhdu, mult[todo])
-        tol = _NEWTON_TOL * np.maximum(1.0, at)
-        new = at + step
-        inside = (new > lo[todo] - tol) & (new < hi[todo] + tol)
-        lam[todo] = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
-        done = inside & (np.abs(step) <= tol)
-        vh[todo[done]] = np.linalg.svd(-w[done, r:, :r])[2]
-        todo = todo[~done]
-    if todo.size == 0:
-        return lam, vh
-    raise ConsistencyError(
-        f"Newton refinement left {todo.size} root(s) unconverged after "
-        f"{_NEWTON_ITERS} steps, first near lambda = {lam[todo[0]]:.9g}")
-
-
 def find_eigenvalues(tau: MatrixGrid, lambda_max: float, *,
                      report: dict | None = None
                      ) -> list[tuple[float, np.ndarray]]:
     """Locate lambda_0 = 0 and all eigen square roots in (0, lambda_max].
 
     Counts the eigenvalues below every bin edge pi (n + 1/2) under
-    lambda_max and below lambda_max itself (count_eigenvalues), splits the
-    brackets whose count rises by more than one at points placed by
-    eigenphase Newton predictions until each holds a single root
-    (_isolate), and refines each root by count-safeguarded Newton from its
-    bracket's best prediction to a step below 1e-10 max(1, lambda).  The
-    count, not where the points fall, guarantees that no root is missed.
+    lambda_max and below lambda_max itself (count_eigenvalues), then runs
+    one loop over the brackets whose count rises, each round one lifted
+    propagation with dW/dlambda at new points for every open bracket.  A
+    bracket whose count rises by k > 1 and that is wider than
+    1e-9 max(1, lambda) is split at points its ends' predictions place
+    (_split_points).  Every other bracket gets one Newton point: for one
+    root the shortest step from either end that stays inside, forward
+    from the lower end and backward from the upper as their counts have
+    it (the midpoint without one), and the count there moves the bracket;
+    for k > 1 the step on the sum of k eigenphases (_phase_step), whose
+    count is not used, since a point among the k roots says nothing about
+    their multiplicity.  A root is found once its Newton step is below
+    1e-10 max(1, lambda).  The count, not where the points fall,
+    guarantees that no root is missed.
 
-    Returns a list of (lambda, kernel_basis) with orthonormal kernel
-    columns; lambda = 0 is always present with the full space as kernel.
-    Every root appears once, however close its neighbours: a root of
-    multiplicity k (a count jump of k across a bracket narrower than
-    1e-9 max(1, lambda)) gets the k right singular vectors of
-    phi(1, lambda, tau) with the smallest singular values.  With a report
-    dict, its "edge_counts" gets the counts at the edges and lambda_max.
+    Returns (lambda, kernel_basis) pairs in ascending order, lambda = 0
+    first with the full space as kernel.  Every root appears once with
+    k = its count jump orthonormal columns: the right singular vectors of
+    phi(1, lambda, tau) with the k smallest singular values at its last
+    Newton point.  With a report dict, its "edge_counts" gets the counts
+    at the edges and lambda_max.
     """
     fac = _factors(tau)
     tau = fac.tau
@@ -761,33 +681,104 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float, *,
             f"lambda = {grid[k]:.9g}")
     if report is not None:
         report["edge_counts"] = counts[1:].tolist()
-    lo, hi, n_lo, n_hi, start = _isolate(fac, np.append(0.0, grid), counts)
-    mult = n_hi - n_lo
-    if np.any(mult > r):
-        k = int(np.argmax(mult > r))
-        raise ConsistencyError(
-            f"{mult[k]} eigenvalues within {hi[k] - lo[k]:.3e} of lambda = "
-            f"{lo[k]:.9g}, more than r = {r}")
-    out: list[tuple[float, np.ndarray]] = [(0.0, np.eye(r, dtype=complex))]
-    if lo.size == 0:
-        return out
-    roots, vh = _refine(fac, lo, hi, n_lo, mult, start)
-    for lam, v, k in zip(roots, vh, mult):
-        out.append((float(lam), v[r - k:].conj().T))
-    return out
+    # Per counted point, ascending: its count, its eigenphases' Newton
+    # steps (_predict; NaN at the edges, counted without dW/dlambda) and
+    # phi(1, lambda, tau).  Per bracket, kept at its lower point: its next
+    # Newton point and whether its root is found.
+    lams = np.append(0.0, grid)
+    steps = np.full((lams.size, r), np.nan)
+    phi = np.full((lams.size, r, r), np.nan, dtype=complex)
+    aim = np.full(lams.size, np.nan)
+    done = np.zeros(lams.size, dtype=bool)
+    found = [(0.0, np.eye(r, dtype=complex))]
+    for rounds in range(1, _ROUNDS + 2):
+        lo, hi = lams[:-1], lams[1:]
+        k = np.diff(counts)
+        live = (k > 0) & ~done[:-1]
+        split = np.flatnonzero(live & (k > 1) & (
+            hi - lo > _SPLIT_FLOOR * np.maximum(1.0, hi)))
+        near = np.setdiff1d(np.flatnonzero(live), split)
+        if np.any(k[near] > r):
+            b = near[np.argmax(k[near] > r)]
+            raise ConsistencyError(
+                f"{k[b]} eigenvalues within {hi[b] - lo[b]:.3e} of lambda = "
+                f"{lo[b]:.9g}, more than r = {r}")
+        # each bracket's shortest Newton step from its ends that stays
+        # inside: forward from lo, backward from hi (signs: _predict)
+        s = np.concatenate([steps[near], steps[near + 1]], axis=1)
+        up = np.arange(2 * r) >= r
+        cand = np.where(up, hi[near, None], lo[near, None]) + s
+        ok = np.where(up, np.signbit(s) & (cand > lo[near, None]),
+                      ~np.signbit(s) & (cand < hi[near, None]))
+        size = np.where(ok, np.abs(s), np.inf)
+        best = np.argmin(size, axis=1)
+        rows = np.arange(near.size)
+        size, cand = size[rows, best], cand[rows, best]
+        close = (k[near] == 1) & (size <= _NEWTON_TOL * np.maximum(1.0, cand))
+        at = near[close] + (best[close] >= r)
+        found += [(float(lam), v[r - 1:].conj().T)
+                  for lam, v in zip(cand[close], np.linalg.svd(phi[at])[2])]
+        done[near[close]] = True
+        near, size, cand = near[~close], size[~close], cand[~close]
+        fresh = (k[near] == 1) | np.isnan(aim[near])
+        aim[near[fresh]] = np.where(np.isfinite(size[fresh]), cand[fresh],
+                                    0.5 * (lo + hi)[near[fresh]])
+        if split.size == 0 and near.size == 0:
+            break
+        if rounds > _ROUNDS:
+            b = np.concatenate([split, near]).min()
+            raise ConsistencyError(
+                f"root search left {split.size + near.size} bracket(s) open "
+                f"after {_ROUNDS} rounds, first near lambda = {lo[b]:.9g}")
+        pred = lams[:, None] + steps
+        new = [_split_points(lo[b], hi[b], pred[b:b + 2], rounds > 3)
+               for b in split]
+        owner = np.concatenate([np.repeat(split, [p.size for p in new]), near])
+        new = np.concatenate(new + [aim[near]])
+        # the Newton points of clusters, last in the sweep
+        clus = new.size - near.size + np.flatnonzero(k[near] > 1)
+        w, dw, arg = _sweep(fac, new, r, deriv=True, lift=True)
+        theta, vec, uhdu = _phase_data(w, dw)
+        n_new = _count(arg, theta)
+        if clus.size:
+            b, x = owner[clus], new[clus]
+            nxt = x + _phase_step(theta[clus], vec[clus], uhdu[clus], k[b])
+            tol = _NEWTON_TOL * np.maximum(1.0, x)
+            inside = (nxt > lo[b] - tol) & (nxt < hi[b] + tol)
+            fin = inside & (np.abs(nxt - x) <= tol)
+            found += [(float(lam), v[r - kb:].conj().T) for lam, v, kb in zip(
+                nxt[fin], np.linalg.svd(-w[clus[fin], r:, :r])[2], k[b[fin]])]
+            done[b[fin]] = True
+            aim[b] = np.where(inside, nxt, 0.5 * (lo[b] + hi[b]))
+        keep = np.isin(np.arange(new.size), clus, invert=True)
+        owner = owner[keep]
+        add = (new[keep],
+               np.clip(n_new[keep], counts[owner], counts[owner + 1]),
+               _predict(theta, vec, uhdu)[keep], -w[keep, r:, :r],
+               np.full(owner.size, np.nan), np.zeros(owner.size, dtype=bool))
+        order = np.argsort(np.concatenate([lams, add[0]]), kind="stable")
+        lams, counts, steps, phi, aim, done = (
+            np.concatenate([old, more])[order] for old, more in zip(
+                (lams, counts, steps, phi, aim, done), add))
+        # two new points within roundoff of one root may read it in either
+        # order; the larger count holds for both
+        counts = np.maximum.accumulate(counts)
+    return sorted(found, key=lambda pair: pair[0])
 
 
-def norming_constants(tau: MatrixGrid, eigenvalues, *, hermitize: bool = True,
+def norming_constants(tau: MatrixGrid, pairs, *, hermitize: bool = True,
                       report: dict | None = None) -> list[np.ndarray]:
-    """Norming constants: alpha_j is minus the residue of the Weyl function
-    m = -phi^{-1} psi at lambda_j (half of it at lambda_0 = 0), with
-    phi = phi(1, lam, tau) and psi = psi(1, lam, -tau).
+    """Norming constants of the (lambda_j, kernel_basis) pairs that
+    find_eigenvalues returns: alpha_j is minus the residue of the Weyl
+    function m = -phi^{-1} psi at lambda_j (half of it at lambda_0 = 0),
+    with phi = phi(1, lam, tau) and psi = psi(1, lam, -tau).
 
     The poles are semisimple, so by Keldysh's theorem
     phi(lam)^{-1} = K (L^* phi'(lam_j) K)^{-1} L^* / (lam - lam_j) + O(1),
-    where K and L are right and left kernel bases of phi(lam_j): the
-    singular vectors of its singular values up to RANK_TOL times
-    max(1, largest).  Hence
+    where K and L are right and left kernel bases of phi(lam_j).  Their
+    dimension k is the multiplicity the count gave, the number of columns
+    of the pair's basis; they are the singular vectors of the k smallest
+    singular values of phi(lam_j).  Hence
 
         alpha_j = K (L^* phi'(lam_j) K)^{-1} L^* psi(lam_j),
 
@@ -795,12 +786,14 @@ def norming_constants(tau: MatrixGrid, eigenvalues, *, hermitize: bool = True,
     hermitize the results are symmetrized and clipped to the positive
     cone; an eigenvalue of alpha below -1e-6 aborts with an extraction
     failure.  With a report dict, its "sigma" gets the singular values of
-    phi(lam_j), (L, r) in descending order.  Needs scalar or Hermitian tau.
+    phi(lam_j), (L, r) in descending order, and its "kernel_dim" the k of
+    every entry.  Needs scalar or Hermitian tau.
     """
     fac = _factors(tau)
-    lams = np.asarray([float(l) for l in eigenvalues])
-    if lams.size == 0:
+    if len(pairs) == 0:
         return []
+    lams = np.asarray([float(lam) for lam, _ in pairs])
+    dims = [basis.shape[1] for _, basis in pairs]
     if lams[0] != 0.0:
         raise ConfigurationError("eigenvalue list must start with lambda_0 = 0")
     r = fac.tau.r
@@ -811,9 +804,9 @@ def norming_constants(tau: MatrixGrid, eigenvalues, *, hermitize: bool = True,
     u, s, vh = np.linalg.svd(phi)
     if report is not None:
         report["sigma"] = s
+        report["kernel_dim"] = dims
     alphas = []
-    for j in range(lams.size):
-        k = max(1, int(np.count_nonzero(s[j] <= RANK_TOL * max(1.0, s[j, 0]))))
+    for j, k in enumerate(dims):
         right = vh[j, r - k:].conj().T
         left_h = u[j, :, r - k:].conj().T
         alphas.append(right @ np.linalg.solve(left_h @ dphi[j] @ right,
@@ -849,7 +842,7 @@ def eigen_records(tau: MatrixGrid, n_bins: int,
     lambda_max = np.pi * (n_bins + 0.5)
     fac = _factors(tau)
     pairs = find_eigenvalues(fac, lambda_max, report=report)
-    alphas = norming_constants(fac, [lam for lam, _ in pairs], report=report)
+    alphas = norming_constants(fac, pairs, report=report)
     ranks = matrix_rank_psd(np.stack(alphas))
     return [
         EigenRecord(lam=lam, alpha=alpha, multiplicity=int(rank),
@@ -868,7 +861,8 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
     N = n_bins: the eigenvalue count fixes how many roots there are and
     their multiplicities, so a violation means the residue ranks disagree
     with the count.  A report dict collects what rank_checks reads: the
-    counts at the bin edges and the singular values of phi at every entry.
+    counts at the bin edges, and the multiplicity of every entry and the
+    singular values of phi there.
     """
     recs = eigen_records(tau, n_bins, report)
     total_rank = sum(r.multiplicity for r in recs[1:])
@@ -896,26 +890,26 @@ def rank_checks(data: SpectralData, report: dict) -> dict:
     """How firmly a direct solve's ranks were decided, from the report
     that spectral_data filled; nothing is propagated again.
 
-    entry_checks, per entry: kernel_dim, the number of singular values of
-    phi(1, lambda, tau) up to the threshold RANK_TOL * max(1, largest);
-    alpha_rank, the numerical rank of alpha (equal to kernel_dim for a
-    consistent entry); kernel_sigma, the largest kernel singular value
-    over the threshold (below 1, near 0 for a well-resolved root); and
-    next_sigma, the smallest singular value above the kernel over the
-    threshold (above 1; None for a full kernel).
+    entry_checks, per entry: kernel_dim, the multiplicity k the count
+    gave the root; alpha_rank, the numerical rank of alpha (equal to
+    kernel_dim for a consistent entry); and the singular values of
+    phi(1, lambda, tau) over the threshold RANK_TOL * max(1, largest):
+    kernel_sigma, the k-th smallest (below 1, near 0 for a well-resolved
+    root), and next_sigma, the (k+1)-th smallest (None for a full kernel;
+    below 1 when a neighbouring root is closer than the threshold
+    resolves).
     edge_counts: N(lambda) at the bin edges pi (n + 1/2), n = 0..n_bins.
     """
     r = data.r
     entries = []
-    for lam, rank, s in zip(data.lambdas, matrix_rank_psd(data.alphas),
-                            report["sigma"]):
+    for lam, rank, s, k in zip(data.lambdas, matrix_rank_psd(data.alphas),
+                               report["sigma"], report["kernel_dim"]):
         thresh = RANK_TOL * max(1.0, float(s[0]))
-        k = int(np.count_nonzero(s <= thresh))
         entries.append({
             "lambda": float(lam),
             "kernel_dim": k,
             "alpha_rank": int(rank),
-            "kernel_sigma": float(s[r - k] / thresh) if k else None,
+            "kernel_sigma": float(s[r - k] / thresh),
             "next_sigma": float(s[r - k - 1] / thresh) if k < r else None,
         })
     return {"entry_checks": entries, "edge_counts": report["edge_counts"]}

@@ -5,8 +5,11 @@ from kreinsl.core import (
     GridSpec,
     MatrixGrid,
     PoleProximityError,
+    bin_index,
+    matrix_rank_psd,
 )
 from kreinsl.direct import (
+    _SPLIT_FLOOR,
     _factors,
     _lift_plan,
     _propagate_many,
@@ -42,9 +45,15 @@ def const_tau(c, m):
     return MatrixGrid(1, GridSpec(m), np.full((m + 1, 1, 1), c), hermitian=True)
 
 
-def smooth_tau(r, m, seed=11, scale=0.3):
+def smooth_tau(r, m, seed=11, scale=0.3, order=3):
     from kreinsl.synthetic import fourier_tau
-    return fourier_tau(r, 3, scale, seed, GridSpec(m))
+    return fourier_tau(r, order, scale, seed, GridSpec(m))
+
+
+def near_identity_tau(a, m=256):
+    # two identical channels 0.5 I, weakly coupled by a seeded potential
+    vals = 0.5 * np.eye(2) + a * smooth_tau(2, m, seed=91, scale=1.0).values
+    return MatrixGrid(2, GridSpec(m), vals, hermitian=True)
 
 
 class TestPropagate:
@@ -292,6 +301,55 @@ class TestRootSearch:
         assert [rec.kernel_basis.shape[1] for rec in recs[1:]] \
             == [exact[lam] for lam in lams]
 
+    @pytest.mark.parametrize("tau, n_bins", [
+        (diag_tau([0.5, 0.5 + 1e-6], 256), 32),
+        (smooth_tau(3, 256, seed=4, scale=3.0, order=4), 12),
+    ], ids=["diag(.5, .5+1e-6)", "fourier(3, 4, 3.0, 4)"])
+    def test_propagations_on_hard_inputs(self, monkeypatch, tau, n_bins):
+        # a near-double pair per bin, and a large potential whose brackets
+        # the edge count isolates; a search that split first and ran Newton
+        # after it failed on the first and took 12 on the second
+        sweeps, recs = self._sweeps(monkeypatch, tau, n_bins)
+        assert sweeps <= 12
+        assert sum(rec.kernel_basis.shape[1] for rec in recs[1:]) \
+            == n_bins * tau.r
+
+
+def _bin_traces(data, n_bins):
+    out = np.zeros(n_bins + 1)
+    for lam, alpha in zip(data.lambdas[1:], data.alphas[1:]):
+        out[bin_index(lam)] += np.trace(alpha).real
+    return out[1:]
+
+
+NEAR_DOUBLE = [
+    pytest.param(diag_tau([0.5, 0.5 + eps], 256), n_bins, eps,
+                 id=f"diag(.5, .5+{eps:g})-{n_bins}")
+    for eps in (1e-5, 3e-6, 1e-6, 1e-7) for n_bins in (8, 16, 32)
+] + [
+    pytest.param(near_identity_tau(a), 32, None, id=f"0.5 I + {a:g} tau-32")
+    for a in (1e-5, 1e-6, 1e-7)
+]
+
+
+@pytest.mark.parametrize("tau, n_bins, eps", NEAR_DOUBLE)
+def test_near_double_roots(tau, n_bins, eps):
+    # pairs from about 2e-6 down to 5e-10 apart, on both sides of the 1e-9
+    # split floor: each is resolved or, below the floor, one entry of
+    # multiplicity 2 whose kernel dimension the count alone decides
+    report = {}
+    data = spectral_data(tau, n_bins, report)
+    dims = report["kernel_dim"][1:]
+    assert sum(dims) == n_bins * tau.r
+    assert matrix_rank_psd(data.alphas[1:]).tolist() == dims
+    want, _ = roots_by_bisection(tau, np.pi * (n_bins + 0.5))
+    gap = np.abs(data.lambdas[1:, None] - want[None, :]).min(axis=1)
+    assert np.all(gap <= _SPLIT_FLOOR * np.maximum(1.0, data.lambdas[1:]))
+    if eps is not None:
+        scalar = sum(_bin_traces(spectral_data(const_tau(c, 256), n_bins),
+                                 n_bins) for c in (0.5, 0.5 + eps))
+        assert np.abs(_bin_traces(data, n_bins) - scalar).max() <= 1e-9
+
 
 class TestCount:
     """N(lambda) by the lifted arg det U against the closed form for a
@@ -345,8 +403,9 @@ class TestKeldyshResidues:
         (smooth_tau(2, 64), 5),
     ], ids=["zero", "constant", "fourier"])
     def test_matches_contour_oracle(self, tau, n_bins):
-        lams = [lam for lam, _ in find_eigenvalues(tau, np.pi * (n_bins + 0.5))]
-        got = norming_constants(tau, lams, hermitize=False)
+        pairs = find_eigenvalues(tau, np.pi * (n_bins + 0.5))
+        lams = [lam for lam, _ in pairs]
+        got = norming_constants(tau, pairs, hermitize=False)
         want = contour_norming_constants(tau.values, lams)
         assert max(np.linalg.norm(a - b, 2) for a, b in zip(got, want)) <= 1e-9
 
@@ -355,7 +414,7 @@ class TestNormingConstants:
     def test_free_case(self):
         tau = zero_tau(2, 256)
         pairs = find_eigenvalues(tau, 10.0)
-        al = norming_constants(tau, [l for l, _ in pairs])
+        al = norming_constants(tau, pairs)
         assert np.linalg.norm(al[0] - np.eye(2) / 2, 2) < 1e-9
         for a in al[1:]:
             assert np.linalg.norm(a - np.eye(2), 2) < 1e-9
@@ -363,7 +422,7 @@ class TestNormingConstants:
     def test_constant_tau_vs_fd_oracle(self):
         tau = const_tau(0.5, 512)
         pairs = find_eigenvalues(tau, 2 * np.pi)
-        al = norming_constants(tau, [l for l, _ in pairs])
+        al = norming_constants(tau, pairs)
         lam_o, al_o = fd_eigen_r1_refined(lambda x: np.full_like(x, 0.5), 3,
                                           grids=(512, 1024, 2048))
         assert abs(al[1][0, 0].real - al_o[1]) < 1e-6
@@ -371,7 +430,7 @@ class TestNormingConstants:
     def test_hermitian_before_symmetrization(self):
         tau = smooth_tau(2, 128)
         pairs = find_eigenvalues(tau, 8.0)
-        raw = norming_constants(tau, [l for l, _ in pairs], hermitize=False)
+        raw = norming_constants(tau, pairs, hermitize=False)
         for a in raw:
             assert np.linalg.norm(a - a.conj().T, 2) <= 1e-8
 
