@@ -16,7 +16,7 @@ cancellations a naive two-pass summation would incur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,18 +38,14 @@ class BinDecomposition:
 
     For each bin n = 1..n_bins: `members[n-1]` holds the indices j of the
     entries with lambda_j in bin n, `beta[n-1] = I - sum alpha_j` the mass
-    defect, `gamma[n-1] = sum (lambda_j - pi n) alpha_j` the first moment,
-    and `tilde[n-1]` the frequency offsets lambda_j - pi n.  Bins that the
-    data leaves empty are recorded in `empty_bins`.
+    defect, and `tilde[n-1]` the frequency offsets lambda_j - pi n.
     """
 
     r: int
     n_bins: int
     members: list[list[int]]
     beta: np.ndarray
-    gamma: np.ndarray
     tilde: list[np.ndarray]
-    empty_bins: list[int] = field(default_factory=list)
 
 
 def coverage_bins(data: SpectralData) -> int:
@@ -64,7 +60,7 @@ def bin_decompose(data: SpectralData, n_bins: int) -> BinDecomposition:
     Raises CoverageError when the data stops short of bin n_bins, since
     trailing empty bins would contribute spurious unit defects; interior
     empty bins are legal (the dataset may genuinely lack lines there) and
-    are only recorded.
+    get a unit defect.
     """
     if n_bins < 1:
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
@@ -83,36 +79,36 @@ def bin_decompose(data: SpectralData, n_bins: int) -> BinDecomposition:
         if n <= n_bins:
             members[n - 1].append(j)
     beta = np.empty((n_bins, data.r, data.r), dtype=complex)
-    gamma = np.zeros((n_bins, data.r, data.r), dtype=complex)
     tilde: list[np.ndarray] = []
-    empty = []
     for n in range(1, n_bins + 1):
         idx = members[n - 1]
-        if not idx:
-            empty.append(n)
-        t = data.lambdas[idx] - np.pi * n
-        tilde.append(np.asarray(t, dtype=float))
+        tilde.append(np.asarray(data.lambdas[idx] - np.pi * n, dtype=float))
         beta[n - 1] = eye - data.alphas[idx].sum(axis=0)
-        if idx:
-            gamma[n - 1] = np.einsum("j,jab->ab", t, data.alphas[idx])
     return BinDecomposition(r=data.r, n_bins=n_bins, members=members,
-                            beta=beta, gamma=gamma, tilde=tilde,
-                            empty_bins=empty)
+                            beta=beta, tilde=tilde)
+
+
+def prepend_unit_mass(data: SpectralData) -> SpectralData:
+    """Complete a reduced dataset with the (0, I) entry."""
+    eye = np.eye(data.r, dtype=complex)
+    return SpectralData(
+        r=data.r,
+        lambdas=np.concatenate([[0.0], data.lambdas]),
+        alphas=np.concatenate([eye[None], data.alphas]),
+        includes_zero=True,
+    )
 
 
 def build_accelerant(data: SpectralData, spec: GridSpec, n_bins: int) -> MatrixGrid:
     """Accelerant samples H(x_i) on [0, 1]; the even extension is implicit.
 
-    Requires a dataset that carries its (0, alpha_0) entry; reduced
-    datasets must be completed with a unit mass at zero first (the command
-    layer does this).  The output is Hermitized, which is exact for the
-    Hermitian data this type admits.
+    The series needs the (0, alpha_0) entry: a reduced dataset is completed
+    here with the unit mass at zero (prepend_unit_mass), so every caller
+    may pass either kind.  The output is Hermitized, which is exact for
+    the Hermitian data this type admits.
     """
     if not data.includes_zero:
-        raise ValidationError(
-            "accelerant synthesis needs the (0, alpha_0) entry; prepend a "
-            "unit mass at lambda = 0 for reduced datasets"
-        )
+        data = prepend_unit_mass(data)
     dec = bin_decompose(data, n_bins)
     x = spec.points()
     eye = np.eye(data.r)

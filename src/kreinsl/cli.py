@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 log = logging.getLogger("kreinsl")
 
@@ -30,14 +30,19 @@ EXIT_VALIDATION = 4
 EXIT_CONDITION_FAIL = 5
 EXIT_INCONCLUSIVE = 6
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
 @dataclass
 class RunConfig:
-    """Resolved run parameters."""
+    """Resolved run parameters.  Each field is a config key and the flag of
+    the same name; it takes values of its default's type only, within the
+    bounds its metadata gives."""
 
-    grid_m: int = 256
-    n_bins: int = 64
+    grid_m: int = field(default=256, metadata={"min": 8})
+    n_bins: int = field(default=64, metadata={"min": 1})
     seed: int = 0
-    log_level: str = "info"
+    log_level: str = field(default="info", metadata={"choices": LOG_LEVELS})
 
     def resolved_lambda_max(self) -> float:
         """The spectral truncation pi (n_bins + 1/2) that every run uses."""
@@ -46,19 +51,21 @@ class RunConfig:
 
     def validate(self):
         from .core import ConfigurationError
-        if self.grid_m < 8:
-            raise ConfigurationError("grid_m must be at least 8")
-        if self.n_bins < 1:
-            raise ConfigurationError("n_bins must be positive")
+        for f in fields(self):
+            value, want = getattr(self, f.name), type(f.default)
+            # bool is an int subclass, but no key is a flag
+            if isinstance(value, bool) or not isinstance(value, want):
+                problem = f"must be of type {want.__name__}"
+            elif value < f.metadata.get("min", value):
+                problem = f"must be at least {f.metadata['min']}"
+            elif value not in f.metadata.get("choices", (value,)):
+                problem = f"must be one of {', '.join(f.metadata['choices'])}"
+            else:
+                continue
+            raise ConfigurationError(f"{f.name!r} {problem}, got {value!r}")
 
     def to_json(self) -> dict:
-        return {
-            "grid_m": self.grid_m,
-            "n_bins": self.n_bins,
-            "lambda_max": self.resolved_lambda_max(),
-            "seed": self.seed,
-            "log_level": self.log_level,
-        }
+        return {**asdict(self), "lambda_max": self.resolved_lambda_max()}
 
 
 def _parse_toml_scalar(text: str, where: str):
@@ -103,7 +110,7 @@ def read_config_file(path) -> dict:
     return out
 
 
-_CONFIG_KEYS = ("grid_m", "n_bins", "seed", "log_level")
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _check_config_keys(doc: dict, path) -> None:
@@ -117,20 +124,18 @@ def _check_config_keys(doc: dict, path) -> None:
 
 
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
+    """Defaults, then the config file, then the flags of the same names;
+    applies the resolved log level."""
+    doc = {}
     if args.config:
         doc = read_config_file(args.config)
         _check_config_keys(doc, args.config)
-        for key in _CONFIG_KEYS:
-            if key in doc:
-                setattr(cfg, key, doc[key])
-    for key in ("grid_m", "n_bins", "seed"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if args.log_level:
-        cfg.log_level = args.log_level
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
+    cfg = RunConfig(**doc)
     cfg.validate()
+    logging.getLogger().setLevel(cfg.log_level.upper())
     return cfg
 
 
@@ -190,28 +195,23 @@ def cmd_direct(args) -> int:
     return EXIT_OK
 
 
-def _inverse_pipeline(data, cfg: RunConfig):
-    """Measure -> accelerant -> triangular solve -> potential and primitive."""
+def _inverse_pipeline(data, n_bins: int, grid_m: int):
+    """Measure -> accelerant -> triangular solve -> potential."""
     from .accelerant import build_accelerant, coverage_bins, tail_proxy
     from .core import GridSpec
     from .krein import solve_krein
-    from .miura import miura
-    from .validation import prepend_unit_mass
 
     notes = []
     if not data.includes_zero:
-        data = prepend_unit_mass(data)
         notes.append("reduced dataset: prepended the unit mass at lambda = 0")
-    n_bins = cfg.n_bins
     top = coverage_bins(data)
     if n_bins > top:
         notes.append(f"data covers {top} bins; truncation clamped from {n_bins}")
         n_bins = top
-    spec = GridSpec(cfg.grid_m)
+    spec = GridSpec(grid_m)
     H = build_accelerant(data, spec, n_bins)
     sol = solve_krein(H)
     tau, defect = sol.extract_tau(hermitize=True)
-    sigma = miura(tau)
     diagnostics = {
         "krein_residual": sol.residual,
         "min_pivot": sol.min_pivot,
@@ -220,19 +220,20 @@ def _inverse_pipeline(data, cfg: RunConfig):
         "n_bins_used": n_bins,
         "notes": notes,
     }
-    return tau, sigma, diagnostics
+    return tau, diagnostics
 
 
 def cmd_inverse(args) -> int:
     from .core import load_spectral_data, save_matrix_grid
+    from .miura import miura
 
     cfg = build_config(args)
     data = load_spectral_data(args.data_file)
-    tau, sigma, diagnostics = _inverse_pipeline(data, cfg)
+    tau, diagnostics = _inverse_pipeline(data, cfg.n_bins, cfg.grid_m)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     save_matrix_grid(tau, os.path.join(outdir, "tau.json"))
-    save_matrix_grid(sigma.sigma, os.path.join(outdir, "sigma.json"),
+    save_matrix_grid(miura(tau).sigma, os.path.join(outdir, "sigma.json"),
                      extra={"kind": "potential_primitive"})
     diagnostics["config"] = cfg.to_json()
     _write_json(diagnostics, os.path.join(outdir, "inverse_diagnostics.json"))
@@ -280,18 +281,14 @@ def _relative_errors(a, b):
     }
 
 
-def _roundtrip_once(tau, n_bins: int, grid_m: int, cfg: RunConfig):
-    import numpy as np
+def _roundtrip_once(tau, n_bins: int, grid_m: int):
     from .core import GridSpec, resample_matrix_grid
     from .direct import spectral_data
 
-    spec = GridSpec(grid_m)
-    tau_m = resample_matrix_grid(tau, spec)
+    tau_m = resample_matrix_grid(tau, GridSpec(grid_m))
     data = spectral_data(tau_m, n_bins)
-    sub_cfg = RunConfig(grid_m=grid_m, n_bins=n_bins, seed=cfg.seed)
-    tau_hat, sigma_hat, diag = _inverse_pipeline(data, sub_cfg)
-    errs = _relative_errors(tau_hat, tau_m)
-    return data, tau_m, tau_hat, errs, diag
+    tau_hat, diag = _inverse_pipeline(data, n_bins, grid_m)
+    return data, tau_hat, _relative_errors(tau_hat, tau_m), diag
 
 
 def cmd_roundtrip(args) -> int:
@@ -322,7 +319,7 @@ def cmd_roundtrip(args) -> int:
     base = None
     for nb in (cfg.n_bins, 2 * cfg.n_bins):
         for gm in (cfg.grid_m, 2 * cfg.grid_m):
-            data, tau_m, tau_hat, errs, diag = _roundtrip_once(tau, nb, gm, cfg)
+            data, tau_hat, errs, diag = _roundtrip_once(tau, nb, gm)
             row = {"n_bins": nb, "grid_m": gm, "tau_errors": errs,
                    "krein_residual": diag["krein_residual"]}
             table.append(row)
@@ -350,15 +347,14 @@ def cmd_roundtrip(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-m", dest="grid_m", type=int, default=None,
+    p.add_argument("--grid-m", type=int, default=None,
                    help="number of grid subintervals of [0, 1]")
-    p.add_argument("--n-bins", dest="n_bins", type=int, default=None,
+    p.add_argument("--n-bins", type=int, default=None,
                    help="frequency-bin truncation level")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory (default .)")
     p.add_argument("--config", default=None, help="TOML config file")
-    p.add_argument("--log-level", default=None,
-                   choices=["debug", "info", "warning", "error"])
+    p.add_argument("--log-level", default=None, choices=LOG_LEVELS)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -396,8 +392,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    logging.basicConfig(level=(args.log_level or "info").upper(),
-                        format="%(levelname)s %(message)s")
+    # the level is set once the config is resolved (build_config)
+    logging.basicConfig(format="%(levelname)s %(message)s")
 
     from numpy.linalg import LinAlgError
 

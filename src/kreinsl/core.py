@@ -16,6 +16,8 @@ import numpy as np
 # Tolerances used by every constructor that checks matrix structure.
 HERMITIAN_RTOL = 1e-12
 PSD_RTOL = 1e-10
+# Eigenvalues above this share of the largest count toward matrix_rank_psd.
+RANK_RTOL = 1e-9
 
 
 class KreinslError(Exception):
@@ -94,9 +96,6 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return np.arange(self.m + 1) / self.m
 
-    def __eq__(self, other):
-        return isinstance(other, GridSpec) and other.m == self.m
-
 
 def trapezoid_weights(spec: GridSpec) -> np.ndarray:
     """Composite trapezoid weights on [0, 1]; w_0 = w_m = h/2, else h."""
@@ -168,9 +167,6 @@ class MatrixGrid:
         return MatrixGrid(self.r, self.spec, np.conj(np.swapaxes(self.values, -1, -2)),
                           hermitian=self.hermitian)
 
-    def __neg__(self) -> "MatrixGrid":
-        return MatrixGrid(self.r, self.spec, -self.values, hermitian=self.hermitian)
-
 
 @dataclass
 class TriangularKernel:
@@ -222,12 +218,12 @@ class SquareKernel:
         self.values = _frozen(v)
 
 
-def matrix_rank_psd(alpha: np.ndarray, rtol: float = 1e-9):
+def matrix_rank_psd(alpha: np.ndarray):
     """Numerical rank of a Hermitian PSD matrix (an int), or of each of a
     stack of them (an int array)."""
     w = np.linalg.eigvalsh((alpha + np.conj(np.swapaxes(alpha, -1, -2))) / 2.0)
     scale = np.maximum(w.max(axis=-1, keepdims=True), 0.0)
-    ranks = np.count_nonzero(w > rtol * np.maximum(scale, 1e-300), axis=-1)
+    ranks = np.count_nonzero(w > RANK_RTOL * np.maximum(scale, 1e-300), axis=-1)
     return int(ranks) if np.ndim(alpha) == 2 else ranks
 
 

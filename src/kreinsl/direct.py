@@ -71,7 +71,6 @@ eigenvalues to second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -116,9 +115,8 @@ _NEWTON_TOL = 1e-10
 _ROUNDS = 100
 # Lambdas per propagation of a count.  A batch's accumulator and per-factor
 # buffers stay in cache, and each batch of an ascending grid gets its own
-# lift plan, so low batches lift less often: counting 8000 ascending
-# lambdas up to 404 at r = 2, m = 512 takes 1.3 s in batches against 1.9 s
-# in one.
+# lift plan, so low batches lift less often.  The direct solve counts only
+# its n_bins + 1 edges, one batch for up to 1023 bins.
 _COUNT_BATCH = 1024
 
 # Byte cap of one block of factor coefficients in _propagate_many: each
@@ -498,27 +496,18 @@ def propagate(tau: MatrixGrid, lam):
     return out if lams.ndim else out[0]
 
 
-def _weyl_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
-    """m(lam) = -phi(1,lam,tau)^{-1} psi(1,lam,-tau) for a batch of lambdas."""
-    w = _propagate_many(tau, lams)
-    r = tau.r
-    phi_t, _, _, psi_mt = _blocks(w, r)
+def weyl_m(tau: MatrixGrid, lam: complex) -> np.ndarray:
+    """Weyl-Titchmarsh matrix m_tau(lambda) = -phi(1, lam, tau)^{-1}
+    psi(1, lam, -tau); raises near its poles."""
+    phi_t, _, _, psi_mt = _blocks(_propagate_many(tau, [lam])[0], tau.r)
     sig = np.linalg.svd(phi_t, compute_uv=False)
-    bad = sig[..., -1] <= WEYL_PIVOT_TOL * np.maximum(1.0, sig[..., 0])
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    if sig[-1] <= WEYL_PIVOT_TOL * max(1.0, sig[0]):
         raise PoleProximityError(
-            f"phi(1, lambda, tau) is numerically singular at lambda = "
-            f"{np.asarray(lams).ravel()[k]} (smallest singular value "
-            f"{sig[k][-1]:.3e})",
-            sigma_min=float(sig[k][-1]),
+            f"phi(1, lambda, tau) is numerically singular at lambda = {lam} "
+            f"(smallest singular value {sig[-1]:.3e})",
+            sigma_min=float(sig[-1]),
         )
     return -np.linalg.solve(phi_t, psi_mt)
-
-
-def weyl_m(tau: MatrixGrid, lam: complex) -> np.ndarray:
-    """Weyl-Titchmarsh matrix m_tau(lambda); raises near its poles."""
-    return _weyl_many(tau, np.array([lam]))[0]
 
 
 def _eigenphases(w: np.ndarray) -> np.ndarray:
@@ -827,30 +816,6 @@ def norming_constants(tau: MatrixGrid, pairs, *, hermitize: bool = True,
     return out
 
 
-@dataclass
-class EigenRecord:
-    """One eigenvalue record: square root, norming matrix, and kernel data."""
-
-    lam: float
-    alpha: np.ndarray
-    multiplicity: int
-    kernel_basis: np.ndarray
-
-
-def eigen_records(tau: MatrixGrid, n_bins: int,
-                  report: dict | None = None) -> list[EigenRecord]:
-    lambda_max = np.pi * (n_bins + 0.5)
-    fac = _factors(tau)
-    pairs = find_eigenvalues(fac, lambda_max, report=report)
-    alphas = norming_constants(fac, pairs, report=report)
-    ranks = matrix_rank_psd(np.stack(alphas))
-    return [
-        EigenRecord(lam=lam, alpha=alpha, multiplicity=int(rank),
-                    kernel_basis=basis)
-        for (lam, basis), alpha, rank in zip(pairs, alphas, ranks)
-    ]
-
-
 def spectral_data(tau: MatrixGrid, n_bins: int,
                   report: dict | None = None) -> SpectralData:
     """Full direct solve: eigenvalues plus norming constants up to bin n_bins.
@@ -861,27 +826,34 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
     N = n_bins: the eigenvalue count fixes how many roots there are and
     their multiplicities, so a violation means the residue ranks disagree
     with the count.  A report dict collects what rank_checks reads: the
-    counts at the bin edges, and the multiplicity of every entry and the
-    singular values of phi there.
+    counts at the bin edges, and the multiplicity of every entry, the rank
+    of its alpha and the singular values of phi there.
     """
-    recs = eigen_records(tau, n_bins, report)
-    total_rank = sum(r.multiplicity for r in recs[1:])
+    fac = _factors(tau)
+    pairs = find_eigenvalues(fac, np.pi * (n_bins + 0.5), report=report)
+    alphas = np.stack(norming_constants(fac, pairs, report=report))
+    ranks = matrix_rank_psd(alphas)
+    if report is not None:
+        report["alpha_rank"] = ranks
+    total_rank = int(ranks[1:].sum())
     if total_rank != n_bins * tau.r:
+        roots = sum(basis.shape[1] for _, basis in pairs[1:])
         raise ConsistencyError(
             f"rank bookkeeping failed at truncation {n_bins}: the norming "
-            f"constants have total rank {total_rank}, the eigenvalue count "
-            f"gives {n_bins * tau.r}"
+            f"constants have total rank {total_rank} and the eigenvalue "
+            f"count finds {roots} roots with multiplicity, where the "
+            f"identity needs n_bins r = {n_bins * tau.r}"
         )
-    for rec in recs[1:]:
-        n = bin_index(rec.lam)
+    for lam, _ in pairs[1:]:
+        n = bin_index(lam)
         if n < 1 or n > n_bins:
             raise ConsistencyError(
-                f"eigenvalue {rec.lam:.9g} falls outside bins 1..{n_bins}"
+                f"eigenvalue {lam:.9g} falls outside bins 1..{n_bins}"
             )
     return SpectralData(
         r=tau.r,
-        lambdas=np.array([rec.lam for rec in recs]),
-        alphas=np.stack([rec.alpha for rec in recs]),
+        lambdas=np.array([lam for lam, _ in pairs]),
+        alphas=alphas,
         includes_zero=True,
     )
 
@@ -902,7 +874,7 @@ def rank_checks(data: SpectralData, report: dict) -> dict:
     """
     r = data.r
     entries = []
-    for lam, rank, s, k in zip(data.lambdas, matrix_rank_psd(data.alphas),
+    for lam, rank, s, k in zip(data.lambdas, report["alpha_rank"],
                                report["sigma"], report["kernel_dim"]):
         thresh = RANK_TOL * max(1.0, float(s[0]))
         entries.append({

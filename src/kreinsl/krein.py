@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GridSpec,
     MatrixGrid,
     NotAnAccelerantError,
     TriangularKernel,
@@ -91,12 +90,7 @@ def _row_weights(i: int, h: float) -> np.ndarray:
     return w
 
 
-def _toeplitz_blocks(h_values: np.ndarray) -> np.ndarray:
-    """T[d] = H(d h)^T for d = 0..m (plain transpose, evenness for d < 0)."""
-    return np.swapaxes(h_values, -1, -2).copy()
-
-
-def solve_krein(H: MatrixGrid, spec: GridSpec | None = None) -> KreinSolution:
+def solve_krein(H: MatrixGrid) -> KreinSolution:
     """Solve the convolution equation for R on the triangle.
 
     H holds the kernel samples on [0, 1]; the even extension is applied
@@ -108,13 +102,11 @@ def solve_krein(H: MatrixGrid, spec: GridSpec | None = None) -> KreinSolution:
     estimated reciprocal condition number falls below PIVOT_TOL raises
     NotAnAccelerantError carrying the failing x_i.
     """
-    if spec is not None and spec != H.spec:
-        raise ValidationError("explicit grid disagrees with the kernel grid")
     spec = H.spec
     m, r, h = spec.m, H.r, spec.h
-    T = _toeplitz_blocks(H.values)
-    real_path = bool(np.isrealobj(H.values)) or not np.any(H.values.imag)
-    Td = T.real.astype(float) if real_path else T
+    # T[d] = H(d h)^T for d = 0..m (evenness for d < 0)
+    T = np.swapaxes(H.values, -1, -2).copy()
+    Td = T if np.any(H.values.imag) else T.real.astype(float)
 
     values = np.zeros((m + 1, m + 1, r, r), dtype=complex)
     values[0, 0] = -H.values[0]
@@ -267,14 +259,14 @@ def krein_residual(H: MatrixGrid, R: TriangularKernel) -> float:
     return float(np.max(np.linalg.norm(near, ord=2, axis=(-2, -1))))
 
 
-def theta(H: MatrixGrid, spec: GridSpec | None = None) -> MatrixGrid:
+def theta(H: MatrixGrid) -> MatrixGrid:
     """Potential of an accelerant: tau(x_i) = -R(x_i, 0).
 
     Hermitian kernels produce (up to roundoff) Hermitian potentials; the
     output is symmetrized in that case.  Use solve_krein directly when the
     conditioning diagnostics or the symmetrization defect are needed.
     """
-    sol = solve_krein(H, spec)
+    sol = solve_krein(H)
     tau, _ = sol.extract_tau(hermitize=H.hermitian)
     return tau
 

@@ -24,7 +24,6 @@ from .core import (
     GridSpec,
     MatrixGrid,
     SpectralData,
-    ValidationError,
     block_flatten,
     matrix_rank_psd,
     trapezoid_weights,
@@ -245,8 +244,8 @@ def completeness_matrices(data: SpectralData, spec: GridSpec,
                           n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Discretized I + even operator and I + odd operator of the dataset.
 
-    Builds the accelerant of the data (prepending a unit mass at zero for
-    reduced datasets), forms the even/odd kernels, and returns the
+    Builds the accelerant of the data (build_accelerant completes reduced
+    datasets), forms the even/odd kernels, and returns the
     symmetrized Nystrom matrices shifted by the identity, whose
     eigenvalues approximate the operator spectra.
 
@@ -262,10 +261,7 @@ def completeness_matrices(data: SpectralData, spec: GridSpec,
     The samples are gathered straight from H2, so the work arrays are the
     size of the two output matrices.
     """
-    work = data
-    if not data.includes_zero:
-        work = prepend_unit_mass(data)
-    h2 = build_accelerant(work, GridSpec(2 * spec.m), n_bins).values
+    h2 = build_accelerant(data, GridSpec(2 * spec.m), n_bins).values
     i = np.arange(spec.m + 1)
     a = h2[np.abs(i[:, None] - i[None, :])]
     b = h2[i[:, None] + i[None, :]]
@@ -278,17 +274,6 @@ def completeness_matrices(data: SpectralData, spec: GridSpec,
     del he
     mo = _identity_plus_nystrom(ho, spec)
     return me, mo
-
-
-def prepend_unit_mass(data: SpectralData) -> SpectralData:
-    """Complete a reduced dataset with the (0, I) entry."""
-    eye = np.eye(data.r, dtype=complex)
-    return SpectralData(
-        r=data.r,
-        lambdas=np.concatenate([[0.0], data.lambdas]),
-        alphas=np.concatenate([eye[None], data.alphas]),
-        includes_zero=True,
-    )
 
 
 # Inverse iteration shifts below lambda_min by _SHIFT_REL times the spectral
@@ -372,15 +357,13 @@ def check_all(data: SpectralData, spec: GridSpec, n_bins: int) -> ConditionRepor
                            notes=notes)
 
 
-def accelerant_positivity(H: MatrixGrid, spec: GridSpec | None = None) -> float:
+def accelerant_positivity(H: MatrixGrid) -> float:
     """Smallest eigenvalue of the discretized I + full convolution operator.
 
     The operator maps f to the integral of H(x - t) f(t) over [0, 1]; a
     positive result certifies (at this resolution) that H is a Hermitian
     accelerant, matching success of the triangular solve route.
     """
-    if spec is not None and spec != H.spec:
-        raise ValidationError("explicit grid disagrees with the kernel grid")
     i = np.arange(H.spec.m + 1)
     blocks = H.values[np.abs(i[:, None] - i[None, :])]
     mat = _identity_plus_nystrom(blocks, H.spec)

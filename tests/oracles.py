@@ -216,9 +216,8 @@ def completeness_via_heo(data, spec, n_bins: int):
     Hermitian-averaged I + W^(1/2) K W^(1/2) matrices: the construction
     `completeness_matrices` replaced by direct indexing.
     """
-    from kreinsl.accelerant import build_accelerant, build_heo
+    from kreinsl.accelerant import build_accelerant, build_heo, prepend_unit_mass
     from kreinsl.core import GridSpec, SquareKernel, sym_nystrom_square
-    from kreinsl.validation import prepend_unit_mass
 
     work = data if data.includes_zero else prepend_unit_mass(data)
     he2, ho2 = build_heo(build_accelerant(work, GridSpec(2 * spec.m), n_bins))

@@ -281,6 +281,51 @@ def test_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, key", [
+    ('n_bins = "x"\n', "n_bins"),
+    ("n_bins = 2.5\n", "n_bins"),
+    ("grid_m = true\n", "grid_m"),
+    ("grid_m = 4\n", "grid_m"),
+    ('seed = "a"\n', "seed"),
+    ("log_level = 3\n", "log_level"),
+    ('log_level = "loud"\n', "log_level"),
+], ids=["n_bins-str", "n_bins-float", "grid_m-bool", "grid_m-small",
+        "seed-str", "log_level-int", "log_level-unknown"])
+def test_bad_config_value_exits_2(tmp_path, capsys, text, key):
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(text)
+    rc = main(["direct", str(tau), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_log_level_is_applied(tmp_path):
+    # a fresh interpreter, so that the root logger gets its stderr handler
+    import subprocess
+    import sys
+
+    import kreinsl
+
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau)
+    cfg = tmp_path / "run.toml"
+    src = os.path.dirname(os.path.dirname(kreinsl.__file__))
+    code = ("import sys; from kreinsl.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    argv = [sys.executable, "-c", code, "direct", str(tau), "--config",
+            str(cfg), "--n-bins", "2", "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=src)
+    for level, logged in (("error", False), ("info", True)):
+        cfg.write_text(f'log_level = "{level}"\n')
+        done = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert done.returncode == 0
+        assert ("INFO " in done.stderr) == logged
+
+
 def test_lambda_max_is_not_a_knob(tmp_path, capsys):
     # the truncation is always pi (n_bins + 1/2): the flag is gone, a
     # config file that sets lambda_max is refused, and the echo keeps the

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kreinsl.core import (
+    ConsistencyError,
     GridSpec,
     MatrixGrid,
     PoleProximityError,
@@ -14,7 +15,6 @@ from kreinsl.direct import (
     _lift_plan,
     _propagate_many,
     count_eigenvalues,
-    eigen_records,
     find_eigenvalues,
     norming_constants,
     propagate,
@@ -267,16 +267,18 @@ class TestRootSearch:
             return sweep(*args, **kwargs)
 
         monkeypatch.setattr(direct, "_sweep", counted)
-        recs = eigen_records(tau, n_bins)
-        return len(calls), recs
+        report = {}
+        data = spectral_data(tau, n_bins, report)
+        return len(calls), data, report
 
     def test_propagations_on_seeded_potential(self, monkeypatch):
         # the direct-r2 benchmark input at seed 91: edge count, two split
         # rounds, Newton and the residues; a 0.05 count grid with
         # bisection and midpoint Newton took 15
-        sweeps, recs = self._sweeps(monkeypatch, smooth_tau(2, 256, seed=91), 32)
+        sweeps, data, _ = self._sweeps(monkeypatch, smooth_tau(2, 256, seed=91),
+                                       32)
         assert sweeps <= 10
-        assert len(recs) == 65
+        assert len(data) == 65
 
     @pytest.mark.parametrize("c", [
         (0.0, 0.0), (0.7, 0.7), (0.5, 0.5, 1.0),
@@ -285,7 +287,8 @@ class TestRootSearch:
         # exact double roots: nearest the bin centre for tau = 0, off it for
         # 0.7 I; bisection to the 1e-9 floor took 31, 31 and 33
         n_bins = 32
-        sweeps, recs = self._sweeps(monkeypatch, diag_tau(list(c), 256), n_bins)
+        sweeps, data, report = self._sweeps(monkeypatch, diag_tau(list(c), 256),
+                                            n_bins)
         assert sweeps <= 12
         n = np.arange(1, n_bins + 1)
         exact = {}
@@ -293,13 +296,12 @@ class TestRootSearch:
             for lam in np.sqrt(np.pi ** 2 * n ** 2 + ck ** 2):
                 exact[lam] = exact.get(lam, 0) + 1
         lams = np.array(sorted(exact))
-        got = np.array([rec.lam for rec in recs[1:]])
+        got = data.lambdas[1:]
         assert got.shape == lams.shape
         assert np.abs(got - lams).max() <= 1e-10
-        assert [rec.multiplicity for rec in recs[1:]] \
+        assert report["alpha_rank"][1:].tolist() \
             == [exact[lam] for lam in lams]
-        assert [rec.kernel_basis.shape[1] for rec in recs[1:]] \
-            == [exact[lam] for lam in lams]
+        assert report["kernel_dim"][1:] == [exact[lam] for lam in lams]
 
     @pytest.mark.parametrize("tau, n_bins", [
         (diag_tau([0.5, 0.5 + 1e-6], 256), 32),
@@ -309,10 +311,9 @@ class TestRootSearch:
         # a near-double pair per bin, and a large potential whose brackets
         # the edge count isolates; a search that split first and ran Newton
         # after it failed on the first and took 12 on the second
-        sweeps, recs = self._sweeps(monkeypatch, tau, n_bins)
+        sweeps, _, report = self._sweeps(monkeypatch, tau, n_bins)
         assert sweeps <= 12
-        assert sum(rec.kernel_basis.shape[1] for rec in recs[1:]) \
-            == n_bins * tau.r
+        assert sum(report["kernel_dim"][1:]) == n_bins * tau.r
 
 
 def _bin_traces(data, n_bins):
@@ -516,12 +517,12 @@ class TestSpectralData:
         # the direct-r2 benchmark input at seed 91: its closest pair is
         # 4.4e-4 apart, and each of the 64 roots is one entry whose kernel
         # dimension is the rank of its norming constant
-        recs = eigen_records(smooth_tau(2, 256, seed=91), 32)
-        assert len(recs) == 65
-        assert [rec.kernel_basis.shape[1] for rec in recs[1:]] == [1] * 64
-        assert [rec.multiplicity for rec in recs[1:]] == [1] * 64
-        lams = np.array([rec.lam for rec in recs])
-        assert np.all(np.diff(lams) > 0)
+        report = {}
+        data = spectral_data(smooth_tau(2, 256, seed=91), 32, report)
+        assert len(data) == 65
+        assert report["kernel_dim"][1:] == [1] * 64
+        assert report["alpha_rank"][1:].tolist() == [1] * 64
+        assert np.all(np.diff(data.lambdas) > 0)
 
     def test_block_diagonal_matches_scalar_merge(self):
         m = 256
@@ -552,6 +553,15 @@ class TestSpectralData:
             np.pi * np.arange(3), np.sqrt(np.pi ** 2 * np.arange(1, 3) ** 2
                                           + 1.86 ** 2)]))
         assert np.abs(data.lambdas - exact).max() <= 1e-12
+
+    def test_bookkeeping_error_gives_the_count(self):
+        # a large potential whose edge counts end at 12 = N(lambda_max): the
+        # count finds 11 roots in bins 1..12 (N minus the r at lambda_0),
+        # and the message says so beside the 12 the identity needs
+        tau = smooth_tau(1, 128, seed=0, scale=8.0)
+        with pytest.raises(ConsistencyError,
+                           match="count finds 11 roots .* needs n_bins r = 12"):
+            spectral_data(tau, 12)
 
 
 def test_a1_diagnostics_flatten_with_bins():
