@@ -215,6 +215,7 @@ def _inverse_pipeline(data, n_bins: int, grid_m: int):
     diagnostics = {
         "krein_residual": sol.residual,
         "min_pivot": sol.min_pivot,
+        "dense_from_x": sol.dense_from_x,
         "hermitization_defect": defect,
         "accelerant_tail_proxy": tail_proxy(data, spec, n_bins, h_full=H),
         "n_bins_used": n_bins,

@@ -332,9 +332,9 @@ def g2_norm(kernel: TriangularKernel) -> float:
 
 
 def block_flatten(blocks: np.ndarray) -> np.ndarray:
-    """(n, n, r, r) block array -> (n*r, n*r) matrix."""
-    n, _, r, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(n * r, n * r)
+    """(n, k, r, r) block array -> (n*r, k*r) matrix."""
+    n, k, r, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n * r, k * r)
 
 
 def sym_nystrom_square(kernel: SquareKernel) -> np.ndarray:

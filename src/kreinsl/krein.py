@@ -46,6 +46,8 @@ PIVOT_TOL = 1e-10
 # degraded, however large its eigenvalues: h A_i D_i^{-1} = G_i + E_0 + E_i,
 # so no row's A_i is singular while every pivot of G_i stays positive.
 LEVINSON_FLOOR = 1e-6
+# Triangle rows per block of the residual's quadrature product.
+_RESIDUAL_ROWS = 64
 
 
 @dataclass
@@ -60,12 +62,15 @@ class KreinSolution:
     of each row's 2r x 2r Woodbury matrix; on rows solved densely, the
     LAPACK reciprocal condition estimate.  tau extracted from the first
     column agrees with the alternative form H(x) + int_0^x R(x, s) H(s) ds
-    by construction of the row systems.
+    by construction of the row systems.  `dense_from_x` is x_i of the
+    first row solved by dense LU after the recursion degraded, or None
+    when the recursion solved every row.
     """
 
     R: TriangularKernel
     residual: float
     min_pivot: float
+    dense_from_x: float | None
 
     def extract_tau(self, hermitize: bool) -> tuple[MatrixGrid, float]:
         """Potential tau(x_i) = -R(x_i, 0); optionally Hermitized.
@@ -111,10 +116,13 @@ def solve_krein(H: MatrixGrid) -> KreinSolution:
     values = np.zeros((m + 1, m + 1, r, r), dtype=complex)
     values[0, 0] = -H.values[0]
     start, min_pivot = _levinson_rows(Td, h, H.hermitian, values)
+    dense_from_x = None
     if start <= m:
+        dense_from_x = start * h
         min_pivot = min(min_pivot, _dense_rows(Td, h, start, values))
     R = TriangularKernel(r, spec, values)
-    return KreinSolution(R=R, residual=krein_residual(H, R), min_pivot=min_pivot)
+    return KreinSolution(R=R, residual=krein_residual(H, R), min_pivot=min_pivot,
+                         dense_from_x=dense_from_x)
 
 
 def _pivot_size(block: np.ndarray, hermitian: bool) -> float:
@@ -230,9 +238,14 @@ def krein_residual(H: MatrixGrid, R: TriangularKernel) -> float:
     """Max blockwise defect of the discrete equation over the triangle.
 
     Recomputed from scratch with the same quadrature as the solver, so an
-    exact discrete solution scores at roundoff level.  The quadrature over
-    all rows is one product: R with every block (i, k) scaled by its row's
-    trapezoid weight w_k, times the block-Toeplitz matrix of H(|k - j| h).
+    exact discrete solution scores at roundoff level.  The quadrature of
+    rows i0..i1-1 is one product: those rows of R, every block (i, k)
+    scaled by its row's trapezoid weight w_k, times the first i1 block
+    columns of the block-Toeplitz matrix of H(|k - j| h) (the defect needs
+    t_j <= x_i only).  Going through the triangle _RESIDUAL_ROWS rows at a
+    time keeps the work arrays beside that one matrix at O(m r^2) size.
+    The inner dimension stays the full grid, zero weights included, so
+    every entry sums the same terms as one product over all rows would.
     """
     if H.spec != R.spec or H.r != R.r:
         raise ValidationError("kernel shapes disagree")
@@ -241,22 +254,32 @@ def krein_residual(H: MatrixGrid, R: TriangularKernel) -> float:
     hv, rv = H.values, R.values
     if not np.any(hv.imag) and not np.any(rv.imag):
         hv, rv = hv.real, rv.real
-    weights = np.tril(np.full((n_full, n_full), h))
-    weights[:, 0] = weights[np.arange(n_full), np.arange(n_full)] = h / 2.0
-    weights[0, 0] = 0.0
     d_idx = np.abs(np.arange(n_full)[:, None] - np.arange(n_full)[None, :])
-    quad = block_flatten(rv * weights[:, :, None, None]) @ block_flatten(hv[d_idx])
-    i, j = np.tril_indices(n_full)
-    # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j)
-    defect = rv[i, j] + hv[i - j] + quad.reshape(n_full, r, n_full, r)[i, :, j, :]
-    # the 2-norm lies within a factor sqrt(r) below the Frobenius norm, so
-    # only blocks near the largest Frobenius norm can hold the maximum
-    fro = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))
-    top = fro.max()
-    if top == 0.0:
-        return 0.0
-    near = defect[fro >= 0.99 * top / np.sqrt(r)]
-    return float(np.max(np.linalg.norm(near, ord=2, axis=(-2, -1))))
+    big = block_flatten(hv[d_idx])
+    del d_idx
+    worst = 0.0
+    for i0 in range(0, n_full, _RESIDUAL_ROWS):
+        i1 = min(i0 + _RESIDUAL_ROWS, n_full)
+        b = i1 - i0
+        weights = np.tril(np.full((b, n_full), h), k=i0)
+        weights[:, 0] = weights[np.arange(b), np.arange(i0, i1)] = h / 2.0
+        if i0 == 0:
+            weights[0, 0] = 0.0
+        rw = block_flatten(rv[i0:i1] * weights[:, :, None, None])
+        quad = (rw @ big[:, :i1 * r]).reshape(b, r, i1, r)
+        a, j = np.tril_indices(b, i0, i1)
+        # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j)
+        defect = rv[i0 + a, j] + hv[i0 + a - j] + quad[a, :, j, :]
+        # the 2-norm lies within a factor sqrt(r) below the Frobenius norm, so
+        # only blocks near the block's largest Frobenius norm can hold its
+        # maximum
+        fro = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))
+        top = fro.max()
+        if top > 0.0:
+            near = defect[fro >= 0.99 * top / np.sqrt(r)]
+            worst = max(worst, float(np.max(np.linalg.norm(near, ord=2,
+                                                            axis=(-2, -1)))))
+    return worst
 
 
 def theta(H: MatrixGrid) -> MatrixGrid:

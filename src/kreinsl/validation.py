@@ -8,6 +8,11 @@ Four conditions decide whether a candidate dataset is realizable:
       through positivity of the discretized even convolution operator,
   a4  the same for the sine system and the odd operator.
 
+For truncated data the accelerant is a sum of K cosine terms, so both
+kernels have rank at most K r: a3/a4 take their spectra from a QR of
+the (m+1) x K matrix of weighted cosines (sines) and an eigensolve of a
+core of size min(m+1, K) r, never from the (m+1) r x (m+1) r matrices.
+
 A finite dataset can never certify infinite tails, so a1 verdicts report
 trends (partial-sum flattening) with an explicit inconclusive band, and
 every verdict is tagged with the truncation level it was computed at.
@@ -19,7 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accelerant import bin_decompose, build_accelerant, coverage_bins
+from .accelerant import (
+    bin_decompose,
+    build_accelerant,
+    coverage_bins,
+    prepend_unit_mass,
+)
 from .core import (
     GridSpec,
     MatrixGrid,
@@ -276,33 +286,69 @@ def completeness_matrices(data: SpectralData, spec: GridSpec,
     return me, mo
 
 
-# Inverse iteration shifts below lambda_min by _SHIFT_REL times the spectral
-# radius (at least 1), well above the eigvalsh error and small enough that
-# two steps leave a residual far below EIG_BAND.
-_SHIFT_REL = 1e-12
+def _completeness_factors(data: SpectralData, spec: GridSpec, n_bins: int
+                          ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Column factors and term coefficients of the two completeness operators.
 
+    The truncated accelerant is the cosine sum H(x) = sum_k A_k cos(2 w_k x)
+    with w_0 = 0, A_0 = 2 alpha_0 - I, then A_j = 2 alpha_j at w = lambda_j
+    and -2I at w = pi n for each bin (the terms build_accelerant adds, from
+    the same bin_decompose members; reduced data get the unit mass at zero).
+    Since cos w(x - t) +- cos w(x + t) is 2 cos wx cos wt or 2 sin wx sin wt,
 
-def smallest_eigenpair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smallest eigenvalue, a unit eigenvector for it, and the spectrum.
+        H_e(x_i, x_j) = sum_k cos(w_k x_i) cos(w_k x_j) A_k,
+        H_o(x_i, x_j) = sum_k sin(w_k x_i) sin(w_k x_j) A_k,
 
-    The eigenvalues come from `eigvalsh`, which skips the eigenvector work;
-    the vector from two steps of inverse iteration shifted just below the
-    smallest eigenvalue, so that M - shift I is positive definite even when
-    M is exactly the identity.  A cluster of eigenvalues closer together
-    than the shift yields some unit vector of the cluster's span.
+    so W^(1/2) H_e,o W^(1/2) = B S B* with B = (sqrt(w) C) (x) I_r and S the
+    block diagonal of the Hermitized A_k.  Returns (sqrt(w) C, A) for the
+    even operator and for the odd one, whose w = 0 column vanishes and is
+    left out.
     """
-    eigs = np.linalg.eigvalsh(mat)
-    lam = float(eigs[0])
-    shift = lam - _SHIFT_REL * max(1.0, float(np.abs(eigs).max()))
-    shifted = mat.copy()
-    shifted.flat[::mat.shape[0] + 1] -= shift
-    # a fixed equidistributed start (the golden-ratio Weyl sequence); numpy's
-    # random module would be a lazy import costing about 13 ms per run
-    v = (np.arange(1, mat.shape[0] + 1) * 0.6180339887498949) % 1.0 - 0.5
-    for _ in range(2):
-        v = np.linalg.solve(shifted, v)
-        v /= np.linalg.norm(v)
-    return lam, v, eigs
+    if not data.includes_zero:
+        data = prepend_unit_mass(data)
+    dec = bin_decompose(data, n_bins)
+    eye = np.eye(data.r)
+    idx = [j for members in dec.members for j in members]
+    freq = np.concatenate([[0.0], data.lambdas[idx],
+                           np.pi * np.arange(1, n_bins + 1)])
+    coef = np.concatenate([(2.0 * data.alphas[0] - eye)[None],
+                           2.0 * data.alphas[idx],
+                           np.broadcast_to(-2.0 * eye, (n_bins, data.r, data.r))])
+    coef = (coef + np.conj(np.swapaxes(coef, -1, -2))) / 2.0
+    arg = np.outer(spec.points(), freq)
+    s = np.sqrt(trapezoid_weights(spec))[:, None]
+    return (s * np.cos(arg), coef), (s * np.sin(arg[:, 1:]), coef[1:])
+
+
+def _factor_spectrum(cols: np.ndarray, coef: np.ndarray
+                     ) -> tuple[float, np.ndarray, int]:
+    """Smallest eigenvalue, a unit eigenvector for it and the count below
+    EIG_BAND of M = I + B S B*, B = cols (x) I_r, S = diag(coef).
+
+    With the reduced QR cols = Q R (Q of k = min(n, K) columns), M equals
+    I + (Q (x) I) [(R (x) I) S (R (x) I)*] (Q (x) I)*: its spectrum is 1 + mu
+    over the k r eigenvalues mu of the Hermitian core, plus 1 with
+    multiplicity (n - k) r on the complement of range(Q) (x) C^r.  The vector
+    is in block_flatten order.  When that unit eigenvalue is the smallest,
+    the vector is a unit vector of the complement: the standard basis
+    vector at the row of Q with the smallest norm, projected off range(Q).
+    """
+    n = cols.shape[0]
+    r = coef.shape[-1]
+    q, rr = np.linalg.qr(cols)
+    k = q.shape[1]
+    core = np.einsum("pk,kab,qk->paqb", rr, coef, rr, optimize=True)
+    mu, y = np.linalg.eigh(core.reshape(k * r, k * r))
+    eigs = 1.0 + mu
+    n_below = int(np.count_nonzero(eigs < EIG_BAND))
+    if k == n or eigs[0] <= 1.0:
+        return float(eigs[0]), (q @ y[:, 0].reshape(k, r)).reshape(-1), n_below
+    p = int(np.argmin(np.einsum("ip,ip->i", q, q)))
+    e = -(q @ q[p])
+    e[p] += 1.0
+    vec = np.zeros((n, r), dtype=y.dtype)
+    vec[:, 0] = e / np.linalg.norm(e)
+    return 1.0, vec.reshape(-1), n_below
 
 
 def check_a3_a4(data: SpectralData, spec: GridSpec, n_bins: int) -> A34Report:
@@ -317,17 +363,22 @@ def check_a3_a4(data: SpectralData, spec: GridSpec, n_bins: int) -> A34Report:
     The eigenvector of the smallest eigenvalue is reported for diagnostics
     in the weighted sample geometry, with the number of eigenvalues below
     the band (the count of null directions).
+
+    The matrices are those of completeness_matrices, but neither is
+    formed: the truncated accelerant is a sum of K cosine terms, so each
+    kernel has rank at most K r (_completeness_factors), and the spectrum
+    comes from one QR of an (m+1) x K matrix and one eigh of a Hermitian
+    core of size min(m+1, K) r (_factor_spectrum).  The cost is
+    O(m K^2 + K^3 r^3) time and O(m K) memory, against O(m^3 r^3) and
+    O(m^2 r^2) for the dense matrices.
     """
     eff, clamped = _effective_bins(data, n_bins)
     if eff == 0:
         z = np.zeros(0)
         return A34Report(float("nan"), float("nan"), z, z, 0, 0, 0, True,
                          INCONCLUSIVE, INCONCLUSIVE)
-    me, mo = completeness_matrices(data, spec, eff)
-    out = []
-    for mat in (me, mo):
-        lam, vec, eigs = smallest_eigenpair(mat)
-        out.append((lam, vec, int(np.count_nonzero(eigs < EIG_BAND))))
+    out = [_factor_spectrum(cols, coef)
+           for cols, coef in _completeness_factors(data, spec, eff)]
 
     def verdict(eig: float) -> str:
         if eig >= EIG_BAND:

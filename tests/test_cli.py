@@ -75,6 +75,21 @@ def test_inverse_free_data(tmp_path):
         == "potential_primitive"
 
 
+def test_inverse_diagnostics_report_dense_start(tmp_path, monkeypatch):
+    # the recursion solves every row of free data; a floor no pivot can
+    # clear sends every row from x = h on to dense LU
+    data = nu0_file(tmp_path / "d.json", n=8)
+    validator = _schema_validator("inverse_diagnostics")
+    for floor, expected in ((None, None), (2.0, 1.0 / 64)):
+        if floor is not None:
+            monkeypatch.setattr("kreinsl.krein.LEVINSON_FLOOR", floor)
+        assert main(["inverse", str(data), "--grid-m", "64", "--n-bins", "8",
+                     "--out", str(tmp_path)]) == 0
+        diag = json.loads((tmp_path / "inverse_diagnostics.json").read_text())
+        validator.validate(diag)
+        assert diag["dense_from_x"] == expected
+
+
 def test_inverse_reduced_data_reconstructs_zero_potential(tmp_path):
     # reduced free data: unit mass prepended; some root of q = 0 comes back
     lams = np.pi * np.arange(1, 9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from oracles import (
     constant_tau_alphas,
     constant_tau_lambdas,
     krein_dense_rows,
+    krein_residual_one_gemm,
 )
 
 
@@ -92,15 +95,18 @@ class TestSolveKrein:
         assert np.all(sol.R.values[np.triu_indices(n, k=1)] == 0)
 
 
+ORACLE_KERNELS = pytest.mark.parametrize("make", [
+    lambda: const_kernel(0.8, 128),
+    lambda: smooth_kernel(96, hermitian=True),
+    lambda: smooth_kernel(96, hermitian=False),
+    lambda: smooth_kernel(256, scale=0.3, seed=5, hermitian=True),
+    lambda: cos_kernel(96),
+], ids=["constant-m128", "hermitian-r2", "non-hermitian-r2",
+        "complex-hermitian-r2-m256", "fallback-cos-m96"])
+
+
 class TestDenseOracle:
-    @pytest.mark.parametrize("make", [
-        lambda: const_kernel(0.8, 128),
-        lambda: smooth_kernel(96, hermitian=True),
-        lambda: smooth_kernel(96, hermitian=False),
-        lambda: smooth_kernel(256, scale=0.3, seed=5, hermitian=True),
-        lambda: cos_kernel(96),
-    ], ids=["constant-m128", "hermitian-r2", "non-hermitian-r2",
-            "complex-hermitian-r2-m256", "fallback-cos-m96"])
+    @ORACLE_KERNELS
     def test_matches_dense_rows(self, make):
         H = make()
         sol = solve_krein(H)
@@ -133,8 +139,36 @@ class TestDenseOracle:
         assert starts == [79]
         assert sol.residual < 1e-12
 
+    def test_dense_start_reported(self):
+        assert solve_krein(cos_kernel(96)).dense_from_x == pytest.approx(79 / 96,
+                                                                         abs=1e-15)
+        assert solve_krein(smooth_kernel(96, hermitian=True)).dense_from_x is None
+
 
 class TestResidual:
+    @ORACLE_KERNELS
+    def test_matches_one_gemm_oracle(self, make):
+        H = make()
+        sol = solve_krein(H)
+        assert abs(sol.residual - krein_residual_one_gemm(H.values, sol.R.values)) <= 1e-15
+        vals = sol.R.values.copy()
+        vals[70, 10] += 1e-3
+        bad = krein_residual(H, TriangularKernel(H.r, H.spec, vals))
+        assert abs(bad - krein_residual_one_gemm(H.values, vals)) <= 1e-15
+
+    def test_memory_in_row_blocks(self):
+        # m = 384, r = 2 complex: the one-product residual peaked at 30.8 MB
+        # (five (m+1)^2 r^2 arrays); row blocks leave one such matrix
+        H = smooth_kernel(384, scale=0.3, seed=5, hermitian=True)
+        R = solve_krein(H).R
+        tracemalloc.start()
+        try:
+            krein_residual(H, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_solution_residual_roundoff(self):
         sol = solve_krein(const_kernel(0.8, 128))
         assert sol.residual < 1e-12

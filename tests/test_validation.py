@@ -18,13 +18,15 @@ from kreinsl.core import (
 )
 from kreinsl.krein import solve_krein
 from kreinsl.validation import (
+    EIG_BAND,
+    _completeness_factors,
+    _factor_spectrum,
     accelerant_positivity,
     check_a1,
     check_a2,
     check_a3_a4,
     check_all,
     completeness_matrices,
-    smallest_eigenpair,
 )
 from oracles import completeness_via_heo
 
@@ -238,12 +240,14 @@ class TestSmallestEigenpair:
     @pytest.mark.parametrize("case", ["free", "one_deleted", "three_deleted",
                                       "fourier"])
     def test_matches_full_eigh(self, case):
-        # the free data give M = I exactly, so the shift must not vanish
+        # the free data give M = I exactly, so any unit vector will do
         data, spec, n_bins = _completeness_case(case)
-        for mat in completeness_matrices(data, spec, n_bins):
+        rep = check_a3_a4(data, spec, n_bins)
+        pairs = ((rep.a3_min_eig, rep.a3_null_vector),
+                 (rep.a4_min_eig, rep.a4_null_vector))
+        for mat, (lam, v) in zip(completeness_matrices(data, spec, n_bins), pairs):
             if case == "free":
                 assert np.array_equal(mat, np.eye(len(mat)))
-            lam, v, _ = smallest_eigenpair(mat)
             assert abs(lam - np.linalg.eigh(mat)[0][0]) <= 1e-12
             assert np.linalg.norm(v) == pytest.approx(1.0)
             assert np.linalg.norm(mat @ v - lam * v) <= 1e-10 * np.linalg.norm(v)
@@ -278,6 +282,77 @@ class TestSmallestEigenpair:
         rc, loaded = json.loads(done.stdout.strip().splitlines()[-1])
         assert rc == 0
         assert loaded == []
+
+
+def _factor_case(name):
+    if name == "complex_r2":
+        return constant_r2_data(16), GridSpec(64), 16
+    if name == "reduced":
+        full = constant_r2_data(12)
+        return (SpectralData(2, full.lambdas[1:], full.alphas[1:],
+                             includes_zero=False), GridSpec(96), 12)
+    if name == "clamped":
+        return constant_r2_data(8), GridSpec(64), 12
+    if name == "wide":
+        return constant_r2_data(32), GridSpec(64), 32
+    return _completeness_case(name)
+
+
+class TestFactorRoute:
+    """check_a3_a4's rank-K factor route against the dense matrices."""
+
+    @pytest.mark.parametrize("case", ["free", "one_deleted", "three_deleted",
+                                      "fourier", "complex_r2", "reduced",
+                                      "clamped", "wide"])
+    def test_matches_dense_spectrum(self, case):
+        data, spec, n_bins = _factor_case(case)
+        rep = check_a3_a4(data, spec, n_bins)
+        assert rep.clamped == (case == "clamped")
+        if case == "wide":
+            # more accelerant terms than grid points: no unit eigenvalue
+            assert _completeness_factors(data, spec, n_bins)[0][0].shape[1] > spec.m + 1
+        mats = completeness_matrices(data, spec, rep.n_bins)
+        found = ((rep.a3_min_eig, rep.a3_n_below_band, rep.a3_null_vector),
+                 (rep.a4_min_eig, rep.a4_n_below_band, rep.a4_null_vector))
+        for mat, (lam, n_below, v) in zip(mats, found):
+            eigs, vecs = np.linalg.eigh(mat)
+            assert abs(lam - eigs[0]) <= 1e-12
+            assert n_below == np.count_nonzero(eigs < EIG_BAND)
+            if eigs[1] - eigs[0] > 1e-6:
+                assert abs(np.vdot(vecs[:, 0], v)) >= 1.0 - 1e-8
+
+    def test_unit_eigenvalue_branch(self):
+        # a positive definite core leaves the unit eigenvalue of the
+        # complement of the column space as the smallest
+        rng = np.random.default_rng(4)
+        n, k, r = 40, 7, 2
+        cols = rng.standard_normal((n, k))
+        z = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+        coef = z @ np.conj(np.swapaxes(z, -1, -2)) + 0.1 * np.eye(r)
+        lam, v, n_below = _factor_spectrum(cols, coef)
+        b = np.kron(cols, np.eye(r))
+        s = np.zeros((k * r, k * r), dtype=complex)
+        for j in range(k):
+            s[j * r:(j + 1) * r, j * r:(j + 1) * r] = coef[j]
+        mat = np.eye(n * r) + b @ s @ b.T
+        assert lam == 1.0 and n_below == 0
+        assert abs(np.linalg.eigvalsh(mat)[0] - 1.0) <= 1e-12
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.linalg.norm(b.T @ v) <= 1e-12
+        assert np.linalg.norm(mat @ v - v) <= 1e-10
+
+    def test_memory_at_scale(self):
+        # m = 4096, r = 2: each dense matrix would be 1.07 GB
+        data, spec = constant_r2_data(32), GridSpec(4096)
+        tracemalloc.start()
+        try:
+            rep = check_a3_a4(data, spec, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+        assert rep.a3_verdict == "pass" and rep.a4_verdict == "pass"
+        assert rep.a3_null_vector.shape == ((spec.m + 1) * 2,)
 
 
 class TestPositivityRoutes:
