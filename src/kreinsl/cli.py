@@ -68,46 +68,16 @@ class RunConfig:
         return {**asdict(self), "lambda_max": self.resolved_lambda_max()}
 
 
-def _parse_toml_scalar(text: str, where: str):
-    from .core import ConfigurationError
-    t = text.strip()
-    if t.startswith('"') and t.endswith('"') and len(t) >= 2:
-        return t[1:-1]
-    if t in ("true", "false"):
-        return t == "true"
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        raise ConfigurationError(f"{where}: cannot parse value {text!r}") from None
-
-
 def read_config_file(path) -> dict:
-    """Minimal TOML subset: comments, [tables], and scalar key = value."""
+    """The TOML document at `path`; an unreadable or malformed file is a
+    ConfigurationError that carries tomllib's line and column."""
+    import tomllib
     from .core import ConfigurationError
-    out: dict = {}
-    section = out
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            return tomllib.load(fh)
+    except (OSError, tomllib.TOMLDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            section = out.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        section[key.strip()] = _parse_toml_scalar(value, f"{path}:{lineno}")
-    return out
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -184,13 +154,12 @@ def cmd_direct(args) -> int:
     tau = _load_tau(args.tau_file, cfg)
     report = {}
     data = spectral_data(tau, cfg.n_bins, report)
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    data_path = os.path.join(outdir, "spectral_data.json")
+    os.makedirs(args.out, exist_ok=True)
+    data_path = os.path.join(args.out, "spectral_data.json")
     save_spectral_data(data, data_path)
     diag = _direct_diagnostics(tau, data, report, cfg)
     diag["config"] = cfg.to_json()
-    _write_json(diag, os.path.join(outdir, "direct_diagnostics.json"))
+    _write_json(diag, os.path.join(args.out, "direct_diagnostics.json"))
     log.info("wrote %s (%d entries)", data_path, len(data))
     return EXIT_OK
 
@@ -231,13 +200,12 @@ def cmd_inverse(args) -> int:
     cfg = build_config(args)
     data = load_spectral_data(args.data_file)
     tau, diagnostics = _inverse_pipeline(data, cfg.n_bins, cfg.grid_m)
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    save_matrix_grid(tau, os.path.join(outdir, "tau.json"))
-    save_matrix_grid(miura(tau).sigma, os.path.join(outdir, "sigma.json"),
+    os.makedirs(args.out, exist_ok=True)
+    save_matrix_grid(tau, os.path.join(args.out, "tau.json"))
+    save_matrix_grid(miura(tau).sigma, os.path.join(args.out, "sigma.json"),
                      extra={"kind": "potential_primitive"})
     diagnostics["config"] = cfg.to_json()
-    _write_json(diagnostics, os.path.join(outdir, "inverse_diagnostics.json"))
+    _write_json(diagnostics, os.path.join(args.out, "inverse_diagnostics.json"))
     log.info("wrote tau.json / sigma.json (residual %.3e)",
              diagnostics["krein_residual"])
     return EXIT_OK
@@ -252,9 +220,8 @@ def cmd_validate(args) -> int:
     report = check_all(data, GridSpec(cfg.grid_m), cfg.n_bins)
     doc = report.to_json()
     doc["config"] = cfg.to_json()
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    _write_json(doc, os.path.join(outdir, "condition_report.json"))
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(doc, os.path.join(args.out, "condition_report.json"))
     verdicts = report.verdicts()
     log.info("verdicts: %s", verdicts)
     if "fail" in verdicts.values():
@@ -340,9 +307,8 @@ def cmd_roundtrip(args) -> int:
                            "entries_compared": k},
         "config": cfg.to_json(),
     }
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    _write_json(doc, os.path.join(outdir, "roundtrip_report.json"))
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(doc, os.path.join(args.out, "roundtrip_report.json"))
     log.info("spectral re-match: |dlambda| %.3e, |dalpha| %.3e", lam_dev, alpha_dev)
     return EXIT_OK
 
@@ -353,7 +319,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-bins", type=int, default=None,
                    help="frequency-bin truncation level")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory (default .)")
+    p.add_argument("--out", default=".", help="output directory (default .)")
     p.add_argument("--config", default=None, help="TOML config file")
     p.add_argument("--log-level", default=None, choices=LOG_LEVELS)
 
@@ -409,23 +375,19 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
-        return EXIT_IO
+        message, code = f"no such file: {exc.filename}", EXIT_IO
     except (ParseError, ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        message, code = str(exc), EXIT_IO
     except NotAnAccelerantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ACCELERANT
+        message, code = str(exc), EXIT_ACCELERANT
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        message, code = str(exc), EXIT_VALIDATION
     except KreinslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        message, code = str(exc), EXIT_NUMERIC
     except LinAlgError as exc:
-        print(f"error: linear algebra failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        message, code = f"linear algebra failure: {exc}", EXIT_NUMERIC
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

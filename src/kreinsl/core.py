@@ -274,6 +274,10 @@ class SpectralData:
             )
         if lam.size == 0:
             raise ValidationError("spectral data needs at least one entry")
+        for name, finite in (("lambda", np.isfinite(lam)),
+                             ("alpha", np.isfinite(al).all(axis=(-2, -1)))):
+            if not finite.all():
+                raise ValidationError(f"non-finite {name} at index {np.argmin(finite)}")
         if lam[0] < 0:
             raise ValidationError("negative lambda at index 0")
         for j in range(1, lam.size):
@@ -379,27 +383,44 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix_from_json(obj, r: int, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: malformed complex matrix ({exc})") from None
-    if arr.shape != (r, r, 2):
-        raise ParseError(f"{where}: matrix has shape {arr.shape[:-1]}, expected ({r}, {r})")
+    arr = np.array(obj, dtype=object)
+    if arr.shape != (r, r, 2) or any(type(v) not in (int, float) for v in arr.flat):
+        raise ParseError(f"{where}: expected a matrix of {r} x {r} [re, im] number pairs")
+    arr = arr.astype(float)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            # an integer literal of 300 digits or more reads as a float, so
+            # that one beyond the float range is infinite, not an overflow
+            doc = json.load(fh, parse_int=lambda s: int(s) if len(s) < 300 else float(s))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc
 
 
-def _need(obj: dict, key: str, path) -> object:
+_SCHEMA_TYPES = {int: "integer", float: "number", bool: "boolean", list: "array"}
+
+
+def _field(obj: dict, key: str, kind: type, where):
+    """obj[key] as a `kind`, or a ParseError naming the field.  As in JSON
+    Schema, an integral number such as 1.0 is an integer, and a bool is
+    never a number."""
     if key not in obj:
-        raise ParseError(f"{path}: missing field {key!r}")
-    return obj[key]
+        raise ParseError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    number = type(value) in (int, float)
+    if not (type(value) is kind or number and (kind is float or
+                                               kind is int and value % 1 == 0)):
+        raise ParseError(f"{where}: field {key!r} must be of type "
+                         f"{_SCHEMA_TYPES[kind]}, got {json.dumps(value)[:40]}")
+    return kind(value)
 
 
 def save_matrix_grid(grid: MatrixGrid, path, extra: dict | None = None) -> None:
@@ -418,15 +439,18 @@ def save_matrix_grid(grid: MatrixGrid, path, extra: dict | None = None) -> None:
 
 def load_matrix_grid(path) -> MatrixGrid:
     doc = _load_json(path)
-    r = _need(doc, "r", path)
-    m = _need(doc, "m", path)
-    values = _need(doc, "values", path)
-    if not isinstance(values, list) or len(values) != m + 1:
-        raise ParseError(f"{path}: expected {m + 1} matrices in 'values'")
+    r = _field(doc, "r", int, path)
+    spec = GridSpec(_field(doc, "m", int, path))
+    values = _field(doc, "values", list, path)
+    if len(values) != spec.m + 1:
+        raise ParseError(f"{path}: expected {spec.m + 1} matrices in 'values'")
     mats = np.stack([
         _matrix_from_json(v, r, f"{path}: values[{i}]") for i, v in enumerate(values)
     ])
-    return MatrixGrid(r, GridSpec(m), mats, hermitian=bool(_need(doc, "hermitian", path)))
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValidationError(f"{path}: non-finite sample at values[{np.argmin(finite)}]")
+    return MatrixGrid(r, spec, mats, hermitian=_field(doc, "hermitian", bool, path))
 
 
 def save_spectral_data(data: SpectralData, path) -> None:
@@ -445,16 +469,16 @@ def save_spectral_data(data: SpectralData, path) -> None:
 
 def load_spectral_data(path) -> SpectralData:
     doc = _load_json(path)
-    r = _need(doc, "r", path)
-    entries = _need(doc, "entries", path)
-    if not isinstance(entries, list):
-        raise ParseError(f"{path}: 'entries' must be a list")
+    r = _field(doc, "r", int, path)
     lams, alphas = [], []
-    for i, ent in enumerate(entries):
+    for i, ent in enumerate(_field(doc, "entries", list, path)):
+        where = f"{path}: entries[{i}]"
         if not isinstance(ent, dict):
-            raise ParseError(f"{path}: entries[{i}] is not an object")
-        lams.append(float(_need(ent, "lambda", f"{path}: entries[{i}]")))
-        alphas.append(_matrix_from_json(_need(ent, "alpha", f"{path}: entries[{i}]"),
-                                        r, f"{path}: entries[{i}].alpha"))
+            raise ParseError(f"{where} is not an object")
+        lams.append(_field(ent, "lambda", float, where))
+        alphas.append(_matrix_from_json(_field(ent, "alpha", list, where),
+                                        r, f"{where}.alpha"))
+    if not lams:
+        raise ValidationError(f"{path}: spectral data needs at least one entry")
     return SpectralData(r, np.asarray(lams), np.stack(alphas),
-                        includes_zero=bool(_need(doc, "includes_zero", path)))
+                        includes_zero=_field(doc, "includes_zero", bool, path))

@@ -282,18 +282,6 @@ def krein_residual(H: MatrixGrid, R: TriangularKernel) -> float:
     return worst
 
 
-def theta(H: MatrixGrid) -> MatrixGrid:
-    """Potential of an accelerant: tau(x_i) = -R(x_i, 0).
-
-    Hermitian kernels produce (up to roundoff) Hermitian potentials; the
-    output is symmetrized in that case.  Use solve_krein directly when the
-    conditioning diagnostics or the symmetrization defect are needed.
-    """
-    sol = solve_krein(H)
-    tau, _ = sol.extract_tau(hermitize=H.hermitian)
-    return tau
-
-
 def transformation_kernels(R: TriangularKernel) -> tuple[TriangularKernel, TriangularKernel]:
     """Triangular kernels expressing phi/psi as sine/cosine perturbations.
 

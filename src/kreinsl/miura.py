@@ -21,10 +21,9 @@ from .core import MatrixGrid, ValidationError, trapezoid_weights
 
 @dataclass
 class PotentialPrimitive:
-    """Primitive sigma of a potential together with its source tau."""
+    """Primitive sigma of a potential."""
 
     sigma: MatrixGrid
-    tau_ref: MatrixGrid
 
 
 def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
@@ -42,10 +41,8 @@ def miura(tau: MatrixGrid) -> PotentialPrimitive:
     """
     sq = tau.values @ tau.values
     sigma = tau.values + _cumulative_trapezoid(sq, tau.spec.h)
-    return PotentialPrimitive(
-        sigma=MatrixGrid(tau.r, tau.spec, sigma, hermitian=tau.hermitian),
-        tau_ref=tau,
-    )
+    return PotentialPrimitive(MatrixGrid(tau.r, tau.spec, sigma,
+                                         hermitian=tau.hermitian))
 
 
 def miura_equals(a: PotentialPrimitive, b: PotentialPrimitive, tol: float) -> bool:

@@ -20,7 +20,7 @@ every verdict is tagged with the truncation level it was computed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .accelerant import (
 )
 from .core import (
     GridSpec,
-    MatrixGrid,
     SpectralData,
     block_flatten,
     matrix_rank_psd,
@@ -108,36 +107,13 @@ class ConditionReport:
             "n_bins_requested": self.n_bins_requested,
             "notes": list(self.notes),
             "verdicts": self.verdicts(),
-            "a1": {
-                "tilde_sum": self.a1.tilde_sum,
-                "beta_sum": self.a1.beta_sum,
-                "max_bin_count": self.a1.max_bin_count,
-                "trend_tilde": self.a1.trend_tilde,
-                "trend_beta": self.a1.trend_beta,
-                "n_bins": self.a1.n_bins,
-                "clamped": self.a1.clamped,
-                "verdict": self.a1.verdict,
-            },
-            "a2": {
-                "counts": self.a2.counts,
-                "targets": self.a2.targets,
-                "n0_found": self.a2.n0_found,
-                "n_bins": self.a2.n_bins,
-                "clamped": self.a2.clamped,
-                "verdict": self.a2.verdict,
-            },
-            "a3": {
-                "min_eig": self.a34.a3_min_eig,
-                "n_below_band": self.a34.a3_n_below_band,
-                "verdict": self.a34.a3_verdict,
-                "n_bins": self.a34.n_bins,
-            },
-            "a4": {
-                "min_eig": self.a34.a4_min_eig,
-                "n_below_band": self.a34.a4_n_below_band,
-                "verdict": self.a34.a4_verdict,
-                "n_bins": self.a34.n_bins,
-            },
+            "a1": asdict(self.a1),
+            "a2": asdict(self.a2),
+            **{k: {"min_eig": getattr(self.a34, f"{k}_min_eig"),
+                   "n_below_band": getattr(self.a34, f"{k}_n_below_band"),
+                   "verdict": getattr(self.a34, f"{k}_verdict"),
+                   "n_bins": self.a34.n_bins}
+               for k in ("a3", "a4")},
         }
 
 
@@ -406,16 +382,3 @@ def check_all(data: SpectralData, spec: GridSpec, n_bins: int) -> ConditionRepor
         )
     return ConditionReport(a1=a1, a2=a2, a34=a34, n_bins_requested=n_bins,
                            notes=notes)
-
-
-def accelerant_positivity(H: MatrixGrid) -> float:
-    """Smallest eigenvalue of the discretized I + full convolution operator.
-
-    The operator maps f to the integral of H(x - t) f(t) over [0, 1]; a
-    positive result certifies (at this resolution) that H is a Hermitian
-    accelerant, matching success of the triangular solve route.
-    """
-    i = np.arange(H.spec.m + 1)
-    blocks = H.values[np.abs(i[:, None] - i[None, :])]
-    mat = _identity_plus_nystrom(blocks, H.spec)
-    return float(np.linalg.eigvalsh(mat)[0])

@@ -8,9 +8,10 @@ extrapolation; closed forms cover the constant-coefficient cases.  The
 propagator reference chains scipy's matrix exponential through the same
 fourth-order scheme the package uses, with scipy's spline reading of the
 samples, and the norming-constant reference integrates the Weyl function
-built from it around residue contours.  The one exception is
+built from it around residue contours.  The exceptions are
 roots_by_bisection, which shares the package's eigenvalue count but none of
-its root search.
+its root search, and completeness_via_heo, theta and accelerant_positivity,
+routes that only the tests use, built on the package's own kernels.
 """
 
 from __future__ import annotations
@@ -322,3 +323,24 @@ def roots_by_bisection(tau, lambda_max: float, tol: float = 1e-13):
         keep = keep[np.argsort(lo[keep])]
         lo, hi, n_lo, n_hi = lo[keep], hi[keep], n_lo[keep], n_hi[keep]
     return 0.5 * (lo + hi), n_hi - n_lo
+
+
+def theta(H):
+    """Potential of an accelerant, tau(x_i) = -R(x_i, 0), from the package's
+    Krein solve; symmetrized when H is Hermitian."""
+    from kreinsl.krein import solve_krein
+
+    tau, _ = solve_krein(H).extract_tau(hermitize=H.hermitian)
+    return tau
+
+
+def accelerant_positivity(H) -> float:
+    """Smallest eigenvalue of the discretized I + full convolution operator
+    f -> int_0^1 H(x - t) f(t) dt, with the package's Nystrom arithmetic;
+    a positive value certifies (at this resolution) that a Hermitian H is
+    an accelerant."""
+    from kreinsl.validation import _identity_plus_nystrom
+
+    i = np.arange(H.spec.m + 1)
+    blocks = H.values[np.abs(i[:, None] - i[None, :])]
+    return float(np.linalg.eigvalsh(_identity_plus_nystrom(blocks, H.spec))[0])

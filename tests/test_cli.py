@@ -425,6 +425,102 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_toml_config_accepted_and_echoed(tmp_path):
+    # a literal string and a quoted key are plain TOML
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau, m=128)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("log_level = 'warning'\n\"grid_m\" = 128\n")
+    assert main(["direct", str(tau), "--config", str(cfg), "--n-bins", "2",
+                 "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "direct_diagnostics.json").read_text())
+    assert diag["config"]["log_level"] == "warning"
+    assert diag["config"]["grid_m"] == 128
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('log_level = "a#b"\n', "'log_level'"),
+    ("n_bins = 3\nn_bins = 3\n", "line 2"),
+    ("[a]\nx = 1\n[a]\ny = 2\n", "line 3"),
+], ids=["hash-in-string", "duplicate-key", "duplicate-table"])
+def test_toml_config_refused_exits_2(tmp_path, capsys, text, needle):
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(text)
+    rc = main(["direct", str(tau), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _set(path, value):
+    """An edit that sets the field at `path` (keys and indices) of a doc."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# (edit, exit code, text the error line must hold); each is a bad input
+# file that must reach its documented exit code with one error line
+SPECTRAL_CASES = {
+    "r-fraction": (_set(["r"], 1.5), 2, "'r' must be of type integer"),
+    "r-bool": (_set(["r"], True), 2, "'r' must be of type integer"),
+    "r-str": (_set(["r"], "1"), 2, "'r' must be of type integer"),
+    "entries-object": (_set(["entries"], {}), 2, "'entries' must be of type array"),
+    "lambda-str": (_set(["entries", 1, "lambda"], "3.14"), 2, "'lambda'"),
+    "lambda-null": (_set(["entries", 1, "lambda"], None), 2, "'lambda'"),
+    "lambda-inf": (_set(["entries", -1, "lambda"], float("inf")), 4, "lambda"),
+    "lambda-nan": (_set(["entries", 1, "lambda"], float("nan")), 4, "lambda"),
+    "lambda-huge-int": (_set(["entries", -1, "lambda"], 10 ** 400), 4, "lambda"),
+    "alpha-nan": (_set(["entries", 1, "alpha", 0, 0, 0], float("nan")), 4, "alpha"),
+    "alpha-str": (_set(["entries", 1, "alpha", 0, 0, 0], "1"), 2, "alpha"),
+    "entries-empty": (_set(["entries"], []), 4, "at least one entry"),
+    "includes_zero-str": (_set(["includes_zero"], "no"), 2,
+                          "'includes_zero' must be of type boolean"),
+}
+GRID_CASES = {
+    "m-negative-empty": (lambda d: d.update(m=-1, values=[]), 4, "m >= 8"),
+    "m-fraction": (_set(["m"], 64.5), 2, "'m'"),
+    "hermitian-str": (_set(["hermitian"], "false"), 2, "'hermitian'"),
+    "sample-nan": (_set(["values", 3, 0, 0, 1], float("nan")), 4, "values[3]"),
+    "sample-inf": (_set(["values", 5, 0, 0, 0], float("-inf")), 4, "values[5]"),
+    "sample-huge-int": (_set(["values", 7, 0, 0, 0], -10 ** 400), 4, "values[7]"),
+}
+
+
+def _run_edited(tmp_path, capsys, command, src, case):
+    edit, code, needle = case
+    doc = json.loads(src.read_text())
+    edit(doc)
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    # main returns, so no exception escaped it
+    assert main([command, str(src), "--n-bins", "2", "--out", str(out)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert needle in lines[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "inverse"])
+@pytest.mark.parametrize("case", list(SPECTRAL_CASES))
+def test_bad_spectral_file_exit_code(tmp_path, capsys, command, case):
+    src = nu0_file(tmp_path / "d.json")
+    _run_edited(tmp_path, capsys, command, src, SPECTRAL_CASES[case])
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_bad_grid_file_exit_code(tmp_path, capsys, case):
+    src = tmp_path / "tau.json"
+    write_zero_tau(src)
+    _run_edited(tmp_path, capsys, "direct", src, GRID_CASES[case])
+
+
 def test_determinism_direct_outputs(tmp_path):
     tau = tmp_path / "tau.json"
     write_zero_tau(tau)

@@ -204,6 +204,54 @@ def test_missing_field_reported(tmp_path):
         load_matrix_grid(path)
 
 
+def test_integral_numbers_are_integers(tmp_path):
+    # as in JSON Schema, 1.0 is an integer; the loaded data are unchanged
+    g = MatrixGrid(1, GridSpec(8), np.arange(9.0)[:, None, None], hermitian=True)
+    save_matrix_grid(g, tmp_path / "g.json")
+    doc = json.loads((tmp_path / "g.json").read_text())
+    (tmp_path / "g.json").write_text(json.dumps({**doc, "r": 1.0, "m": 8.0}))
+    g2 = load_matrix_grid(tmp_path / "g.json")
+    assert g2.spec.m == 8 and type(g2.spec.m) is int and g2.r == 1
+    assert np.array_equal(g2.values, g.values)
+    d = SpectralData(1, np.array([1.0, 4.0]), np.ones((2, 1, 1)), includes_zero=False)
+    save_spectral_data(d, tmp_path / "d.json")
+    doc = json.loads((tmp_path / "d.json").read_text())
+    (tmp_path / "d.json").write_text(json.dumps({**doc, "r": 1.0}))
+    d2 = load_spectral_data(tmp_path / "d.json")
+    assert d2.r == 1 and np.array_equal(d2.alphas, d.alphas)
+
+
+def test_top_level_must_be_object(tmp_path):
+    for text in ('"r"', "[1, 2]", "3"):
+        (tmp_path / "bad.json").write_text(text)
+        with pytest.raises(ParseError, match="expected a JSON object"):
+            load_matrix_grid(tmp_path / "bad.json")
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    (tmp_path / "bad.json").write_bytes(b'{"r": "\xff"}')
+    with pytest.raises(ParseError):
+        load_spectral_data(tmp_path / "bad.json")
+
+
+def test_non_finite_spectral_data_refused():
+    one = np.ones((2, 1, 1), dtype=complex)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite lambda at index 1"):
+            SpectralData(1, np.array([1.0, lam]), one, includes_zero=False)
+    bad = one.copy()
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite alpha at index 1"):
+        SpectralData(1, np.array([1.0, 4.0]), bad, includes_zero=False)
+
+
+def test_matrix_grid_keeps_non_finite_samples():
+    # only the loader refuses them: an internal NaN is a numerical failure
+    vals = np.zeros((9, 1, 1))
+    vals[3] = np.nan
+    assert np.isnan(MatrixGrid(1, GridSpec(8), vals).values[3, 0, 0])
+
+
 def test_includes_zero_requires_zero_lambda():
     with pytest.raises(ValidationError):
         SpectralData(1, np.array([1.0]), np.ones((1, 1, 1)), includes_zero=True)

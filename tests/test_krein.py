@@ -17,7 +17,6 @@ from kreinsl.core import (
 from kreinsl.krein import (
     krein_residual,
     solve_krein,
-    theta,
     transformation_kernels,
 )
 
@@ -27,6 +26,7 @@ from oracles import (
     constant_tau_lambdas,
     krein_dense_rows,
     krein_residual_one_gemm,
+    theta,
 )
 
 

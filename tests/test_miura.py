@@ -46,7 +46,7 @@ def test_equality_modulo_constant():
     p = miura(grid_from_fn(lambda x: np.cos(x), 64))
     shifted = MatrixGrid(1, p.sigma.spec, p.sigma.values + 2.5,
                          hermitian=p.sigma.hermitian)
-    q = PotentialPrimitive(sigma=shifted, tau_ref=p.tau_ref)
+    q = PotentialPrimitive(sigma=shifted)
     assert miura_equals(p, q, tol=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_gauge_invariance_under_constant_shift_of_sigma(c, d):
     p = miura(grid_from_fn(lambda x: 0.3 * np.cos(x), 64))
     shifted = MatrixGrid(1, p.sigma.spec, p.sigma.values + (c + 0j),
                          hermitian=False)
-    q = PotentialPrimitive(sigma=shifted, tau_ref=p.tau_ref)
+    q = PotentialPrimitive(sigma=shifted)
     assert miura_equals(p, q, tol=1e-10)
 
 

@@ -21,14 +21,13 @@ from kreinsl.validation import (
     EIG_BAND,
     _completeness_factors,
     _factor_spectrum,
-    accelerant_positivity,
     check_a1,
     check_a2,
     check_a3_a4,
     check_all,
     completeness_matrices,
 )
-from oracles import completeness_via_heo
+from oracles import accelerant_positivity, completeness_via_heo
 
 
 def nu0_truncation(r, n):
