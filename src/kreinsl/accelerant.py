@@ -7,16 +7,16 @@ is the truncated cosine series
              - I - 2 sum_{n=1}^N cos(2 pi n x) I,
 
 the tail of the reference measure (unit mass at every pi n plus half at 0)
-being subtracted bin by bin.  Each bin's data terms are paired with the
-matching reference frequency and accumulated locally: the paired
-differences are the square-summable objects, while the two global sums
-individually look divergent, so bin-local evaluation avoids the large
-cancellations a naive two-pass summation would incur.
+being subtracted bin by bin.  `accelerant_terms` is the one place that
+bins the data and lists these K cosine terms; synthesis here and the
+characterization checks in `validation` read that list.  Each bin's data
+terms are paired with the matching reference frequency and accumulated
+locally: the paired differences are the square-summable objects, while
+the two global sums individually look divergent, so bin-local evaluation
+avoids the large cancellations a naive two-pass summation would incur.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,60 +32,13 @@ from .core import (
 )
 
 
-@dataclass
-class BinDecomposition:
-    """Per-bin bookkeeping of a spectral dataset up to bin n_bins.
-
-    For each bin n = 1..n_bins: `members[n-1]` holds the indices j of the
-    entries with lambda_j in bin n, `beta[n-1] = I - sum alpha_j` the mass
-    defect, and `tilde[n-1]` the frequency offsets lambda_j - pi n.
-    """
-
-    r: int
-    n_bins: int
-    members: list[list[int]]
-    beta: np.ndarray
-    tilde: list[np.ndarray]
-
-
-def coverage_bins(data: SpectralData) -> int:
-    """Highest bin reached by the data (0 when only lambda = 0 is present)."""
+def covered_bins(data: SpectralData, n_bins: int) -> tuple[int, bool]:
+    """The truncation the data support, and whether it is below n_bins:
+    (n_bins, False) when the data reach bin n_bins, else the highest bin
+    they reach (0 when only lambda = 0 is present) and True."""
     top = float(data.lambdas[-1])
-    return bin_index(top) if top > 0 else 0
-
-
-def bin_decompose(data: SpectralData, n_bins: int) -> BinDecomposition:
-    """Exact binning of the entries with lambda_j <= pi (n_bins + 1/2).
-
-    Raises CoverageError when the data stops short of bin n_bins, since
-    trailing empty bins would contribute spurious unit defects; interior
-    empty bins are legal (the dataset may genuinely lack lines there) and
-    get a unit defect.
-    """
-    if n_bins < 1:
-        raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
-    top = coverage_bins(data)
-    if n_bins > top:
-        raise CoverageError(
-            f"data reaches bin {top} but {n_bins} bins were requested; "
-            "supply more spectral lines or lower the truncation"
-        )
-    eye = np.eye(data.r)
-    members: list[list[int]] = [[] for _ in range(n_bins)]
-    start = 1 if data.includes_zero else 0
-    for j in range(start, len(data)):
-        lam = float(data.lambdas[j])
-        n = bin_index(lam)
-        if n <= n_bins:
-            members[n - 1].append(j)
-    beta = np.empty((n_bins, data.r, data.r), dtype=complex)
-    tilde: list[np.ndarray] = []
-    for n in range(1, n_bins + 1):
-        idx = members[n - 1]
-        tilde.append(np.asarray(data.lambdas[idx] - np.pi * n, dtype=float))
-        beta[n - 1] = eye - data.alphas[idx].sum(axis=0)
-    return BinDecomposition(r=data.r, n_bins=n_bins, members=members,
-                            beta=beta, tilde=tilde)
+    reached = bin_index(top) if top > 0 else 0
+    return (n_bins, False) if n_bins <= reached else (reached, True)
 
 
 def prepend_unit_mass(data: SpectralData) -> SpectralData:
@@ -99,44 +52,82 @@ def prepend_unit_mass(data: SpectralData) -> SpectralData:
     )
 
 
+def accelerant_terms(data: SpectralData, n_bins: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The K cosine terms of the accelerant truncated at bin n_bins:
+    H(x) = sum_k A_k cos(2 w_k x).  Returns (w, A, starts).
+
+    w is 0, then the lambda_j of bins 1..n_bins in order, then pi n for
+    n = 1..n_bins; A is 2 alpha_0 - I, then 2 alpha_j, then -2I.  Bin n's
+    data terms are the slice starts[n-1]:starts[n] (empty when the data
+    lack lines there) and its reference term is starts[n_bins] + n - 1.
+    A reduced dataset is completed here with the unit mass at zero
+    (prepend_unit_mass).  The data are sorted, so one binning by
+    `bin_index` finds every slice.
+
+    Raises CoverageError when the data stop short of bin n_bins, since
+    trailing empty bins would contribute spurious unit defects; interior
+    empty bins are legal (the dataset may genuinely lack lines there) and
+    get a unit defect.
+    """
+    if n_bins < 1:
+        raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
+    top, short = covered_bins(data, n_bins)
+    if short:
+        raise CoverageError(
+            f"data reaches bin {top} but {n_bins} bins were requested; "
+            "supply more spectral lines or lower the truncation"
+        )
+    if not data.includes_zero:
+        data = prepend_unit_mass(data)
+    r = data.r
+    eye = np.eye(r)
+    bins = bin_index(data.lambdas[1:])
+    starts = 1 + np.searchsorted(bins, np.arange(1, n_bins + 2))
+    stop = starts[-1]
+    freq = np.concatenate([[0.0], data.lambdas[1:stop],
+                           np.pi * np.arange(1, n_bins + 1)])
+    coef = np.concatenate([(2.0 * data.alphas[0] - eye)[None],
+                           2.0 * data.alphas[1:stop],
+                           np.broadcast_to(-2.0 * eye, (n_bins, r, r))])
+    return freq, coef, starts
+
+
 def build_accelerant(data: SpectralData, spec: GridSpec, n_bins: int) -> MatrixGrid:
     """Accelerant samples H(x_i) on [0, 1]; the even extension is implicit.
 
-    The series needs the (0, alpha_0) entry: a reduced dataset is completed
-    here with the unit mass at zero (prepend_unit_mass), so every caller
-    may pass either kind.  The output is Hermitized, which is exact for
-    the Hermitian data this type admits.
+    Sums the terms of accelerant_terms (which completes reduced data) bin
+    by bin.  The output is Hermitized, which is exact for the Hermitian
+    data this type admits.
     """
-    if not data.includes_zero:
-        data = prepend_unit_mass(data)
-    dec = bin_decompose(data, n_bins)
+    freq, coef, starts = accelerant_terms(data, n_bins)
     x = spec.points()
-    eye = np.eye(data.r)
     h = np.zeros((spec.m + 1, data.r, data.r), dtype=complex)
-    h += 2.0 * data.alphas[0] - eye
+    h += coef[0]
     for n in range(1, n_bins + 1):
-        idx = dec.members[n - 1]
+        k = slice(starts[n - 1], starts[n])
+        ref = starts[-1] + n - 1
         term = np.zeros_like(h)
-        if idx:
-            cosines = np.cos(2.0 * np.outer(data.lambdas[idx], x))
-            term += 2.0 * np.einsum("ji,jab->iab", cosines, data.alphas[idx])
-        term -= 2.0 * np.cos(2.0 * np.pi * n * x)[:, None, None] * eye
+        term += np.einsum("ji,jab->iab", np.cos(2.0 * np.outer(freq[k], x)),
+                          coef[k])
+        term += np.cos(2.0 * freq[ref] * x)[:, None, None] * coef[ref]
         h += term
     h = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
     return MatrixGrid(data.r, spec, h, hermitian=True)
 
 
 def tail_proxy(data: SpectralData, spec: GridSpec, n_bins: int, *,
-               h_full: MatrixGrid | None = None) -> float:
+               h_full: MatrixGrid | None = None) -> float | None:
     """L2 distance between the accelerants at n_bins and n_bins // 2 bins.
 
     A small value indicates the truncated cosine series has stabilized;
     there is no proven rate, so the proxy is reported rather than tested
-    against a bound.  A caller that already holds the n_bins accelerant
-    passes it as h_full, and only the half-truncation one is built.
+    against a bound, and is None below 2 bins, where there is no half
+    truncation.  A caller that already holds the n_bins accelerant passes
+    it as h_full, and only the half-truncation one is built.
     """
     if n_bins < 2:
-        return float("nan")
+        return None
     if h_full is None:
         h_full = build_accelerant(data, spec, n_bins)
     h_half = build_accelerant(data, spec, n_bins // 2)

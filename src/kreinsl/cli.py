@@ -166,17 +166,17 @@ def cmd_direct(args) -> int:
 
 def _inverse_pipeline(data, n_bins: int, grid_m: int):
     """Measure -> accelerant -> triangular solve -> potential."""
-    from .accelerant import build_accelerant, coverage_bins, tail_proxy
+    from .accelerant import build_accelerant, covered_bins, tail_proxy
     from .core import GridSpec
     from .krein import solve_krein
 
     notes = []
     if not data.includes_zero:
         notes.append("reduced dataset: prepended the unit mass at lambda = 0")
-    top = coverage_bins(data)
-    if n_bins > top:
-        notes.append(f"data covers {top} bins; truncation clamped from {n_bins}")
-        n_bins = top
+    used, clamped = covered_bins(data, n_bins)
+    if clamped:
+        notes.append(f"data covers {used} bins; truncation clamped from {n_bins}")
+    n_bins = used
     spec = GridSpec(grid_m)
     H = build_accelerant(data, spec, n_bins)
     sol = solve_krein(H)
@@ -202,7 +202,7 @@ def cmd_inverse(args) -> int:
     tau, diagnostics = _inverse_pipeline(data, cfg.n_bins, cfg.grid_m)
     os.makedirs(args.out, exist_ok=True)
     save_matrix_grid(tau, os.path.join(args.out, "tau.json"))
-    save_matrix_grid(miura(tau).sigma, os.path.join(args.out, "sigma.json"),
+    save_matrix_grid(miura(tau), os.path.join(args.out, "sigma.json"),
                      extra={"kind": "potential_primitive"})
     diagnostics["config"] = cfg.to_json()
     _write_json(diagnostics, os.path.join(args.out, "inverse_diagnostics.json"))
@@ -259,26 +259,37 @@ def _roundtrip_once(tau, n_bins: int, grid_m: int):
     return data, tau_hat, _relative_errors(tau_hat, tau_m), diag
 
 
+def _synthetic_tau(text: str, cfg: RunConfig):
+    """The seeded Fourier potential that --synthetic R:ORDER:SCALE names;
+    R >= 1, ORDER >= 0 and a finite SCALE, else a ConfigurationError."""
+    import math
+    from .core import ConfigurationError, GridSpec
+    from .synthetic import fourier_tau
+    try:
+        r, order, scale = text.split(":")
+        r, order, scale = int(r), int(order), float(scale)
+        valid = r >= 1 and order >= 0 and math.isfinite(scale)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ConfigurationError(
+            f"--synthetic expects R:ORDER:SCALE with integers R >= 1 and "
+            f"ORDER >= 0 and a finite SCALE, got {text!r}")
+    return fourier_tau(r, order, scale, cfg.seed, GridSpec(cfg.grid_m))
+
+
 def cmd_roundtrip(args) -> int:
     import numpy as np
+    from .core import ConfigurationError
     from .direct import spectral_data
 
     cfg = build_config(args)
     if args.synthetic:
-        from .core import GridSpec
-        from .synthetic import fourier_tau
-        try:
-            r, order, scale = args.synthetic.split(":")
-            r, order, scale = int(r), int(order), float(scale)
-        except ValueError:
-            print("--synthetic expects r:order:scale", file=sys.stderr)
-            return EXIT_IO
-        tau = fourier_tau(r, order, scale, cfg.seed, GridSpec(cfg.grid_m))
-    else:
-        if not args.tau_file:
-            print("roundtrip needs a tau file or --synthetic", file=sys.stderr)
-            return EXIT_IO
+        tau = _synthetic_tau(args.synthetic, cfg)
+    elif args.tau_file:
         tau = _load_tau(args.tau_file, cfg)
+    else:
+        raise ConfigurationError("roundtrip needs a tau file or --synthetic")
     if not tau.hermitian:
         from .core import ValidationError
         raise ValidationError("roundtrip requires a Hermitian potential")

@@ -115,8 +115,9 @@ def resample_matrix_grid(grid: MatrixGrid, spec: GridSpec) -> MatrixGrid:
     return MatrixGrid(grid.r, spec, vals, hermitian=grid.hermitian)
 
 
-def bin_index(lam: float) -> int:
-    """Frequency bin of a positive lambda.
+def bin_index(lam):
+    """Frequency bin of a positive lambda (an int), or of each of an array
+    of them (an int array).
 
     Bin 1 is (0, 3*pi/2]; bin n > 1 is (pi*n - pi/2, pi*n + pi/2].  A value
     sitting on a bin boundary belongs to the lower bin; values within a
@@ -124,13 +125,14 @@ def bin_index(lam: float) -> int:
     floating-point representations of exact boundary points bin
     deterministically.
     """
-    if lam <= 0:
-        raise ValidationError(f"bin_index needs lambda > 0, got {lam}")
-    u = lam / np.pi - 0.5
-    nearest = round(u)
-    if abs(u - nearest) <= 1e-9 * max(1.0, abs(u)):
-        u = float(nearest)
-    return max(1, int(np.ceil(u)))
+    u = np.asarray(lam, dtype=float)
+    if np.any(u <= 0):
+        raise ValidationError(f"bin_index needs lambda > 0, got {u.min()}")
+    u = u / np.pi - 0.5
+    nearest = np.round(u)
+    snap = np.abs(u - nearest) <= 1e-9 * np.maximum(1.0, np.abs(u))
+    n = np.maximum(1, np.ceil(np.where(snap, nearest, u)).astype(int))
+    return int(n) if n.ndim == 0 else n
 
 
 @dataclass

@@ -844,15 +844,16 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
             f"count finds {roots} roots with multiplicity, where the "
             f"identity needs n_bins r = {n_bins * tau.r}"
         )
-    for lam, _ in pairs[1:]:
-        n = bin_index(lam)
-        if n < 1 or n > n_bins:
-            raise ConsistencyError(
-                f"eigenvalue {lam:.9g} falls outside bins 1..{n_bins}"
-            )
+    lambdas = np.array([lam for lam, _ in pairs])
+    outside = np.flatnonzero(bin_index(lambdas[1:]) > n_bins)
+    if outside.size:
+        raise ConsistencyError(
+            f"eigenvalue {lambdas[1 + outside[0]]:.9g} falls outside "
+            f"bins 1..{n_bins}"
+        )
     return SpectralData(
         r=tau.r,
-        lambdas=np.array([lam for lam, _ in pairs]),
+        lambdas=lambdas,
         alphas=alphas,
         includes_zero=True,
     )

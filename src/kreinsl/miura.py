@@ -12,18 +12,9 @@ equality testable without ever differentiating grid data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import MatrixGrid, ValidationError, trapezoid_weights
-
-
-@dataclass
-class PotentialPrimitive:
-    """Primitive sigma of a potential."""
-
-    sigma: MatrixGrid
 
 
 def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
@@ -33,7 +24,7 @@ def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def miura(tau: MatrixGrid) -> PotentialPrimitive:
+def miura(tau: MatrixGrid) -> MatrixGrid:
     """Primitive of tau' + tau^2 on the grid of tau.
 
     sigma(x_i) = tau(x_i) plus the cumulative trapezoid of the matrix
@@ -41,11 +32,10 @@ def miura(tau: MatrixGrid) -> PotentialPrimitive:
     """
     sq = tau.values @ tau.values
     sigma = tau.values + _cumulative_trapezoid(sq, tau.spec.h)
-    return PotentialPrimitive(MatrixGrid(tau.r, tau.spec, sigma,
-                                         hermitian=tau.hermitian))
+    return MatrixGrid(tau.r, tau.spec, sigma, hermitian=tau.hermitian)
 
 
-def miura_equals(a: PotentialPrimitive, b: PotentialPrimitive, tol: float) -> bool:
+def miura_equals(a: MatrixGrid, b: MatrixGrid, tol: float) -> bool:
     """Whether two primitives represent the same potential within tol.
 
     Compares sup over the grid of the spectral norm of
@@ -53,10 +43,10 @@ def miura_equals(a: PotentialPrimitive, b: PotentialPrimitive, tol: float) -> bo
     trapezoid average; centering removes the constant-of-integration
     freedom and is insensitive to boundary quadrature artifacts.
     """
-    if a.sigma.r != b.sigma.r or a.sigma.spec != b.sigma.spec:
+    if a.r != b.r or a.spec != b.spec:
         raise ValidationError("primitives live on different grids")
-    d = a.sigma.values - b.sigma.values
-    w = trapezoid_weights(a.sigma.spec)
+    d = a.values - b.values
+    w = trapezoid_weights(a.spec)
     mean = np.einsum("i,iab->ab", w, d)
     dev = np.linalg.norm(d - mean, ord=2, axis=(-2, -1)).max()
     return bool(dev <= tol)

@@ -8,10 +8,13 @@ Four conditions decide whether a candidate dataset is realizable:
       through positivity of the discretized even convolution operator,
   a4  the same for the sine system and the odd operator.
 
-For truncated data the accelerant is a sum of K cosine terms, so both
-kernels have rank at most K r: a3/a4 take their spectra from a QR of
-the (m+1) x K matrix of weighted cosines (sines) and an eigensolve of a
-core of size min(m+1, K) r, never from the (m+1) r x (m+1) r matrices.
+All four read the accelerant's cosine-term list (accelerant_terms): a1
+the offsets and defects of each bin's slice, a2 the ranks of its
+coefficients, and a3/a4 its frequencies.  For truncated data the
+accelerant is a sum of K such terms, so both kernels have rank at most
+K r: a3/a4 take their spectra from a QR of the (m+1) x K matrix of
+weighted cosines (sines) and an eigensolve of a core of size
+min(m+1, K) r, never from the (m+1) r x (m+1) r matrices.
 
 A finite dataset can never certify infinite tails, so a1 verdicts report
 trends (partial-sum flattening) with an explicit inconclusive band, and
@@ -24,12 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .accelerant import (
-    bin_decompose,
-    build_accelerant,
-    coverage_bins,
-    prepend_unit_mass,
-)
+from .accelerant import accelerant_terms, build_accelerant, covered_bins
 from .core import (
     GridSpec,
     SpectralData,
@@ -74,8 +72,8 @@ class A2Report:
 
 @dataclass
 class A34Report:
-    a3_min_eig: float
-    a4_min_eig: float
+    a3_min_eig: float | None
+    a4_min_eig: float | None
     a3_null_vector: np.ndarray
     a4_null_vector: np.ndarray
     a3_n_below_band: int
@@ -117,13 +115,6 @@ class ConditionReport:
         }
 
 
-def _effective_bins(data: SpectralData, n_bins: int) -> tuple[int, bool]:
-    top = coverage_bins(data)
-    if top < 1:
-        return 0, True
-    return (n_bins, False) if n_bins <= top else (top, True)
-
-
 def _flatness_verdict(trend: list[float]) -> str:
     total = trend[-1]
     if total <= 1e-30:
@@ -147,12 +138,17 @@ def check_a1(data: SpectralData, n_bins: int) -> A1Report:
     that stops short of the requested bins is clamped and the verdict
     capped at inconclusive.
     """
-    eff, clamped = _effective_bins(data, n_bins)
+    eff, clamped = covered_bins(data, n_bins)
     if eff == 0:
         return A1Report(0.0, 0.0, 0, [0.0], [0.0], 0, True, INCONCLUSIVE)
-    dec = bin_decompose(data, eff)
-    tilde_parts = np.array([float(np.sum(t ** 2)) for t in dec.tilde])
-    beta_parts = np.linalg.norm(dec.beta, ord=2, axis=(-2, -1)) ** 2
+    freq, coef, starts = accelerant_terms(data, eff)
+    bins = list(enumerate(zip(starts[:-1], starts[1:]), 1))
+    # offsets lambda_j - pi n, and defects I - sum alpha_j with A_j = 2 alpha_j
+    tilde_parts = np.array([float(np.sum((freq[lo:hi] - np.pi * n) ** 2))
+                            for n, (lo, hi) in bins])
+    eye = np.eye(data.r)
+    beta = np.array([eye - coef[lo:hi].sum(axis=0) / 2.0 for _, (lo, hi) in bins])
+    beta_parts = np.linalg.norm(beta, ord=2, axis=(-2, -1)) ** 2
     trend_tilde = list(np.cumsum(tilde_parts))
     trend_beta = list(np.cumsum(beta_parts))
     verdict_t = _flatness_verdict(trend_tilde)
@@ -166,7 +162,7 @@ def check_a1(data: SpectralData, n_bins: int) -> A1Report:
     return A1Report(
         tilde_sum=float(trend_tilde[-1]),
         beta_sum=float(trend_beta[-1]),
-        max_bin_count=max(len(mm) for mm in dec.members),
+        max_bin_count=int(np.diff(starts).max()),
         trend_tilde=[float(v) for v in trend_tilde],
         trend_beta=[float(v) for v in trend_beta],
         n_bins=eff,
@@ -182,28 +178,27 @@ def check_a2(data: SpectralData, n_bins: int) -> A2Report:
     N0 <= N <= n_bins, if any; numerical rank counts eigenvalues above
     1e-9 times the matrix norm.
     """
-    eff, clamped = _effective_bins(data, n_bins)
+    eff, clamped = covered_bins(data, n_bins)
     if eff == 0:
         return A2Report([], [], None, 0, True, INCONCLUSIVE)
-    dec = bin_decompose(data, eff)
-    per_bin = [
-        sum(matrix_rank_psd(data.alphas[j]) for j in dec.members[n - 1])
-        for n in range(1, eff + 1)
-    ]
-    counts = list(np.cumsum(per_bin))
+    _, coef, starts = accelerant_terms(data, eff)
+    # rank total of the data terms before each index; bin n ends at starts[n]
+    ranks = matrix_rank_psd(coef[starts[0]:starts[-1]])
+    total = np.concatenate([[0], np.cumsum(ranks)])
+    counts = [int(c) for c in total[starts[1:] - starts[0]]]
     targets = [data.r * n for n in range(1, eff + 1)]
     n0 = None
-    for cand in range(1, eff + 1):
-        if all(counts[k] == targets[k] for k in range(cand - 1, eff)):
-            n0 = cand
+    for n in range(eff, 0, -1):
+        if counts[n - 1] != targets[n - 1]:
             break
+        n0 = n
     if n0 is None:
         verdict = FAIL
     elif clamped:
         verdict = INCONCLUSIVE
     else:
         verdict = PASS
-    return A2Report(counts=[int(c) for c in counts], targets=targets,
+    return A2Report(counts=counts, targets=targets,
                     n0_found=n0, n_bins=eff, clamped=clamped, verdict=verdict)
 
 
@@ -267,10 +262,8 @@ def _completeness_factors(data: SpectralData, spec: GridSpec, n_bins: int
     """Column factors and term coefficients of the two completeness operators.
 
     The truncated accelerant is the cosine sum H(x) = sum_k A_k cos(2 w_k x)
-    with w_0 = 0, A_0 = 2 alpha_0 - I, then A_j = 2 alpha_j at w = lambda_j
-    and -2I at w = pi n for each bin (the terms build_accelerant adds, from
-    the same bin_decompose members; reduced data get the unit mass at zero).
-    Since cos w(x - t) +- cos w(x + t) is 2 cos wx cos wt or 2 sin wx sin wt,
+    of accelerant_terms, the terms build_accelerant adds.  Since
+    cos w(x - t) +- cos w(x + t) is 2 cos wx cos wt or 2 sin wx sin wt,
 
         H_e(x_i, x_j) = sum_k cos(w_k x_i) cos(w_k x_j) A_k,
         H_o(x_i, x_j) = sum_k sin(w_k x_i) sin(w_k x_j) A_k,
@@ -280,16 +273,7 @@ def _completeness_factors(data: SpectralData, spec: GridSpec, n_bins: int
     even operator and for the odd one, whose w = 0 column vanishes and is
     left out.
     """
-    if not data.includes_zero:
-        data = prepend_unit_mass(data)
-    dec = bin_decompose(data, n_bins)
-    eye = np.eye(data.r)
-    idx = [j for members in dec.members for j in members]
-    freq = np.concatenate([[0.0], data.lambdas[idx],
-                           np.pi * np.arange(1, n_bins + 1)])
-    coef = np.concatenate([(2.0 * data.alphas[0] - eye)[None],
-                           2.0 * data.alphas[idx],
-                           np.broadcast_to(-2.0 * eye, (n_bins, data.r, data.r))])
+    freq, coef, _ = accelerant_terms(data, n_bins)
     coef = (coef + np.conj(np.swapaxes(coef, -1, -2))) / 2.0
     arg = np.outer(spec.points(), freq)
     s = np.sqrt(trapezoid_weights(spec))[:, None]
@@ -338,7 +322,8 @@ def check_a3_a4(data: SpectralData, spec: GridSpec, n_bins: int) -> A34Report:
     short data (where a clean margin might still appear with more lines).
     The eigenvector of the smallest eigenvalue is reported for diagnostics
     in the weighted sample geometry, with the number of eigenvalues below
-    the band (the count of null directions).
+    the band (the count of null directions).  Data that cover no bin have
+    no operator to test: both eigenvalues are None.
 
     The matrices are those of completeness_matrices, but neither is
     formed: the truncated accelerant is a sum of K cosine terms, so each
@@ -348,10 +333,10 @@ def check_a3_a4(data: SpectralData, spec: GridSpec, n_bins: int) -> A34Report:
     O(m K^2 + K^3 r^3) time and O(m K) memory, against O(m^3 r^3) and
     O(m^2 r^2) for the dense matrices.
     """
-    eff, clamped = _effective_bins(data, n_bins)
+    eff, clamped = covered_bins(data, n_bins)
     if eff == 0:
         z = np.zeros(0)
-        return A34Report(float("nan"), float("nan"), z, z, 0, 0, 0, True,
+        return A34Report(None, None, z, z, 0, 0, 0, True,
                          INCONCLUSIVE, INCONCLUSIVE)
     out = [_factor_spectrum(cols, coef)
            for cols, coef in _completeness_factors(data, spec, eff)]

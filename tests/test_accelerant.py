@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kreinsl.accelerant import (
-    bin_decompose,
+    accelerant_terms,
     build_accelerant,
     build_heo,
     prepend_unit_mass,
@@ -32,31 +32,43 @@ def with_alpha(data, j, alpha):
                         includes_zero=data.includes_zero)
 
 
+def bin_offsets_and_defects(data, n_bins):
+    """Per bin n, from the slices of the term list: the offsets
+    lambda_j - pi n and the defect I - sum alpha_j (A_j = 2 alpha_j)."""
+    freq, coef, starts = accelerant_terms(data, n_bins)
+    eye = np.eye(data.r)
+    return [(freq[lo:hi] - np.pi * n, eye - coef[lo:hi].sum(axis=0) / 2.0)
+            for n, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]), 1)]
+
+
 class TestBinDecompose:
+    """The per-bin slices of accelerant_terms."""
+
     def test_free_data_all_zero(self):
-        dec = bin_decompose(nu0_truncation(2, 8), 8)
-        assert np.abs(dec.beta).max() == 0.0
-        assert all(t.size == 1 and t[0] == 0.0 for t in dec.tilde)
+        bins = bin_offsets_and_defects(nu0_truncation(2, 8), 8)
+        assert max(np.abs(beta).max() for _, beta in bins) == 0.0
+        assert all(t.size == 1 and t[0] == 0.0 for t, _ in bins)
 
     def test_single_perturbed_entry(self):
         data = nu0_truncation(1, 8)
         lams = data.lambdas.copy()
         lams[1] = np.pi + 0.1
         data = SpectralData(1, lams, data.alphas, includes_zero=True)
-        dec = bin_decompose(data, 8)
-        assert abs(dec.beta[0, 0, 0]) < 1e-15
+        bins = bin_offsets_and_defects(data, 8)
+        assert abs(bins[0][1][0, 0]) < 1e-15
 
     def test_first_bin_boundary(self):
         # 3 pi / 2 belongs to the right-closed first bin
         data = SpectralData(
             1, np.array([0.0, 1.5 * np.pi]),
             np.stack([[[0.5 + 0j]], [[1.0 + 0j]]]), includes_zero=True)
-        dec = bin_decompose(data, 1)
-        assert dec.members[0] == [1]
+        freq, _, starts = accelerant_terms(data, 1)
+        assert list(starts) == [1, 2]
+        assert freq[1] == 1.5 * np.pi
 
     def test_short_data_flagged(self):
         with pytest.raises(CoverageError):
-            bin_decompose(nu0_truncation(1, 4), 8)
+            accelerant_terms(nu0_truncation(1, 4), 8)
 
     def test_interior_empty_bin_recorded(self):
         data = nu0_truncation(1, 8)
@@ -64,8 +76,30 @@ class TestBinDecompose:
         keep[3] = False
         short = SpectralData(1, data.lambdas[keep], data.alphas[keep],
                              includes_zero=True)
-        dec = bin_decompose(short, 8)
-        assert np.linalg.norm(dec.beta[2], 2) == pytest.approx(1.0)
+        tilde, beta = bin_offsets_and_defects(short, 8)[2]
+        assert tilde.size == 0
+        assert np.linalg.norm(beta, 2) == pytest.approx(1.0)
+
+    def test_terms_sum_to_the_accelerant(self):
+        # w: 0, the lambda_j of the bins, then pi n; A: 2 alpha_0 - I,
+        # 2 alpha_j, -2I; a reduced dataset gets A_0 = I
+        rng = np.random.default_rng(3)
+        lams = np.pi * np.arange(1, 7) + 0.1 * rng.uniform(-1, 1, 6)
+        b = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        alphas = np.eye(2) + 0.1 * (b + np.conj(np.swapaxes(b, -1, -2)))
+        data = SpectralData(2, lams, alphas, includes_zero=False)
+        freq, coef, starts = accelerant_terms(data, 5)
+        assert list(starts) == [1, 2, 3, 4, 5, 6]
+        assert np.array_equal(freq, np.concatenate(
+            [[0.0], lams[:5], np.pi * np.arange(1, 6)]))
+        assert np.array_equal(coef[0], np.eye(2))
+        assert np.array_equal(coef[1:6], 2.0 * alphas[:5])
+        assert np.array_equal(coef[6:], np.broadcast_to(-2.0 * np.eye(2), (5, 2, 2)))
+        spec = GridSpec(64)
+        x = spec.points()
+        total = np.einsum("ki,kab->iab", np.cos(2.0 * np.outer(freq, x)), coef)
+        h = build_accelerant(data, spec, 5).values
+        assert np.abs(h - total).max() < 1e-12
 
 
 class TestBuildAccelerant:

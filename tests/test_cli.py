@@ -16,6 +16,15 @@ from kreinsl.core import (
 )
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def read_json(path):
+    """An output file, parsed strictly: a NaN or Infinity token fails."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def write_zero_tau(path, r=1, m=64):
     save_matrix_grid(
         MatrixGrid(r, GridSpec(m), np.zeros((m + 1, r, r)), hermitian=True), path)
@@ -37,7 +46,7 @@ def test_direct_free_potential(tmp_path):
     assert rc == 0
     data = load_spectral_data(tmp_path / "spectral_data.json")
     assert np.allclose(data.lambdas, np.pi * np.arange(5), atol=1e-9)
-    diag = json.loads((tmp_path / "direct_diagnostics.json").read_text())
+    diag = read_json(tmp_path / "direct_diagnostics.json")
     assert diag["config"]["n_bins"] == 4
     assert max(diag["identity_residuals"].values()) < 1e-10
 
@@ -71,7 +80,7 @@ def test_inverse_free_data(tmp_path):
     sigma = load_matrix_grid(tmp_path / "sigma.json")
     assert np.abs(tau.values).max() < 1e-8
     assert np.abs(sigma.values).max() < 1e-8
-    assert json.loads((tmp_path / "sigma.json").read_text())["kind"] \
+    assert read_json(tmp_path / "sigma.json")["kind"] \
         == "potential_primitive"
 
 
@@ -85,7 +94,7 @@ def test_inverse_diagnostics_report_dense_start(tmp_path, monkeypatch):
             monkeypatch.setattr("kreinsl.krein.LEVINSON_FLOOR", floor)
         assert main(["inverse", str(data), "--grid-m", "64", "--n-bins", "8",
                      "--out", str(tmp_path)]) == 0
-        diag = json.loads((tmp_path / "inverse_diagnostics.json").read_text())
+        diag = read_json(tmp_path / "inverse_diagnostics.json")
         validator.validate(diag)
         assert diag["dense_from_x"] == expected
 
@@ -152,7 +161,7 @@ def test_validate_free_data(tmp_path):
     rc = main(["validate", str(data), "--grid-m", "64", "--n-bins", "8",
                "--out", str(tmp_path)])
     assert rc == 0
-    rep = json.loads((tmp_path / "condition_report.json").read_text())
+    rep = read_json(tmp_path / "condition_report.json")
     assert set(rep["verdicts"].values()) == {"pass"}
 
 
@@ -165,7 +174,7 @@ def test_validate_deleted_line_exits_5(tmp_path):
     rc = main(["validate", str(tmp_path / "d.json"), "--grid-m", "128",
                "--n-bins", "8", "--out", str(tmp_path)])
     assert rc == 5
-    rep = json.loads((tmp_path / "condition_report.json").read_text())
+    rep = read_json(tmp_path / "condition_report.json")
     assert rep["verdicts"]["a3"] == "fail"
 
 
@@ -179,7 +188,7 @@ def test_validate_report_counts_null_directions(tmp_path):
                        tmp_path / "d.json")
     assert main(["validate", str(tmp_path / "d.json"), "--grid-m", "128",
                  "--n-bins", "8", "--out", str(tmp_path)]) == 5
-    rep = json.loads((tmp_path / "condition_report.json").read_text())
+    rep = read_json(tmp_path / "condition_report.json")
     assert rep["a3"]["n_below_band"] == 1 and rep["a4"]["n_below_band"] == 1
     _schema_validator("condition_report").validate(rep)
 
@@ -193,7 +202,7 @@ def test_direct_diagnostics_per_entry(tmp_path):
     save_matrix_grid(fourier_tau(2, 3, 0.3, 5, GridSpec(64)), tmp_path / "tau.json")
     assert main(["direct", str(tmp_path / "tau.json"), "--grid-m", "64",
                  "--n-bins", "6", "--out", str(tmp_path)]) == 0
-    diag = json.loads((tmp_path / "direct_diagnostics.json").read_text())
+    diag = read_json(tmp_path / "direct_diagnostics.json")
     _schema_validator("direct_diagnostics").validate(diag)
     checks = diag["entry_checks"]
     assert len(checks) == diag["entries"] == 13
@@ -216,7 +225,7 @@ def test_direct_near_identity_exits_0(tmp_path):
                      tmp_path / "tau.json")
     assert main(["direct", str(tmp_path / "tau.json"), "--grid-m", str(m),
                  "--n-bins", "16", "--out", str(tmp_path)]) == 0
-    diag = json.loads((tmp_path / "direct_diagnostics.json").read_text())
+    diag = read_json(tmp_path / "direct_diagnostics.json")
     _schema_validator("direct_diagnostics").validate(diag)
     checks = diag["entry_checks"]
     assert all(c["kernel_dim"] == c["alpha_rank"] for c in checks)
@@ -238,6 +247,28 @@ def _schema_validator(name):
                                            registry=registry)
 
 
+def test_uncovered_data_report_is_strict_json(tmp_path):
+    # data holding only the lambda = 0 entry cover no bin: a3 and a4 have
+    # no operator to test and report null, not the NaN token
+    save_spectral_data(SpectralData(1, np.array([0.0]), np.full((1, 1, 1), 0.5 + 0j),
+                                    includes_zero=True), tmp_path / "d.json")
+    assert main(["validate", str(tmp_path / "d.json"), "--grid-m", "64",
+                 "--n-bins", "4", "--out", str(tmp_path)]) == 6
+    rep = read_json(tmp_path / "condition_report.json")
+    assert rep["a3"]["min_eig"] is None and rep["a4"]["min_eig"] is None
+    _schema_validator("condition_report").validate(rep)
+
+
+def test_one_bin_inverse_diagnostics_are_strict_json(tmp_path):
+    # one bin has no half truncation to compare with: the tail proxy is null
+    data = nu0_file(tmp_path / "d.json")
+    assert main(["inverse", str(data), "--grid-m", "64", "--n-bins", "1",
+                 "--out", str(tmp_path)]) == 0
+    diag = read_json(tmp_path / "inverse_diagnostics.json")
+    assert diag["accelerant_tail_proxy"] is None
+    _schema_validator("inverse_diagnostics").validate(diag)
+
+
 def test_validate_short_data_exits_6(tmp_path):
     data = nu0_file(tmp_path / "d.json", n=3)
     rc = main(["validate", str(data), "--grid-m", "64", "--n-bins", "16",
@@ -251,7 +282,7 @@ def test_roundtrip_zero_potential(tmp_path):
     rc = main(["roundtrip", str(tau), "--grid-m", "64", "--n-bins", "4",
                "--out", str(tmp_path)])
     assert rc == 0
-    rep = json.loads((tmp_path / "roundtrip_report.json").read_text())
+    rep = read_json(tmp_path / "roundtrip_report.json")
     assert len(rep["table"]) == 4
     base = rep["table"][0]
     assert base["tau_errors"]["linf_abs"] < 1e-8
@@ -268,6 +299,29 @@ def test_roundtrip_synthetic_deterministic(tmp_path):
     b1 = (out1 / "roundtrip_report.json").read_bytes()
     b2 = (out2 / "roundtrip_report.json").read_bytes()
     assert b1 == b2
+    _schema_validator("roundtrip_report").validate(
+        read_json(out1 / "roundtrip_report.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--synthetic", "0:3:0.3"],
+    ["--synthetic", "1:3:nan"],
+    ["--synthetic", "1:3:inf"],
+    ["--synthetic", "1:-1:0.3"],
+    ["--synthetic", "2:3"],
+    [],
+], ids=["r-zero", "scale-nan", "scale-inf", "order-negative", "wrong-shape",
+        "no-potential"])
+def test_roundtrip_bad_potential_exits_2(tmp_path, capsys, argv):
+    # R >= 1, ORDER >= 0 and a finite SCALE, or a tau file: anything else
+    # is refused with one error line before any output is made
+    out = tmp_path / "out"
+    assert main(["roundtrip", *argv, "--grid-m", "64", "--n-bins", "2",
+                 "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert argv[-1:] == [] or repr(argv[-1]) in lines[-1]
+    assert not out.exists()
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -282,7 +336,7 @@ def test_config_file_and_flag_override(tmp_path):
     rc = main(["direct", str(tau), "--config", str(cfg), "--n-bins", "2",
                "--out", str(tmp_path)])
     assert rc == 0
-    diag = json.loads((tmp_path / "direct_diagnostics.json").read_text())
+    diag = read_json(tmp_path / "direct_diagnostics.json")
     assert diag["config"]["grid_m"] == 128      # from file
     assert diag["config"]["n_bins"] == 2        # flag wins
 
@@ -358,7 +412,7 @@ def test_lambda_max_is_not_a_knob(tmp_path, capsys):
     assert exc.value.code == 2
     assert main(["direct", str(tau), "--n-bins", "2",
                  "--out", str(tmp_path / "ok")]) == 0
-    diag = json.loads((tmp_path / "ok" / "direct_diagnostics.json").read_text())
+    diag = read_json(tmp_path / "ok" / "direct_diagnostics.json")
     assert diag["lambda_max"] == diag["config"]["lambda_max"] == np.pi * 2.5
 
 
@@ -379,7 +433,7 @@ def test_scan_step_is_not_a_knob(tmp_path, capsys):
     assert "'scan_step'" in capsys.readouterr().err
     assert main(["direct", str(tau), "--n-bins", "2",
                  "--out", str(tmp_path / "ok")]) == 0
-    diag = json.loads((tmp_path / "ok" / "direct_diagnostics.json").read_text())
+    diag = read_json(tmp_path / "ok" / "direct_diagnostics.json")
     assert "scan_step" not in diag["config"]
 
 
@@ -433,7 +487,7 @@ def test_toml_config_accepted_and_echoed(tmp_path):
     cfg.write_text("log_level = 'warning'\n\"grid_m\" = 128\n")
     assert main(["direct", str(tau), "--config", str(cfg), "--n-bins", "2",
                  "--out", str(tmp_path)]) == 0
-    diag = json.loads((tmp_path / "direct_diagnostics.json").read_text())
+    diag = read_json(tmp_path / "direct_diagnostics.json")
     assert diag["config"]["log_level"] == "warning"
     assert diag["config"]["grid_m"] == 128
 

@@ -268,6 +268,32 @@ def test_bin_index_boundaries():
     assert bin_index(2 * np.pi) == 2
     assert bin_index(2.5 * np.pi) == 2          # ties go to the lower bin
     assert bin_index(np.pi) == 1
+    # an array bins elementwise by the same rule: values within a relative
+    # 1e-9 of an edge pi (n + 1/2) snap onto it and go to the lower bin n;
+    # values further off land on their side of the edge
+    edges = np.pi * (np.arange(1, 65) + 0.5)
+    snapped = np.concatenate([edges * (1 - 1e-10), edges, edges * (1 + 1e-10)])
+    outside = np.concatenate([edges * (1 - 1e-7), edges * (1 + 1e-7)])
+    n = np.tile(np.arange(1, 65), 3)
+    assert np.array_equal(bin_index(snapped), n)
+    assert np.array_equal(bin_index(outside), np.concatenate([n[:64], n[:64] + 1]))
+    for lams in (snapped, outside):
+        assert list(bin_index(lams)) == [bin_index(float(v)) for v in lams]
+    with pytest.raises(ValidationError):
+        bin_index(np.array([1.0, 0.0]))
+
+
+def test_bin_index_array_on_direct_solve():
+    # every lambda of a 64-bin r = 2 solve bins alike through the array
+    # call and the scalar one, and each bin holds r entries
+    from kreinsl.direct import spectral_data
+    from kreinsl.synthetic import fourier_tau
+
+    data = spectral_data(fourier_tau(2, 3, 0.3, 2026, GridSpec(128)), 64)
+    lams = data.lambdas[1:]
+    bins = bin_index(lams)
+    assert list(bins) == [bin_index(float(v)) for v in lams]
+    assert np.array_equal(np.bincount(bins), [0] + [2] * 64)
 
 
 @settings(max_examples=50, deadline=None)

@@ -15,14 +15,14 @@ def grid_from_fn(fn, m, r=1):
 
 def test_zero_potential():
     p = miura(grid_from_fn(lambda x: 0.0, 64))
-    assert np.abs(p.sigma.values).max() == 0.0
+    assert np.abs(p.values).max() == 0.0
 
 
 def test_constant_root():
     c = 0.7
     p = miura(grid_from_fn(lambda x: c, 128))
     x = GridSpec(128).points()
-    assert np.abs(p.sigma.values[:, 0, 0] - (c + c * c * x)).max() < 1e-12
+    assert np.abs(p.values[:, 0, 0] - (c + c * c * x)).max() < 1e-12
 
 
 def test_zero_potential_second_root():
@@ -31,7 +31,7 @@ def test_zero_potential_second_root():
     h = 1.0
     m = 512
     p = miura(grid_from_fn(lambda x: h / (1 + h * x), m))
-    sig = p.sigma.values[:, 0, 0]
+    sig = p.values[:, 0, 0]
     assert np.abs(sig - sig[0]).max() < 2e-6
 
 
@@ -41,12 +41,8 @@ def test_equality_identical():
 
 
 def test_equality_modulo_constant():
-    from kreinsl.miura import PotentialPrimitive
-
     p = miura(grid_from_fn(lambda x: np.cos(x), 64))
-    shifted = MatrixGrid(1, p.sigma.spec, p.sigma.values + 2.5,
-                         hermitian=p.sigma.hermitian)
-    q = PotentialPrimitive(sigma=shifted)
+    q = MatrixGrid(1, p.spec, p.values + 2.5, hermitian=p.hermitian)
     assert miura_equals(p, q, tol=1e-12)
 
 
@@ -72,7 +68,7 @@ def test_derivative_consistency_interior():
     x = GridSpec(m).points()
     tau = grid_from_fn(lambda t: 0.4 * np.sin(2 * t) + 0.1, m)
     p = miura(tau)
-    sig = p.sigma.values[:, 0, 0].real
+    sig = p.values[:, 0, 0].real
     dsig = (sig[2:] - sig[:-2]) / (2 * h)
     q_exact = 0.8 * np.cos(2 * x[1:-1]) + (0.4 * np.sin(2 * x[1:-1]) + 0.1) ** 2
     assert np.abs(dsig - q_exact).max() < 5e-4
@@ -82,12 +78,8 @@ def test_derivative_consistency_interior():
 @given(st.floats(-1.5, 1.5, allow_nan=False), st.floats(-1.5, 1.5))
 def test_gauge_invariance_under_constant_shift_of_sigma(c, d):
     # adding any constant matrix to one primitive never changes equality
-    from kreinsl.miura import PotentialPrimitive
-
     p = miura(grid_from_fn(lambda x: 0.3 * np.cos(x), 64))
-    shifted = MatrixGrid(1, p.sigma.spec, p.sigma.values + (c + 0j),
-                         hermitian=False)
-    q = PotentialPrimitive(sigma=shifted)
+    q = MatrixGrid(1, p.spec, p.values + (c + 0j), hermitian=False)
     assert miura_equals(p, q, tol=1e-10)
 
 
@@ -98,5 +90,5 @@ def test_matrix_case_hermitian_sigma():
     vals = (b + np.conj(np.swapaxes(b, -1, -2))) / 2.0
     tau = MatrixGrid(2, GridSpec(m), vals, hermitian=True)
     p = miura(tau)
-    assert p.sigma.hermitian
-    assert p.sigma.values[0] == pytest.approx(tau.values[0])
+    assert p.hermitian
+    assert p.values[0] == pytest.approx(tau.values[0])
