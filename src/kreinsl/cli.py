@@ -183,7 +183,9 @@ def _inverse_pipeline(data, n_bins: int, grid_m: int):
     tau, defect = sol.extract_tau(hermitize=True)
     diagnostics = {
         "krein_residual": sol.residual,
+        "residual_x": sol.residual_x,
         "min_pivot": sol.min_pivot,
+        "min_pivot_x": sol.min_pivot_x,
         "dense_from_x": sol.dense_from_x,
         "hermitization_defect": defect,
         "accelerant_tail_proxy": tail_proxy(data, spec, n_bins, h_full=H),

@@ -425,6 +425,13 @@ def _field(obj: dict, key: str, kind: type, where):
     return kind(value)
 
 
+def _save_json(doc: dict, path) -> None:
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+        fh.write("\n")
+
+
 def save_matrix_grid(grid: MatrixGrid, path, extra: dict | None = None) -> None:
     doc = {
         "r": grid.r,
@@ -434,9 +441,7 @@ def save_matrix_grid(grid: MatrixGrid, path, extra: dict | None = None) -> None:
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _save_json(doc, path)
 
 
 def load_matrix_grid(path) -> MatrixGrid:
@@ -464,9 +469,7 @@ def save_spectral_data(data: SpectralData, path) -> None:
             for lam, al in zip(data.lambdas, data.alphas)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _save_json(doc, path)
 
 
 def load_spectral_data(path) -> SpectralData:

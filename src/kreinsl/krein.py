@@ -23,6 +23,15 @@ failing truncation point.  G_i and A_i are different discretizations and
 need not go singular at the same row near the edge of the accelerant
 class; from the first row where a recursion pivot degrades, the remaining
 rows are solved by one dense LU each, whose condition estimate decides.
+
+The rows come out one at a time, in order, from one producer.
+`solve_krein` takes them _RESIDUAL_ROWS at a time, keeps R(x_i, 0) for
+the potential, scores the block's defect and drops it, so it never holds
+more of R than one block of rows; `krein_kernel` collects every row into
+the whole triangle for the callers that need R itself.  The defect needs
+the block-Toeplitz matrix of H only in panels of _RESIDUAL_ROWS block
+columns, and each such panel is a contiguous row slice of one strip
+(`toeplitz_strip`), so the residual builds no (m+1) r square matrix.
 """
 
 from __future__ import annotations
@@ -46,30 +55,36 @@ PIVOT_TOL = 1e-10
 # degraded, however large its eigenvalues: h A_i D_i^{-1} = G_i + E_0 + E_i,
 # so no row's A_i is singular while every pivot of G_i stays positive.
 LEVINSON_FLOOR = 1e-6
-# Triangle rows per block of the residual's quadrature product.
+# Triangle rows per block of the streamed solve and of the residual's
+# quadrature product; also the width of the Toeplitz strip.
 _RESIDUAL_ROWS = 64
 
 
 @dataclass
 class KreinSolution:
-    """Solution kernel with its defect and conditioning diagnostics.
+    """The potential column of the solution kernel, with its defect and
+    conditioning diagnostics.
 
-    `residual` is the maximum blockwise defect of the discrete equation
-    over the triangle.  `min_pivot` is the smallest normalized pivot seen
-    across the row solves: on rows solved by the recursion, the smallest
-    eigenvalue (Hermitian kernels) or singular value of each pivot block
-    relative to the first one, and the reciprocal 2-norm condition number
-    of each row's 2r x 2r Woodbury matrix; on rows solved densely, the
-    LAPACK reciprocal condition estimate.  tau extracted from the first
-    column agrees with the alternative form H(x) + int_0^x R(x, s) H(s) ds
-    by construction of the row systems.  `dense_from_x` is x_i of the
-    first row solved by dense LU after the recursion degraded, or None
-    when the recursion solved every row.
+    `column` holds R(x_i, 0).  `residual` is the maximum blockwise defect
+    of the discrete equation over the triangle, and `residual_x` the x_i
+    of the row that holds it.  `min_pivot` is the smallest normalized
+    pivot seen across the row solves: on rows solved by the recursion, the
+    smallest eigenvalue (Hermitian kernels) or singular value of each
+    pivot block relative to the first one, and the reciprocal 2-norm
+    condition number of each row's 2r x 2r Woodbury matrix; on rows solved
+    densely, the LAPACK reciprocal condition estimate.  `min_pivot_x` is
+    x_i of the row whose pivot set it (0 when no pivot fell below 1).  tau
+    extracted from the first column agrees with the alternative form
+    H(x) + int_0^x R(x, s) H(s) ds by construction of the row systems.
+    `dense_from_x` is x_i of the first row solved by dense LU after the
+    recursion degraded, or None when the recursion solved every row.
     """
 
-    R: TriangularKernel
+    column: MatrixGrid
     residual: float
+    residual_x: float
     min_pivot: float
+    min_pivot_x: float
     dense_from_x: float | None
 
     def extract_tau(self, hermitize: bool) -> tuple[MatrixGrid, float]:
@@ -78,12 +93,34 @@ class KreinSolution:
         Returns the grid and the pre-symmetrization Hermiticity defect
         (NaN when no symmetrization was requested).
         """
-        raw = -self.R.values[:, 0]
+        r, spec = self.column.r, self.column.spec
+        raw = -self.column.values
         if not hermitize:
-            return MatrixGrid(self.R.r, self.R.spec, raw), float("nan")
+            return MatrixGrid(r, spec, raw), float("nan")
         sym = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
         defect = float(np.max(np.linalg.norm(raw - sym, ord=2, axis=(-2, -1))))
-        return MatrixGrid(self.R.r, self.R.spec, sym, hermitian=True), defect
+        return MatrixGrid(r, spec, sym, hermitian=True), defect
+
+
+@dataclass
+class _Pivots:
+    """What the row solves report besides the rows: the smallest
+    normalized pivot, the x_i of the row that set it, and where the dense
+    fallback began."""
+
+    min_pivot: float = 1.0
+    min_pivot_x: float = 0.0
+    dense_from_x: float | None = None
+
+    def see(self, pivot: float, x: float) -> None:
+        if pivot < self.min_pivot:
+            self.min_pivot, self.min_pivot_x = pivot, x
+
+
+def _working_values(H: MatrixGrid) -> np.ndarray:
+    """H's samples in the arithmetic of the solve: real when H is real,
+    which then gives a real R."""
+    return H.values if np.any(H.values.imag) else H.values.real
 
 
 def _row_weights(i: int, h: float) -> np.ndarray:
@@ -96,33 +133,65 @@ def _row_weights(i: int, h: float) -> np.ndarray:
 
 
 def solve_krein(H: MatrixGrid) -> KreinSolution:
-    """Solve the convolution equation for R on the triangle.
+    """Solve the convolution equation for R on the triangle, keeping
+    R(x_i, 0) and the defect of each block of rows.
 
     H holds the kernel samples on [0, 1]; the even extension is applied
     when differences go negative (on the uniform grid all differences land
-    on nodes, so no interpolation enters).  Each row transposes the unknown
-    block row into a standard left-hand system with r right-hand columns.
-    Rows are solved by the block Levinson recursion until a recursion
-    pivot degrades, and densely from that row on; a dense row whose
-    estimated reciprocal condition number falls below PIVOT_TOL raises
-    NotAnAccelerantError carrying the failing x_i.
+    on nodes, so no interpolation enters).  Rows are solved by the block
+    Levinson recursion until a recursion pivot degrades, and densely from
+    that row on; a dense row whose estimated reciprocal condition number
+    falls below PIVOT_TOL raises NotAnAccelerantError carrying the failing
+    x_i.  Each block of _RESIDUAL_ROWS rows is scored by `krein_residual`
+    as soon as it is complete.
     """
     spec = H.spec
     m, r, h = spec.m, H.r, spec.h
-    # T[d] = H(d h)^T for d = 0..m (evenness for d < 0)
-    T = np.swapaxes(H.values, -1, -2).copy()
-    Td = T if np.any(H.values.imag) else T.real.astype(float)
+    pivots = _Pivots()
+    rows = _kernel_rows(H, pivots)
+    strip = toeplitz_strip(H)
+    column = np.zeros((m + 1, r, r), dtype=complex)
+    residual, residual_x = 0.0, 0.0
+    for i0 in range(0, m + 1, _RESIDUAL_ROWS):
+        i1 = min(i0 + _RESIDUAL_ROWS, m + 1)
+        block = np.zeros((i1 - i0, m + 1, r, r), dtype=strip.dtype)
+        for a, y in zip(range(i1 - i0), rows):
+            block[a, :len(y)] = y
+        column[i0:i1] = block[:, 0]
+        defect, i = krein_residual(H, strip, i0, block)
+        if defect > residual:
+            residual, residual_x = defect, i * h
+    return KreinSolution(MatrixGrid(r, spec, column), residual, residual_x,
+                         pivots.min_pivot, pivots.min_pivot_x,
+                         pivots.dense_from_x)
 
+
+def krein_kernel(H: MatrixGrid) -> TriangularKernel:
+    """The whole solution R on the triangle, from the same row solves as
+    `solve_krein`; for the callers that need R itself, such as
+    `transformation_kernels`.  It holds (m+1)^2 r^2 entries."""
+    m, r = H.spec.m, H.r
     values = np.zeros((m + 1, m + 1, r, r), dtype=complex)
-    values[0, 0] = -H.values[0]
-    start, min_pivot = _levinson_rows(Td, h, H.hermitian, values)
-    dense_from_x = None
-    if start <= m:
-        dense_from_x = start * h
-        min_pivot = min(min_pivot, _dense_rows(Td, h, start, values))
-    R = TriangularKernel(r, spec, values)
-    return KreinSolution(R=R, residual=krein_residual(H, R), min_pivot=min_pivot,
-                         dense_from_x=dense_from_x)
+    for i, y in enumerate(_kernel_rows(H, _Pivots())):
+        values[i, :i + 1] = y
+    return TriangularKernel(r, H.spec, values)
+
+
+def _kernel_rows(H: MatrixGrid, pivots: _Pivots):
+    """Rows i = 0..m of R in order: y[k] = R(x_i, t_k) for k = 0..i.
+
+    The recursion solves rows until a pivot degrades, then the dense
+    fallback the rest; `pivots` records what they report.
+    """
+    h = H.spec.h
+    hv = _working_values(H)
+    # T[d] = H(d h)^T for d = 0..m (evenness for d < 0)
+    Td = np.swapaxes(hv, -1, -2).copy()
+    yield -hv[:1]
+    start = yield from _levinson_rows(Td, h, H.hermitian, pivots)
+    if start < Td.shape[0]:
+        pivots.dense_from_x = start * h
+        yield from _dense_rows(Td, h, start, pivots)
 
 
 def _pivot_size(block: np.ndarray, hermitian: bool) -> float:
@@ -133,12 +202,11 @@ def _pivot_size(block: np.ndarray, hermitian: bool) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 
-def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool,
-                   values: np.ndarray) -> tuple[int, float]:
-    """Fill rows 1.. of `values` by the block Levinson recursion.
+def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots):
+    """Yield rows 1.. of R by the block Levinson recursion.
 
-    Returns the first row left unsolved (m + 1 when all are solved) and
-    the smallest normalized pivot over the solved rows.
+    Returns the first row left unsolved (m + 1 when all are solved); the
+    pivots of the solved rows go to `pivots`.
 
     The forward predictor of G_i is a = [I; a_1; ...; a_i] with
     G_i a = [E; 0; ...; 0].  Its entries a_j and E - I are O(h), so the
@@ -158,8 +226,8 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool,
     scale = float(np.linalg.norm(E, 2))
     pivot = _pivot_size(E, hermitian) / scale if scale > 0 else 0.0
     if not pivot >= LEVINSON_FLOOR:
-        return 1, 1.0
-    min_pivot = min(1.0, pivot)
+        return 1
+    pivots.see(pivot, 0.0)
     e_inv = np.linalg.solve(E, eye)
     for i in range(1, m1):
         # grow the predictor from i to i + 1 blocks; Delta = h delta is the
@@ -173,7 +241,7 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool,
         E = eye + h * eps
         pivot = _pivot_size(E, hermitian) / scale
         if not pivot >= LEVINSON_FLOOR:
-            return i, min_pivot
+            return i
         e_inv = np.linalg.solve(E, eye)
 
         # first block column of (I - G_i^{-1}) / h; the last is its reversal
@@ -188,18 +256,18 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool,
         sig = np.linalg.svd(woodbury, compute_uv=False)
         wpivot = float(sig[-1] / sig[0])
         if not wpivot >= LEVINSON_FLOOR:
-            return i, min_pivot
+            return i
         c = (h / 2.0) * np.linalg.solve(woodbury, np.vstack([last, first]))
         y = -(w0 @ c[:r]) - wi @ (eye + c[r:])
-        values[i, :i + 1] = np.swapaxes(y.reshape(i + 1, r, r), -1, -2)
-        min_pivot = min(min_pivot, pivot, wpivot)
-    return m1, min_pivot
+        pivots.see(min(pivot, wpivot), i * h)
+        yield np.swapaxes(y.reshape(i + 1, r, r), -1, -2)
+    return m1
 
 
-def _dense_rows(Td: np.ndarray, h: float, start: int, values: np.ndarray) -> float:
-    """Fill rows start.. of `values` by one dense LU each.
+def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
+    """Yield rows start.. of R, by one dense LU each.
 
-    Returns the smallest reciprocal condition estimate; a row below
+    Each row's reciprocal condition estimate goes to `pivots`; a row below
     PIVOT_TOL raises NotAnAccelerantError.
     """
     from scipy.linalg import lapack, lu_factor, lu_solve
@@ -209,7 +277,6 @@ def _dense_rows(Td: np.ndarray, h: float, start: int, values: np.ndarray) -> flo
     big = block_flatten(Td[d_idx])  # (n r, n r), entry (j,k) block = H((j-k)h)^T
     gecon = lapack.dgecon if Td.dtype.kind == "f" else lapack.zgecon
 
-    min_pivot = 1.0
     for i in range(start, n_full):
         n = i + 1
         a = big[: n * r, : n * r].copy()
@@ -228,58 +295,83 @@ def _dense_rows(Td: np.ndarray, h: float, start: int, values: np.ndarray) -> flo
                 x=i * h,
                 pivot=float(rcond),
             )
-        min_pivot = min(min_pivot, float(rcond))
+        pivots.see(float(rcond), i * h)
         y = lu_solve((lu, piv), b, check_finite=False)
-        values[i, :n] = np.swapaxes(y.reshape(n, r, r), -1, -2)
-    return min_pivot
+        yield np.swapaxes(y.reshape(n, r, r), -1, -2)
 
 
-def krein_residual(H: MatrixGrid, R: TriangularKernel) -> float:
-    """Max blockwise defect of the discrete equation over the triangle.
+def toeplitz_strip(H: MatrixGrid) -> np.ndarray:
+    """The (2m + 1) r x _RESIDUAL_ROWS r matrix of blocks
+    S[d, c] = H(|d - m - c| h), in the arithmetic of the solve.
 
-    Recomputed from scratch with the same quadrature as the solver, so an
-    exact discrete solution scores at roundoff level.  The quadrature of
-    rows i0..i1-1 is one product: those rows of R, every block (i, k)
-    scaled by its row's trapezoid weight w_k, times the first i1 block
-    columns of the block-Toeplitz matrix of H(|k - j| h) (the defect needs
-    t_j <= x_i only).  Going through the triangle _RESIDUAL_ROWS rows at a
-    time keeps the work arrays beside that one matrix at O(m r^2) size.
-    The inner dimension stays the full grid, zero weights included, so
-    every entry sums the same terms as one product over all rows would.
+    Rows m - j0 .. m - j0 + n - 1 of it are the block-Toeplitz matrix of
+    H(|k - j| h), k < n, in the columns j = j0 .. j0 + _RESIDUAL_ROWS - 1:
+    every panel of columns the residual needs is a contiguous row slice.
+    Blocks with |d - m - c| > m lie in no such panel and hold zero.
     """
-    if H.spec != R.spec or H.r != R.r:
-        raise ValidationError("kernel shapes disagree")
+    m = H.spec.m
+    hv = _working_values(H)
+    padded = np.zeros((m + _RESIDUAL_ROWS,) + hv.shape[1:], dtype=hv.dtype)
+    padded[:m + 1] = hv
+    d = np.abs(np.arange(2 * m + 1)[:, None] - m - np.arange(_RESIDUAL_ROWS)[None, :])
+    return block_flatten(padded[d])
+
+
+def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
+                   rows: np.ndarray) -> tuple[float, int]:
+    """Max blockwise defect of the discrete equation on the consecutive
+    rows i0, i0 + 1, ... of R, and the row that holds it.
+
+    rows[a, k] = R(x_{i0+a}, t_k) for k = 0..m, zero for k > i0 + a as a
+    TriangularKernel stores it; `strip` is `toeplitz_strip(H)`.  The defect
+    is recomputed from scratch with the same quadrature as the solver, so
+    an exact discrete solution scores at roundoff level.  The rows go
+    _RESIDUAL_ROWS at a time, i0..i1-1 say: their quadrature is those rows,
+    every block (i, k) scaled by its row's trapezoid weight w_k, times the
+    block-Toeplitz matrix of H(|k - j| h) in the columns j < i1 (the defect
+    needs t_j <= x_i only), one product per panel of _RESIDUAL_ROWS
+    columns, each a row slice of the strip.  The inner dimension stays the
+    full grid, zero weights included, so every entry sums the same terms
+    as one product over all rows would.  The work arrays hold
+    O(_RESIDUAL_ROWS m r^2) entries.  When every defect is zero the row
+    returned is i0.
+    """
     m, r, h = H.spec.m, H.r, H.spec.h
     n_full = m + 1
-    hv, rv = H.values, R.values
-    if not np.any(hv.imag) and not np.any(rv.imag):
-        hv, rv = hv.real, rv.real
-    d_idx = np.abs(np.arange(n_full)[:, None] - np.arange(n_full)[None, :])
-    big = block_flatten(hv[d_idx])
-    del d_idx
-    worst = 0.0
-    for i0 in range(0, n_full, _RESIDUAL_ROWS):
-        i1 = min(i0 + _RESIDUAL_ROWS, n_full)
-        b = i1 - i0
-        weights = np.tril(np.full((b, n_full), h), k=i0)
-        weights[:, 0] = weights[np.arange(b), np.arange(i0, i1)] = h / 2.0
-        if i0 == 0:
+    n = rows.shape[0]
+    if (rows.shape[1:] != (n_full, r, r) or not 0 <= i0 <= n_full - n
+            or strip.shape != ((2 * m + 1) * r, _RESIDUAL_ROWS * r)):
+        raise ValidationError("kernel shapes disagree")
+    hv = _working_values(H)
+    worst, worst_i = 0.0, i0
+    for b0 in range(0, n, _RESIDUAL_ROWS):
+        lo = i0 + b0
+        i1 = min(lo + _RESIDUAL_ROWS, i0 + n)
+        b = i1 - lo
+        weights = np.tril(np.full((b, n_full), h), k=lo)
+        weights[:, 0] = weights[np.arange(b), np.arange(lo, i1)] = h / 2.0
+        if lo == 0:
             weights[0, 0] = 0.0
-        rw = block_flatten(rv[i0:i1] * weights[:, :, None, None])
-        quad = (rw @ big[:, :i1 * r]).reshape(b, r, i1, r)
-        a, j = np.tril_indices(b, i0, i1)
-        # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j)
-        defect = rv[i0 + a, j] + hv[i0 + a - j] + quad[a, :, j, :]
-        # the 2-norm lies within a factor sqrt(r) below the Frobenius norm, so
-        # only blocks near the block's largest Frobenius norm can hold its
-        # maximum
-        fro = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))
-        top = fro.max()
-        if top > 0.0:
-            near = defect[fro >= 0.99 * top / np.sqrt(r)]
-            worst = max(worst, float(np.max(np.linalg.norm(near, ord=2,
-                                                            axis=(-2, -1)))))
-    return worst
+        rw = block_flatten(rows[b0:b0 + b] * weights[:, :, None, None])
+        for j0 in range(0, i1, _RESIDUAL_ROWS):
+            j1 = min(j0 + _RESIDUAL_ROWS, i1)
+            panel = strip[(m - j0) * r:(2 * m + 1 - j0) * r, :(j1 - j0) * r]
+            quad = (rw @ panel).reshape(b, r, j1 - j0, r)
+            a, c = np.nonzero(np.arange(j0, j1)[None, :] <= np.arange(lo, i1)[:, None])
+            # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j)
+            defect = rows[b0 + a, j0 + c] + hv[lo + a - j0 - c] + quad[a, :, c, :]
+            # the 2-norm lies within a factor sqrt(r) below the Frobenius norm,
+            # so only blocks near the panel's largest Frobenius norm can hold
+            # its maximum
+            fro = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))
+            top = fro.max()
+            if top > 0.0:
+                near = np.flatnonzero(fro >= 0.99 * top / np.sqrt(r))
+                norms = np.linalg.norm(defect[near], ord=2, axis=(-2, -1))
+                k = int(np.argmax(norms))
+                if norms[k] > worst:
+                    worst, worst_i = float(norms[k]), lo + int(a[near[k]])
+    return worst, worst_i
 
 
 def transformation_kernels(R: TriangularKernel) -> tuple[TriangularKernel, TriangularKernel]:

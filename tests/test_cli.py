@@ -99,6 +99,20 @@ def test_inverse_diagnostics_report_dense_start(tmp_path, monkeypatch):
         assert diag["dense_from_x"] == expected
 
 
+def test_inverse_diagnostics_report_worst_rows(tmp_path, monkeypatch):
+    # with every row from x = h on sent to dense LU, the smallest pivot is
+    # a dense row's condition estimate
+    data = nu0_file(tmp_path / "d.json", n=8)
+    monkeypatch.setattr("kreinsl.krein.LEVINSON_FLOOR", 2.0)
+    assert main(["inverse", str(data), "--grid-m", "64", "--n-bins", "8",
+                 "--out", str(tmp_path)]) == 0
+    diag = read_json(tmp_path / "inverse_diagnostics.json")
+    _schema_validator("inverse_diagnostics").validate(diag)
+    for key in ("residual_x", "min_pivot_x"):
+        assert 0.0 <= diag[key] <= 1.0 and diag[key] * 64 % 1 == 0
+    assert diag["min_pivot_x"] >= diag["dense_from_x"] == 1.0 / 64
+
+
 def test_inverse_reduced_data_reconstructs_zero_potential(tmp_path):
     # reduced free data: unit mass prepended; some root of q = 0 comes back
     lams = np.pi * np.arange(1, 9)

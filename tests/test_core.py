@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from kreinsl.core import (
     save_spectral_data,
     trapezoid_weights,
 )
+from kreinsl.core import _matrix_to_json
 
 
 def test_gridspec_rejects_small_m():
@@ -154,6 +156,31 @@ def test_spectral_data_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(d2.lambdas, data.lambdas)
     assert np.array_equal(d2.alphas, data.alphas)
     assert d2.includes_zero == data.includes_zero
+
+
+def test_writers_match_json_dump(tmp_path):
+    # the writers go through the C encoder of json.dumps; the files are
+    # byte for byte what json.dump (the Python encoder) writes
+    def dumped(doc):
+        buf = io.StringIO()
+        json.dump(doc, buf)
+        buf.write("\n")
+        return buf.getvalue()
+
+    g = _random_grid(3, m=12)
+    save_matrix_grid(g, tmp_path / "g.json", extra={"kind": "potential_primitive"})
+    assert (tmp_path / "g.json").read_text(encoding="utf-8") == dumped({
+        "r": g.r, "m": g.spec.m, "hermitian": False,
+        "values": [_matrix_to_json(v) for v in g.values],
+        "kind": "potential_primitive"})
+    lams = np.array([0.0, 1e-300, 1.0 / 3.0, np.pi, 2.0 ** 60])
+    alphas = np.tile(np.eye(2), (5, 1, 1)) * np.array([1.0, 0.1, 1e22, 3.0, 1.5])[:, None, None]
+    data = SpectralData(2, lams, alphas.astype(complex), includes_zero=True)
+    save_spectral_data(data, tmp_path / "d.json")
+    assert (tmp_path / "d.json").read_text(encoding="utf-8") == dumped({
+        "r": 2, "includes_zero": True,
+        "entries": [{"lambda": float(lam), "alpha": _matrix_to_json(al)}
+                    for lam, al in zip(lams, data.alphas)]})
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,8 +15,10 @@ from kreinsl.core import (
     sym_nystrom_triangular,
 )
 from kreinsl.krein import (
+    krein_kernel,
     krein_residual,
     solve_krein,
+    toeplitz_strip,
     transformation_kernels,
 )
 
@@ -70,16 +72,16 @@ def constant_tau_accelerant(c, m, n_bins):
 class TestSolveKrein:
     def test_zero_kernel(self):
         sol = solve_krein(zero_kernel(64))
-        assert np.abs(sol.R.values).max() == 0.0
+        assert np.abs(krein_kernel(zero_kernel(64)).values).max() == 0.0
         assert sol.residual == 0.0
 
     def test_constant_closed_form(self):
         m = 512
-        sol = solve_krein(const_kernel(0.8, m))
+        R = krein_kernel(const_kernel(0.8, m))
         x = GridSpec(m).points()
         exact = constant_accelerant_r(0.8, x)
         worst = max(
-            np.abs(sol.R.values[i, : i + 1, 0, 0] - exact[i]).max()
+            np.abs(R.values[i, : i + 1, 0, 0] - exact[i]).max()
             for i in range(m + 1)
         )
         assert worst < 1e-6
@@ -90,9 +92,9 @@ class TestSolveKrein:
         assert abs(exc.value.x - 0.5) < 0.02
 
     def test_triangularity_never_written(self):
-        sol = solve_krein(smooth_kernel(24, hermitian=True))
+        R = krein_kernel(smooth_kernel(24, hermitian=True))
         n = 25
-        assert np.all(sol.R.values[np.triu_indices(n, k=1)] == 0)
+        assert np.all(R.values[np.triu_indices(n, k=1)] == 0)
 
 
 ORACLE_KERNELS = pytest.mark.parametrize("make", [
@@ -109,8 +111,8 @@ class TestDenseOracle:
     @ORACLE_KERNELS
     def test_matches_dense_rows(self, make):
         H = make()
-        sol = solve_krein(H)
-        assert np.abs(sol.R.values - krein_dense_rows(H.values)).max() <= 1e-12
+        R = krein_kernel(H)
+        assert np.abs(R.values - krein_dense_rows(H.values)).max() <= 1e-12
 
     def test_large_grid_residual(self):
         sol = solve_krein(smooth_kernel(1024, scale=0.3, seed=5, hermitian=True))
@@ -130,9 +132,9 @@ class TestDenseOracle:
         starts = []
         dense = krein._dense_rows
 
-        def spy(Td, h, start, values):
+        def spy(Td, h, start, pivots):
             starts.append(start)
-            return dense(Td, h, start, values)
+            return dense(Td, h, start, pivots)
 
         monkeypatch.setattr(krein, "_dense_rows", spy)
         sol = solve_krein(cos_kernel(96))
@@ -144,30 +146,90 @@ class TestDenseOracle:
                                                                          abs=1e-15)
         assert solve_krein(smooth_kernel(96, hermitian=True)).dense_from_x is None
 
+    def test_worst_pivot_row_reported(self):
+        # the dense rows' smallest condition estimate (1.4e-3) lies far
+        # below the recursion rows' pivots (0.21)
+        sol = solve_krein(cos_kernel(96))
+        assert sol.min_pivot_x >= sol.dense_from_x
+
+
+def hermitian_kernel(m):
+    return smooth_kernel(m, scale=0.3, seed=5, hermitian=True)
+
+
+class TestStreaming:
+    # the rows reach the residual 64 at a time: m + 1 = 64 and 128 fill
+    # the last block, 65 and 129 leave one row in it, and the cos kernel's
+    # dense rows start at row 79, inside the second block.  The pivots are
+    # those of the row solves before they were streamed.
+    @pytest.mark.parametrize("make, min_pivot, dense_from_x", [
+        (lambda: hermitian_kernel(63), 0.9797862556848314, None),
+        (lambda: hermitian_kernel(64), 0.9800992160248965, None),
+        (lambda: hermitian_kernel(127), 0.9899257160616813, None),
+        (lambda: hermitian_kernel(128), 0.9900040612809882, None),
+        (lambda: cos_kernel(96), 0.0014266971898237457, 79 / 96),
+    ], ids=["m63", "m64", "m127", "m128", "fallback-cos-m96"])
+    def test_block_edges(self, make, min_pivot, dense_from_x):
+        H = make()
+        sol = solve_krein(H)
+        R = krein_kernel(H)
+        tau, _ = sol.extract_tau(hermitize=False)
+        assert tau.values.tobytes() == (-R.values[:, 0]).tobytes()
+        assert abs(sol.residual - krein_residual_one_gemm(H.values, R.values)) <= 1e-15
+        assert sol.min_pivot == pytest.approx(min_pivot, rel=1e-12)
+        if dense_from_x is None:
+            assert sol.dense_from_x is None
+        else:
+            assert sol.dense_from_x == pytest.approx(dense_from_x, abs=1e-15)
+
+    def test_solve_memory_bounded(self):
+        # m = 1024, r = 2 complex: the whole triangle plus the square
+        # block-Toeplitz matrix of the residual peaked at 210 MB; the stream
+        # holds one block of rows, the strip and one panel's work arrays
+        H = hermitian_kernel(1024)
+        tracemalloc.start()
+        try:
+            solve_krein(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
 
 class TestResidual:
     @ORACLE_KERNELS
     def test_matches_one_gemm_oracle(self, make):
         H = make()
         sol = solve_krein(H)
-        assert abs(sol.residual - krein_residual_one_gemm(H.values, sol.R.values)) <= 1e-15
-        vals = sol.R.values.copy()
+        R = krein_kernel(H)
+        assert abs(sol.residual - krein_residual_one_gemm(H.values, R.values)) <= 1e-15
+        vals = R.values.copy()
         vals[70, 10] += 1e-3
-        bad = krein_residual(H, TriangularKernel(H.r, H.spec, vals))
+        bad, _ = krein_residual(H, toeplitz_strip(H), 0, vals)
         assert abs(bad - krein_residual_one_gemm(H.values, vals)) <= 1e-15
 
     def test_memory_in_row_blocks(self):
         # m = 384, r = 2 complex: the one-product residual peaked at 30.8 MB
         # (five (m+1)^2 r^2 arrays); row blocks leave one such matrix
         H = smooth_kernel(384, scale=0.3, seed=5, hermitian=True)
-        R = solve_krein(H).R
+        R = krein_kernel(H)
         tracemalloc.start()
         try:
-            krein_residual(H, R)
+            krein_residual(H, toeplitz_strip(H), 0, R.values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_residual_names_the_worst_row(self):
+        H = const_kernel(0.8, 128)
+        vals = krein_kernel(H).values.copy()
+        vals[70, 10] += 1e-3
+        strip = toeplitz_strip(H)
+        worst, row = krein_residual(H, strip, 0, vals)
+        assert row == 70
+        # the block of rows 64..127 alone scores the same
+        assert krein_residual(H, strip, 64, vals[64:128]) == (worst, row)
 
     def test_solution_residual_roundoff(self):
         sol = solve_krein(const_kernel(0.8, 128))
@@ -175,11 +237,11 @@ class TestResidual:
 
     def test_sensitivity_to_perturbation(self):
         H = const_kernel(0.8, 64)
-        sol = solve_krein(H)
-        vals = sol.R.values.copy()
+        R = krein_kernel(H)
+        vals = R.values.copy()
         vals[30, 10, 0, 0] += 1e-3
         bad = TriangularKernel(1, H.spec, vals)
-        assert krein_residual(H, bad) >= 5e-4
+        assert krein_residual(H, toeplitz_strip(H), 0, bad.values)[0] >= 5e-4
 
     def test_closed_form_residual_second_order(self):
         # the continuum solution on the discrete equation scores C h^2
@@ -226,16 +288,16 @@ class TestTheta:
         # -R(x, 0) equals H(x) + int_0^x R(x, s) H(s) ds by construction of
         # the row systems: verify through the independent quadrature
         H = smooth_kernel(64, hermitian=True)
-        sol = solve_krein(H)
+        R = krein_kernel(H)
         m, h = 64, 1.0 / 64
         for i in (5, 31, 64):
             w = np.full(i + 1, h)
             w[0] = w[-1] = h / 2
             if i == 0:
                 w[:] = 0
-            quad = np.einsum("k,kab,kbc->ac", w, sol.R.values[i, : i + 1],
+            quad = np.einsum("k,kab,kbc->ac", w, R.values[i, : i + 1],
                              H.values[: i + 1])
-            lhs = -sol.R.values[i, 0]
+            lhs = -R.values[i, 0]
             rhs = H.values[i] + quad
             assert np.linalg.norm(lhs - rhs, 2) < 1e-12
 
@@ -249,14 +311,13 @@ class TestTheta:
 
 class TestTransformationKernels:
     def test_zero(self):
-        kd, kn = transformation_kernels(solve_krein(zero_kernel(32)).R)
+        kd, kn = transformation_kernels(krein_kernel(zero_kernel(32)))
         assert np.abs(kd.values).max() == 0.0
         assert np.abs(kn.values).max() == 0.0
 
     def test_constant_kernel_shapes(self):
         m = 256
-        sol = solve_krein(const_kernel(0.8, m))
-        kd, kn = transformation_kernels(sol.R)
+        kd, kn = transformation_kernels(krein_kernel(const_kernel(0.8, m)))
         x = GridSpec(m).points()
         rho = constant_accelerant_r(0.8, x)
         worst_d = worst_n = 0.0
@@ -277,7 +338,7 @@ class TestTransformationKernels:
         H = const_kernel(0.8, m)
         sol = solve_krein(H)
         tau, _ = sol.extract_tau(hermitize=True)
-        kd, _ = transformation_kernels(sol.R)
+        kd, _ = transformation_kernels(krein_kernel(H))
         spec = GridSpec(m)
         w = trapezoid_weights(spec)
         t = spec.points()
@@ -309,8 +370,7 @@ class TestConvergenceAndFactorization:
 
         m = 128
         H = smooth_kernel(m, r=2, scale=0.1, hermitian=True)
-        sol = solve_krein(H)
-        kd, kn = transformation_kernels(sol.R)
+        kd, kn = transformation_kernels(krein_kernel(H))
         he, ho = build_heo(H)
         n = (m + 1) * 2
         eye = np.eye(n)
