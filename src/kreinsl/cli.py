@@ -234,6 +234,9 @@ def cmd_validate(args) -> int:
 
 
 def _relative_errors(a, b):
+    """Relative and absolute trapezoid L2 and max errors of a against b,
+    plus the relative L2 error over the nodes x < 0.9 alone, away from
+    the boundary layer at x = 1."""
     import numpy as np
     from .core import trapezoid_weights
     w = trapezoid_weights(a.spec)
@@ -243,22 +246,19 @@ def _relative_errors(a, b):
     l2_ref = float(np.sqrt(ref ** 2 @ w))
     linf = float(diff.max())
     linf_ref = float(ref.max())
+    # trapezoid weights of [0, x_k], x_k the last node below 0.9
+    k = int(np.count_nonzero(a.spec.points() < 0.9)) - 1
+    w_in = w[:k + 1].copy()
+    w_in[k] = a.spec.h / 2.0
+    l2_in = float(np.sqrt(diff[:k + 1] ** 2 @ w_in))
+    l2_in_ref = float(np.sqrt(ref[:k + 1] ** 2 @ w_in))
     return {
         "l2": l2 / l2_ref if l2_ref > 0 else l2,
         "linf": linf / linf_ref if linf_ref > 0 else linf,
         "l2_abs": l2,
         "linf_abs": linf,
+        "l2_interior": l2_in / l2_in_ref if l2_in_ref > 0 else l2_in,
     }
-
-
-def _roundtrip_once(tau, n_bins: int, grid_m: int):
-    from .core import GridSpec, resample_matrix_grid
-    from .direct import spectral_data
-
-    tau_m = resample_matrix_grid(tau, GridSpec(grid_m))
-    data = spectral_data(tau_m, n_bins)
-    tau_hat, diag = _inverse_pipeline(data, n_bins, grid_m)
-    return data, tau_hat, _relative_errors(tau_hat, tau_m), diag
 
 
 def _synthetic_tau(text: str, cfg: RunConfig):
@@ -282,8 +282,8 @@ def _synthetic_tau(text: str, cfg: RunConfig):
 
 def cmd_roundtrip(args) -> int:
     import numpy as np
-    from .core import ConfigurationError
-    from .direct import spectral_data
+    from .core import ConfigurationError, GridSpec, resample_matrix_grid
+    from .direct import spectral_data, spectral_prefix
 
     cfg = build_config(args)
     if args.synthetic:
@@ -296,17 +296,24 @@ def cmd_roundtrip(args) -> int:
         from .core import ValidationError
         raise ValidationError("roundtrip requires a Hermitian potential")
 
-    table = []
-    base = None
-    for nb in (cfg.n_bins, 2 * cfg.n_bins):
-        for gm in (cfg.grid_m, 2 * cfg.grid_m):
-            data, tau_hat, errs, diag = _roundtrip_once(tau, nb, gm)
-            row = {"n_bins": nb, "grid_m": gm, "tau_errors": errs,
-                   "krein_residual": diag["krein_residual"]}
-            table.append(row)
+    # The data of bins 0..N are a prefix of those of bins 0..2N, so each
+    # grid gets one direct solve at 2N bins and its N-bin rows read the
+    # checked prefix.
+    table, base = [], None
+    for gm in (cfg.grid_m, 2 * cfg.grid_m):
+        tau_gm = resample_matrix_grid(tau, GridSpec(gm))
+        report = {}
+        full = spectral_data(tau_gm, 2 * cfg.n_bins, report)
+        prefix = spectral_prefix(full, report["kernel_dim"], cfg.n_bins)
+        for nb, data in ((cfg.n_bins, prefix), (2 * cfg.n_bins, full)):
+            tau_hat, diag = _inverse_pipeline(data, nb, gm)
+            errs = _relative_errors(tau_hat, tau_gm)
+            table.append({"n_bins": nb, "grid_m": gm, "tau_errors": errs,
+                          "krein_residual": diag["krein_residual"]})
             if nb == cfg.n_bins and gm == cfg.grid_m:
                 base = (data, tau_hat)
             log.info("roundtrip n_bins=%d m=%d: rel L2 %.3e", nb, gm, errs["l2"])
+    table.sort(key=lambda row: (row["n_bins"], row["grid_m"]))
 
     data, tau_hat = base
     redata = spectral_data(tau_hat, cfg.n_bins)

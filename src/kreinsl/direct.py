@@ -26,12 +26,13 @@ scalars cosh, sinhc of sqrt(d^2 - v^2).  That setup (spline, generators,
 eigenbases, basis changes) is built once per tau (_Factors) and shared by
 every propagation of a direct solve.  Factor coefficients are formed for a
 byte-capped block of factors at a time, so memory is O(L r^2 + m r^2): no
-array with a full cell axis and a lambda axis exists, and the peak for
-2000 lambdas at r = 2 is about 15 MB at any m.  A propagation carries only
-the columns it needs: the r frame columns for counting and Newton steps,
-all 2r for residues, and dW/dlambda of the frame when asked, from the
-closed forms of dc/dv and ds/dv (lambda enters a factor only through
-v = h lambda / 2), so derivatives are those of the discrete scheme.
+array with a full cell axis and a lambda axis exists, and the traced peak
+for 2000 lambdas at r = 2 is about 3 MB at any m (2.6 MB at m = 256,
+3.0 MB at m = 1024).  A propagation carries only the columns it needs:
+the r frame columns for counting and Newton steps, all 2r for residues,
+and dW/dlambda of the frame when asked, from the closed forms of dc/dv
+and ds/dv (lambda enters a factor only through v = h lambda / 2), so
+derivatives are those of the discrete scheme.
 
 Eigenvalues are counted, not scanned.  For Hermitian tau,
 J W' = (V - lambda) W with J = [[0, I], [-I, 0]] and V = [[0, tau], [tau, 0]]
@@ -121,10 +122,10 @@ _COUNT_BATCH = 1024
 
 # Byte cap of one block of factor coefficients in _propagate_many: each
 # (factors, r, L) array of a block, or (factors, L, r, r) for matrix
-# coefficients, stays within it, so a block's temporaries take a few MB
+# coefficients, stays within it, so a block's temporaries stay in cache
 # whatever m and L are, while small batches still get all 2m factors in
 # one vectorized evaluation.
-_COEF_BYTES = 1 << 20
+_COEF_BYTES = 1 << 17
 
 
 def _cosh_sinhc(m: np.ndarray, blocks: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -816,34 +817,47 @@ def norming_constants(tau: MatrixGrid, pairs, *, hermitize: bool = True,
     return out
 
 
+def checked_ranks(alphas: np.ndarray, kernel_dims, n_bins: int) -> np.ndarray:
+    """Numerical ranks of the norming constants of bins 0..n_bins
+    (alpha_0 first), after checking the cumulative rank identity
+    sum_{n <= N} sum_{lambda_j in bin n} rank alpha_j = N r at
+    N = n_bins; kernel_dims are the multiplicities the eigenvalue count
+    gave the same entries.  A violation raises ConsistencyError.
+    """
+    r = alphas.shape[-1]
+    ranks = matrix_rank_psd(alphas)
+    total_rank = int(ranks[1:].sum())
+    if total_rank != n_bins * r:
+        roots = sum(kernel_dims[1:])
+        raise ConsistencyError(
+            f"rank bookkeeping failed at truncation {n_bins}: the norming "
+            f"constants have total rank {total_rank} and the eigenvalue "
+            f"count finds {roots} roots with multiplicity, where the "
+            f"identity needs n_bins r = {n_bins * r}"
+        )
+    return ranks
+
+
 def spectral_data(tau: MatrixGrid, n_bins: int,
                   report: dict | None = None) -> SpectralData:
     """Full direct solve: eigenvalues plus norming constants up to bin n_bins.
 
     The truncation is lambda_max = pi (n_bins + 1/2), i.e. exactly the
-    first n_bins frequency bins.  The cumulative rank identity
-    sum_{n <= N} sum_{lambda_j in bin n} rank alpha_j = N r is verified at
-    N = n_bins: the eigenvalue count fixes how many roots there are and
-    their multiplicities, so a violation means the residue ranks disagree
-    with the count.  A report dict collects what rank_checks reads: the
-    counts at the bin edges, and the multiplicity of every entry, the rank
-    of its alpha and the singular values of phi there.
+    first n_bins frequency bins.  The cumulative rank identity is verified
+    at N = n_bins (checked_ranks): the eigenvalue count fixes how many
+    roots there are and their multiplicities, so a violation means the
+    residue ranks disagree with the count.  A report dict collects what
+    rank_checks reads: the counts at the bin edges, and the multiplicity
+    of every entry, the rank of its alpha and the singular values of phi
+    there.
     """
     fac = _factors(tau)
     pairs = find_eigenvalues(fac, np.pi * (n_bins + 0.5), report=report)
     alphas = np.stack(norming_constants(fac, pairs, report=report))
-    ranks = matrix_rank_psd(alphas)
+    ranks = checked_ranks(alphas, [basis.shape[1] for _, basis in pairs],
+                          n_bins)
     if report is not None:
         report["alpha_rank"] = ranks
-    total_rank = int(ranks[1:].sum())
-    if total_rank != n_bins * tau.r:
-        roots = sum(basis.shape[1] for _, basis in pairs[1:])
-        raise ConsistencyError(
-            f"rank bookkeeping failed at truncation {n_bins}: the norming "
-            f"constants have total rank {total_rank} and the eigenvalue "
-            f"count finds {roots} roots with multiplicity, where the "
-            f"identity needs n_bins r = {n_bins * tau.r}"
-        )
     lambdas = np.array([lam for lam, _ in pairs])
     outside = np.flatnonzero(bin_index(lambdas[1:]) > n_bins)
     if outside.size:
@@ -857,6 +871,19 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
         alphas=alphas,
         includes_zero=True,
     )
+
+
+def spectral_prefix(data: SpectralData, kernel_dims,
+                    n_bins: int) -> SpectralData:
+    """The entries of a direct solve's data in bins 0..n_bins: the data a
+    solve at n_bins would give, up to roundoff.  They must pass the rank
+    identity that spectral_data checks at its own truncation
+    (checked_ranks); kernel_dims are the solve's multiplicities per
+    entry, its report's "kernel_dim"."""
+    keep = 1 + int((bin_index(data.lambdas[1:]) <= n_bins).sum())
+    checked_ranks(data.alphas[:keep], kernel_dims[:keep], n_bins)
+    return SpectralData(r=data.r, lambdas=data.lambdas[:keep],
+                        alphas=data.alphas[:keep], includes_zero=True)
 
 
 def rank_checks(data: SpectralData, report: dict) -> dict:

@@ -229,6 +229,12 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots):
         return 1
     pivots.see(pivot, 0.0)
     e_inv = np.linalg.solve(E, eye)
+    # the Woodbury matrix's block pattern [[first, last], [last, first]],
+    # refilled row by row; its right block column [last; first] is the
+    # right-hand side
+    corner = np.empty((2 * r, 2 * r), dtype=Td.dtype)
+    rhs = corner[:, r:]
+    woodbury = np.empty_like(corner)
     for i in range(1, m1):
         # grow the predictor from i to i + 1 blocks; Delta = h delta is the
         # defect of [a; 0] in the new last block row
@@ -251,13 +257,15 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots):
         blocks = w0.reshape(i + 1, r, r)
         wi = blocks[::-1].reshape(-1, r)
         # Woodbury: A_i = G_i - (h/2) T_i [e_0 e_i][e_0 e_i]^T, rhs -T_i e_i
-        first, last = blocks[0], blocks[i]
-        woodbury = eye2 - (h / 2.0) * np.block([[first, last], [last, first]])
+        corner[:r, :r] = corner[r:, r:] = blocks[0]
+        corner[:r, r:] = corner[r:, :r] = blocks[i]
+        np.multiply(corner, h / 2.0, out=woodbury)
+        np.subtract(eye2, woodbury, out=woodbury)
         sig = np.linalg.svd(woodbury, compute_uv=False)
         wpivot = float(sig[-1] / sig[0])
         if not wpivot >= LEVINSON_FLOOR:
             return i
-        c = (h / 2.0) * np.linalg.solve(woodbury, np.vstack([last, first]))
+        c = (h / 2.0) * np.linalg.solve(woodbury, rhs)
         y = -(w0 @ c[:r]) - wi @ (eye + c[r:])
         pivots.see(min(pivot, wpivot), i * h)
         yield np.swapaxes(y.reshape(i + 1, r, r), -1, -2)

@@ -10,8 +10,9 @@ fourth-order scheme the package uses, with scipy's spline reading of the
 samples, and the norming-constant reference integrates the Weyl function
 built from it around residue contours.  The exceptions are
 roots_by_bisection, which shares the package's eigenvalue count but none of
-its root search, and completeness_via_heo, theta and accelerant_positivity,
-routes that only the tests use, built on the package's own kernels.
+its root search, and completeness_via_heo, theta, accelerant_positivity
+and roundtrip_per_row, routes that only the tests use, built on the
+package's own kernels.
 """
 
 from __future__ import annotations
@@ -344,3 +345,38 @@ def accelerant_positivity(H) -> float:
     i = np.arange(H.spec.m + 1)
     blocks = H.values[np.abs(i[:, None] - i[None, :])]
     return float(np.linalg.eigvalsh(_identity_plus_nystrom(blocks, H.spec))[0])
+
+
+def roundtrip_per_row(tau, n_bins: int, grid_m: int) -> dict:
+    """The roundtrip report's table and spectral re-match with one direct
+    solve per row: each (N, m) row resamples tau and solves it at its own
+    truncation N, where the CLI reads the N-bin rows off the 2N-bin
+    solve."""
+    from kreinsl.cli import _inverse_pipeline, _relative_errors
+    from kreinsl.core import GridSpec, resample_matrix_grid
+    from kreinsl.direct import spectral_data
+
+    table, base = [], None
+    for nb in (n_bins, 2 * n_bins):
+        for gm in (grid_m, 2 * grid_m):
+            tau_m = resample_matrix_grid(tau, GridSpec(gm))
+            data = spectral_data(tau_m, nb)
+            tau_hat, diag = _inverse_pipeline(data, nb, gm)
+            table.append({"n_bins": nb, "grid_m": gm,
+                          "tau_errors": _relative_errors(tau_hat, tau_m),
+                          "krein_residual": diag["krein_residual"]})
+            if base is None:
+                base = (data, tau_hat)
+    data, tau_hat = base
+    redata = spectral_data(tau_hat, n_bins)
+    k = min(len(data), len(redata))
+    return {
+        "table": table,
+        "spectral_match": {
+            "lambda_dev": float(np.max(np.abs(
+                data.lambdas[:k] - redata.lambdas[:k]))),
+            "alpha_dev": float(np.max(np.linalg.norm(
+                data.alphas[:k] - redata.alphas[:k], ord=2, axis=(-2, -1)))),
+            "entries_compared": k,
+        },
+    }

@@ -317,6 +317,112 @@ def test_roundtrip_synthetic_deterministic(tmp_path):
         read_json(out1 / "roundtrip_report.json"))
 
 
+def _oracle_report(tmp_path, r, seed, grid_m, n_bins):
+    # the roundtrip report with one direct solve per row
+    from kreinsl.cli import RunConfig, _write_json
+    from kreinsl.synthetic import fourier_tau
+    from oracles import roundtrip_per_row
+
+    tau = fourier_tau(r, 3, 0.3, seed, GridSpec(grid_m))
+    doc = roundtrip_per_row(tau, n_bins, grid_m)
+    doc["config"] = RunConfig(grid_m=grid_m, n_bins=n_bins, seed=seed).to_json()
+    path = tmp_path / "oracle.json"
+    _write_json(doc, path)
+    return path
+
+
+def test_roundtrip_prefix_matches_per_row_solves_r1(tmp_path):
+    # on this scalar input the N-bin prefix of the 2N-bin solve is the
+    # N-bin solve bit for bit, so the whole report is; in general the
+    # prefix's norming constants come from one propagation over a longer
+    # batch of roots and may move by roundoff (the r = 2 test)
+    assert main(["roundtrip", "--synthetic", "1:3:0.3", "--seed", "5",
+                 "--grid-m", "128", "--n-bins", "16",
+                 "--out", str(tmp_path)]) == 0
+    oracle = _oracle_report(tmp_path, 1, 5, 128, 16)
+    assert (tmp_path / "roundtrip_report.json").read_bytes() == oracle.read_bytes()
+
+
+def test_roundtrip_prefix_matches_per_row_solves_r2(tmp_path):
+    # at r = 2 the norming constants of the prefix come from a longer batch
+    # of roots, so they, and what is built on them, move by roundoff
+    assert main(["roundtrip", "--synthetic", "2:3:0.3", "--seed", "7",
+                 "--grid-m", "64", "--n-bins", "8",
+                 "--out", str(tmp_path)]) == 0
+    got = read_json(tmp_path / "roundtrip_report.json")
+    want = read_json(_oracle_report(tmp_path, 2, 7, 64, 8))
+    assert [(row["n_bins"], row["grid_m"]) for row in got["table"]] == \
+        [(row["n_bins"], row["grid_m"]) for row in want["table"]]
+    for row, ref in zip(got["table"], want["table"]):
+        assert row["tau_errors"].keys() == ref["tau_errors"].keys()
+        for key, value in ref["tau_errors"].items():
+            assert row["tau_errors"][key] == pytest.approx(value, rel=1e-9)
+    assert got["spectral_match"]["entries_compared"] == \
+        want["spectral_match"]["entries_compared"]
+
+
+def test_roundtrip_one_direct_solve_per_grid(tmp_path, monkeypatch):
+    # one 2N-bin solve per grid plus the re-match of the reconstruction
+    import kreinsl.direct as direct
+
+    calls = []
+    find = direct.find_eigenvalues
+
+    def counted(tau, lambda_max, **kwargs):
+        calls.append(round(lambda_max / np.pi - 0.5))
+        return find(tau, lambda_max, **kwargs)
+
+    monkeypatch.setattr(direct, "find_eigenvalues", counted)
+    assert main(["roundtrip", "--synthetic", "1:3:0.3", "--seed", "5",
+                 "--grid-m", "64", "--n-bins", "4",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [8, 8, 4]
+
+
+def test_roundtrip_prefix_rank_identity_exits_1(tmp_path, capsys):
+    # the 24-bin solve of this strong potential passes its own check, but
+    # its 12-bin prefix has total rank 11: the rows that read the prefix
+    # need the identity at 12, as a 12-bin solve does
+    assert main(["roundtrip", "--synthetic", "1:3:8.0", "--seed", "0",
+                 "--grid-m", "128", "--n-bins", "12",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "rank bookkeeping failed at truncation 12" in err
+    assert "total rank 11" in err
+    assert not (tmp_path / "roundtrip_report.json").exists()
+
+
+def test_roundtrip_interior_error(tmp_path):
+    # l2_interior is the relative trapezoid L2 error over the nodes
+    # x < 0.9, here recomputed for the base row from its own solve
+    from scipy.integrate import trapezoid
+
+    from kreinsl.accelerant import build_accelerant
+    from kreinsl.direct import spectral_data
+    from kreinsl.krein import solve_krein
+    from kreinsl.synthetic import fourier_tau
+
+    m, n_bins = 64, 8
+    assert main(["roundtrip", "--synthetic", "1:3:0.3", "--seed", "5",
+                 "--grid-m", str(m), "--n-bins", str(n_bins),
+                 "--out", str(tmp_path)]) == 0
+    row = read_json(tmp_path / "roundtrip_report.json")["table"][0]
+    assert (row["n_bins"], row["grid_m"]) == (n_bins, m)
+
+    spec = GridSpec(m)
+    tau = fourier_tau(1, 3, 0.3, 5, spec)
+    data = spectral_data(tau, n_bins)
+    tau_hat, _ = solve_krein(build_accelerant(data, spec, n_bins)).extract_tau(
+        hermitize=True)
+    x = spec.points()
+    inside = x < 0.9
+    diff = np.abs(tau_hat.values - tau.values)[inside, 0, 0]
+    ref = np.abs(tau.values)[inside, 0, 0]
+    want = np.sqrt(trapezoid(diff ** 2, x[inside]) / trapezoid(ref ** 2, x[inside]))
+    assert row["tau_errors"]["l2_interior"] == pytest.approx(want, rel=1e-12)
+    assert row["tau_errors"]["l2_interior"] < row["tau_errors"]["l2"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--synthetic", "0:3:0.3"],
     ["--synthetic", "1:3:nan"],

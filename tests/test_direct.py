@@ -169,6 +169,7 @@ def test_propagation_memory_bounded_in_m():
         finally:
             tracemalloc.stop()
     assert peaks[256] < 32 * 2 ** 20
+    assert peaks[256] < 4 * 2 ** 20
     assert peaks[1024] <= 1.5 * peaks[256]
 
 
