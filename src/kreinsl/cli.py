@@ -180,7 +180,7 @@ def _inverse_pipeline(data, n_bins: int, grid_m: int):
     spec = GridSpec(grid_m)
     H = build_accelerant(data, spec, n_bins)
     sol = solve_krein(H)
-    tau, defect = sol.extract_tau(hermitize=True)
+    tau, defect = sol.extract_tau()
     diagnostics = {
         "krein_residual": sol.residual,
         "residual_x": sol.residual_x,

@@ -343,39 +343,6 @@ def block_flatten(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * r, k * r)
 
 
-def sym_nystrom_square(kernel: SquareKernel) -> np.ndarray:
-    """Symmetrized Nystrom matrix W^(1/2) K W^(1/2) of a square kernel.
-
-    Eigenvalues of I + (this matrix) approximate the spectrum of the
-    identity plus the integral operator with kernel K on L2(0,1).
-    """
-    w = trapezoid_weights(kernel.spec)
-    s = np.sqrt(w)
-    scaled = kernel.values * s[:, None, None, None] * s[None, :, None, None]
-    return block_flatten(scaled)
-
-
-def sym_nystrom_triangular(kernel: TriangularKernel) -> np.ndarray:
-    """Similarity-symmetrized Nystrom matrix of a Volterra-type kernel.
-
-    The kernel extended by zero above the diagonal jumps across t = x, and
-    the diagonal samples sit exactly on that jump; they enter with half
-    weight, the canonical mean-value regularization of a jump kernel.  For
-    interior rows this coincides with the trapezoid endpoint weight of the
-    row integral over [0, x_i], and it keeps products of such matrices
-    consistent with the operator algebra to quadrature order at the two
-    corners as well.
-    """
-    n = kernel.spec.m + 1
-    w = trapezoid_weights(kernel.spec)
-    s = np.sqrt(w)
-    ratio = np.tril(np.ones((n, n)))
-    idx = np.arange(n)
-    ratio[idx, idx] = 0.5
-    scaled = kernel.values * (ratio * np.outer(s, s))[:, :, None, None]
-    return block_flatten(scaled)
-
-
 # ---------------------------------------------------------------------------
 # File I/O.  Complex numbers are stored as two-element [re, im] arrays; the
 # float repr round-trips, so save followed by load is bit exact.

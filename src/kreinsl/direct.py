@@ -40,12 +40,14 @@ is a Hermitian canonical system, so the frame columns (X, Y) of W are
 Lagrangian and U = (X + iY)(X - iY)^{-1} is unitary.  Its eigenphases start
 at 0 and turn clockwise as lambda grows, and lambda is an eigenvalue
 exactly when one of them sits on a multiple of 2 pi at x = 1.  Lifting
-arg det U factor by factor along x gives N(lambda), the number of
-eigenvalues in [0, lambda) with multiplicity (lambda_0 = 0 counts r times):
+arg det U along x gives N(lambda), the number of eigenvalues in
+[0, lambda) with multiplicity (lambda_0 = 0 counts r times):
 
     N = (sum_j (theta_j mod 2 pi) - lifted arg det U) / (2 pi)   at x = 1,
 
-theta_j the eigenphases of U(1).  find_eigenvalues counts on the bin edges
+theta_j the eigenphases of U(1).  The sweep lifts psi = arg det U +
+2 r lambda x, whose step per factor is bounded by tau alone (_lift_plan),
+and subtracts 2 r lambda at x = 1.  find_eigenvalues counts on the bin edges
 only, then runs one loop over the brackets whose count rises.  Each round
 is one propagation of W and dW/dlambda at new points; it gives their
 counts and, per eigenphase, a Newton prediction lambda - theta_j / theta_j'.
@@ -99,8 +101,8 @@ _A2 = 0.25 - np.sqrt(3.0) / 6.0
 RANK_TOL = 1e-7
 WEYL_PIVOT_TOL = 1e-10
 
-# Largest change of arg det U between two lifts; the lift reads it modulo
-# 2 pi, so anything below pi is exact (see _lift_plan).
+# Largest change of psi between two lifts; the lift reads it modulo 2 pi,
+# so anything below pi is exact (see _lift_plan).
 _LIFT_MAX = 2.5
 # A bracket narrower than this, relative to max(1, lambda), is not split
 # further: its count jump is then the multiplicity of one root.
@@ -114,10 +116,9 @@ _PREDICT_HALF = 0.25 * _SPLIT_FLOOR
 _NEWTON_TOL = 1e-10
 # Rounds of the root search before it gives up on a bracket.
 _ROUNDS = 100
-# Lambdas per propagation of a count.  A batch's accumulator and per-factor
-# buffers stay in cache, and each batch of an ascending grid gets its own
-# lift plan, so low batches lift less often.  The direct solve counts only
-# its n_bins + 1 edges, one batch for up to 1023 bins.
+# Lambdas per propagation of a count, so that a batch's accumulator and
+# per-factor buffers stay in cache and memory stays bounded.  The direct
+# solve counts only its n_bins + 1 edges, one batch for up to 1023 bins.
 _COUNT_BATCH = 1024
 
 # Byte cap of one block of factor coefficients in _propagate_many: each
@@ -304,19 +305,17 @@ def _factors(tau) -> _Factors:
     return _Factors(tau, hu, hu2, d, vecs, turns)
 
 
-def _lift_plan(fac: _Factors, lams: np.ndarray) -> tuple[int, int]:
+def _lift_plan(fac: _Factors) -> tuple[int, int]:
     """(sub-steps per factor, sub-steps per lift) that keep the change of
-    arg det U between two lifts within _LIFT_MAX.
+    psi = arg det U + 2 r v t between two lifts within _LIFT_MAX.
 
     In a factor's eigenbasis the frame's U obeys U' = -2iv U - D + U D U
-    (D = diag(d), unit time per factor), so (arg det U)' = -2 r v +
-    2 Im tr(D U) and one factor moves arg det U by at most
-    2 r |v| + 2 sum_i |d_i| = r h |lambda| + 2 sum_i |d_i|.  Below the
-    limit several factors share one lift; above it every factor is applied
-    as that many equal sub-steps, exp(G) = exp(G / n)^n, each lifted.
+    (D = diag(d), unit time t per factor), so psi' = 2 Im tr(D U) and one
+    factor moves psi by at most 2 sum_i |d_i|, whatever lambda is.  Below
+    the limit several factors share one lift; above it (strong tau, coarse
+    grid) every factor runs as that many sub-steps exp(G / n), each lifted.
     """
-    bound = (fac.tau.r * fac.tau.spec.h * float(np.max(np.abs(lams), initial=0.0))
-             + 2.0 * float(np.max(np.abs(fac.d).sum(axis=1))))
+    bound = 2.0 * float(np.max(np.abs(fac.d).sum(axis=1)))
     if bound > _LIFT_MAX:
         return math.ceil(bound / _LIFT_MAX), 1
     return 1, max(1, int(_LIFT_MAX / bound)) if bound > 0 else fac.hu.shape[0]
@@ -387,7 +386,7 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
             "lambda derivatives and eigenvalue counts need scalar or "
             "Hermitian tau")
     nf = fac.hu.shape[0]
-    sub, stride = _lift_plan(fac, lams) if lift else (1, 0)
+    sub, stride = _lift_plan(fac) if lift else (1, 0)
     dv = 0.5 * fac.tau.spec.h / sub
     v = dv * lams
     nder = r if deriv else 0
@@ -403,11 +402,11 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
         acc[i, i % r, i // r] = 1.0
     work = np.empty_like(acc)
     tmp = np.empty_like(acc)
-    arg = phase = None
+    arg = None
     if lift:
-        arg = np.zeros(L)
-        phase = np.ones(L, dtype=complex)
-        pending = 0
+        # psi = arg det U + 2 r v k after k sub-steps (_lift_plan)
+        arg, phase = np.zeros(L), np.ones(L, dtype=complex)
+        spin, taken = 2.0 * r * v, 0
     block = max(1, _COEF_BYTES // per_factor)
     for lo in range(0, nf, block):
         hi = min(lo + block, nf)
@@ -447,13 +446,13 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
                     np.add(work[ncol:], tmp[:r], out=work[ncol:])
                 acc, work = work, acc
                 if lift:
-                    pending += 1
-                    if pending == stride:
-                        now = _det_phase(acc[:r])
+                    taken += 1
+                    if taken % stride == 0 or taken == nf * sub:
+                        now = _det_phase(acc[:r]) * np.exp(1j * spin * taken)
                         arg += np.angle(now * np.conj(phase))
-                        phase, pending = now, 0
-    if lift and pending:
-        arg += np.angle(_det_phase(acc[:r]) * np.conj(phase))
+                        phase = now
+    if lift:
+        arg -= spin * taken  # back to arg det U; 2 r v k = 2 r lambda
     if fac.vecs is not None:
         acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
     out = acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder)
@@ -593,7 +592,9 @@ def _split_points(lo: float, hi: float, pred: np.ndarray,
     in.  With halve the midpoint joins whenever the other points leave a
     piece wider than half the bracket."""
     d = _PREDICT_HALF * max(1.0, hi)
-    p = np.unique(pred[(pred > lo - d) & (pred < hi + d)])
+    # np.unique, less the numpy.ma import (about 1.3 MB) of its first call
+    p = np.sort(pred[(pred > lo - d) & (pred < hi + d)])
+    p = p[np.diff(p, prepend=-np.inf) > 0]
     pts = p[:0]
     if p.size:
         apart = np.diff(p) > _SPLIT_FLOOR * max(1.0, hi)
@@ -603,8 +604,8 @@ def _split_points(lo: float, hi: float, pred: np.ndarray,
     if pts.size == 0 or (
             halve and np.diff(np.concatenate([[lo], pts, [hi]])).max()
             > 0.5 * (hi - lo)):
-        pts = np.append(pts, 0.5 * (lo + hi))
-    return np.unique(pts)
+        pts = np.sort(np.append(pts, 0.5 * (lo + hi)))
+    return pts[np.diff(pts, prepend=-np.inf) > 0]
 
 
 def _phase_step(theta, vec, uhdu, mult: np.ndarray) -> np.ndarray:
@@ -614,7 +615,7 @@ def _phase_step(theta, vec, uhdu, mult: np.ndarray) -> np.ndarray:
     are (see _phase_data)."""
     nearest = np.argsort(np.abs(theta), axis=-1)
     step = np.empty(theta.shape[0])
-    for k in np.unique(mult):
+    for k in sorted(set(mult.tolist())):
         rows = np.flatnonzero(mult == k)
         sel = nearest[rows, :k]
         g = np.take_along_axis(theta[rows], sel, axis=-1).sum(axis=-1)
@@ -685,9 +686,8 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float, *,
         lo, hi = lams[:-1], lams[1:]
         k = np.diff(counts)
         live = (k > 0) & ~done[:-1]
-        split = np.flatnonzero(live & (k > 1) & (
-            hi - lo > _SPLIT_FLOOR * np.maximum(1.0, hi)))
-        near = np.setdiff1d(np.flatnonzero(live), split)
+        wide = live & (k > 1) & (hi - lo > _SPLIT_FLOOR * np.maximum(1.0, hi))
+        split, near = np.flatnonzero(wide), np.flatnonzero(live & ~wide)
         if np.any(k[near] > r):
             b = near[np.argmax(k[near] > r)]
             raise ConsistencyError(

@@ -78,6 +78,7 @@ class KreinSolution:
     H(x) + int_0^x R(x, s) H(s) ds by construction of the row systems.
     `dense_from_x` is x_i of the first row solved by dense LU after the
     recursion degraded, or None when the recursion solved every row.
+    `hermitian` is H's flag; extract_tau Hermitizes tau when it is set.
     """
 
     column: MatrixGrid
@@ -86,16 +87,17 @@ class KreinSolution:
     min_pivot: float
     min_pivot_x: float
     dense_from_x: float | None
+    hermitian: bool
 
-    def extract_tau(self, hermitize: bool) -> tuple[MatrixGrid, float]:
-        """Potential tau(x_i) = -R(x_i, 0); optionally Hermitized.
+    def extract_tau(self) -> tuple[MatrixGrid, float]:
+        """Potential tau(x_i) = -R(x_i, 0), Hermitized for a Hermitian H.
 
         Returns the grid and the pre-symmetrization Hermiticity defect
-        (NaN when no symmetrization was requested).
+        (NaN for a non-Hermitian H).
         """
         r, spec = self.column.r, self.column.spec
         raw = -self.column.values
-        if not hermitize:
+        if not self.hermitian:
             return MatrixGrid(r, spec, raw), float("nan")
         sym = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
         defect = float(np.max(np.linalg.norm(raw - sym, ord=2, axis=(-2, -1))))
@@ -163,7 +165,7 @@ def solve_krein(H: MatrixGrid) -> KreinSolution:
             residual, residual_x = defect, i * h
     return KreinSolution(MatrixGrid(r, spec, column), residual, residual_x,
                          pivots.min_pivot, pivots.min_pivot_x,
-                         pivots.dense_from_x)
+                         pivots.dense_from_x, H.hermitian)
 
 
 def krein_kernel(H: MatrixGrid) -> TriangularKernel:

@@ -206,9 +206,9 @@ def _identity_plus_nystrom(blocks: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Hermitian part of I + W^(1/2) K W^(1/2) from kernel samples K(x_i, x_j).
 
     `blocks` is the (m+1, m+1, r, r) sample array and is overwritten.  The
-    arithmetic is that of `sym_nystrom_square` followed by the identity
-    shift and the Hermitian average, done in place so that no array larger
-    than the output matrix is made beside it.
+    arithmetic is that of the tests' `oracles.sym_nystrom_square` followed
+    by the identity shift and the Hermitian average, done in place so that
+    no array larger than the output matrix is made beside it.
     """
     s = np.sqrt(trapezoid_weights(spec))
     blocks *= s[:, None, None, None]

@@ -10,7 +10,8 @@ fourth-order scheme the package uses, with scipy's spline reading of the
 samples, and the norming-constant reference integrates the Weyl function
 built from it around residue contours.  The exceptions are
 roots_by_bisection, which shares the package's eigenvalue count but none of
-its root search, and completeness_via_heo, theta, accelerant_positivity
+its root search, and the Nystrom matrices sym_nystrom_square and
+sym_nystrom_triangular, completeness_via_heo, theta, accelerant_positivity
 and roundtrip_per_row, routes that only the tests use, built on the
 package's own kernels.
 """
@@ -245,6 +246,41 @@ def cf4_fundamental_matrix(tau_values: np.ndarray, lams) -> np.ndarray:
     return w
 
 
+def sym_nystrom_square(kernel) -> np.ndarray:
+    """Symmetrized Nystrom matrix W^(1/2) K W^(1/2) of a SquareKernel.
+
+    Eigenvalues of I + (this matrix) approximate the spectrum of the
+    identity plus the integral operator with kernel K on L2(0,1).
+    """
+    from kreinsl.core import block_flatten, trapezoid_weights
+
+    s = np.sqrt(trapezoid_weights(kernel.spec))
+    scaled = kernel.values * s[:, None, None, None] * s[None, :, None, None]
+    return block_flatten(scaled)
+
+
+def sym_nystrom_triangular(kernel) -> np.ndarray:
+    """Similarity-symmetrized Nystrom matrix of a Volterra-type kernel.
+
+    The kernel extended by zero above the diagonal jumps across t = x, and
+    the diagonal samples sit exactly on that jump; they enter with half
+    weight, the canonical mean-value regularization of a jump kernel.  For
+    interior rows this coincides with the trapezoid endpoint weight of the
+    row integral over [0, x_i], and it keeps products of such matrices
+    consistent with the operator algebra to quadrature order at the two
+    corners as well.
+    """
+    from kreinsl.core import block_flatten, trapezoid_weights
+
+    n = kernel.spec.m + 1
+    s = np.sqrt(trapezoid_weights(kernel.spec))
+    ratio = np.tril(np.ones((n, n)))
+    idx = np.arange(n)
+    ratio[idx, idx] = 0.5
+    scaled = kernel.values * (ratio * np.outer(s, s))[:, :, None, None]
+    return block_flatten(scaled)
+
+
 def completeness_via_heo(data, spec, n_bins: int):
     """I + even/odd Nystrom matrices through the doubled-grid kernel squares.
 
@@ -254,7 +290,7 @@ def completeness_via_heo(data, spec, n_bins: int):
     `completeness_matrices` replaced by direct indexing.
     """
     from kreinsl.accelerant import build_accelerant, build_heo, prepend_unit_mass
-    from kreinsl.core import GridSpec, SquareKernel, sym_nystrom_square
+    from kreinsl.core import GridSpec, SquareKernel
 
     work = data if data.includes_zero else prepend_unit_mass(data)
     he2, ho2 = build_heo(build_accelerant(work, GridSpec(2 * spec.m), n_bins))
@@ -331,7 +367,7 @@ def theta(H):
     Krein solve; symmetrized when H is Hermitian."""
     from kreinsl.krein import solve_krein
 
-    tau, _ = solve_krein(H).extract_tau(hermitize=H.hermitian)
+    tau, _ = solve_krein(H).extract_tau()
     return tau
 
 

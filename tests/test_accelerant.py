@@ -13,9 +13,10 @@ from kreinsl.core import (
     GridSpec,
     MatrixGrid,
     SpectralData,
-    sym_nystrom_square,
     trapezoid_weights,
 )
+
+from oracles import sym_nystrom_square
 
 
 def nu0_truncation(r, n):

@@ -14,8 +14,6 @@ from kreinsl.core import (
     MatrixGrid,
     SpectralData,
     SquareKernel,
-    sym_nystrom_square,
-    sym_nystrom_triangular,
     trapezoid_weights,
 )
 from kreinsl.accelerant import build_accelerant, build_heo
@@ -29,6 +27,8 @@ from oracles import (
     constant_accelerant_r,
     constant_tau_lambdas,
     fd_eigen_r1_refined,
+    sym_nystrom_square,
+    sym_nystrom_triangular,
 )
 
 
@@ -78,7 +78,7 @@ def test_criterion_1_zero_round_trip():
             for a in data.alphas[1:]:
                 assert np.linalg.norm(a - eye, 2) <= 1e-6
             h = build_accelerant(data, tau.spec, 16)
-            tau_hat, _ = solve_krein(h).extract_tau(hermitize=True)
+            tau_hat, _ = solve_krein(h).extract_tau()
             assert np.linalg.norm(tau_hat.values, ord=2, axis=(-2, -1)).max() <= 1e-6
 
 
@@ -113,7 +113,7 @@ def test_criterion_3_constant_accelerant():
             errs_r[m] = max(
                 np.abs(R.values[i, : i + 1, 0, 0] - rho[i]).max()
                 for i in range(m + 1))
-            tau_hat, _ = sol.extract_tau(hermitize=True)
+            tau_hat, _ = sol.extract_tau()
             errs_tau[m] = np.abs(tau_hat.values[:, 0, 0] + rho).max()
         assert errs_r[512] <= 1e-6
         assert errs_tau[512] <= 1e-6
@@ -132,12 +132,12 @@ def test_criterion_3_constant_accelerant():
                 hk = MatrixGrid(1, spec,
                                 (0.8 * np.cos(2.5 * x))[:, None, None],
                                 hermitian=True)
-                t_c, _ = solve_krein(hk).extract_tau(True)
+                t_c, _ = solve_krein(hk).extract_tau()
                 fine = GridSpec(2 * m)
                 hf = MatrixGrid(1, fine,
                                 (0.8 * np.cos(2.5 * fine.points()))[:, None, None],
                                 hermitian=True)
-                t_f, _ = solve_krein(hf).extract_tau(True)
+                t_f, _ = solve_krein(hf).extract_tau()
                 errs[m] = np.abs(t_c.values[:, 0, 0]
                                  - t_f.values[::2, 0, 0]).max()
             orders = [np.log2(errs[128] / errs[256]),
@@ -244,7 +244,7 @@ def test_criterion_7_full_round_trip():
             tau_m = resample_matrix_grid(tau512, spec)
             data = spectral_data(tau_m, nb)
             h = build_accelerant(data, spec, nb)
-            tau_hat, _ = solve_krein(h).extract_tau(hermitize=True)
+            tau_hat, _ = solve_krein(h).extract_tau()
             results[(nb, m)] = (tau_m, data, tau_hat, _rel_l2(tau_hat, tau_m))
 
         err_base = results[(64, 256)][3]
@@ -254,7 +254,7 @@ def test_criterion_7_full_round_trip():
 
         data = results[(64, 256)][1]
         tau_n, _ = solve_krein(
-            build_accelerant(data, GridSpec(512), 64)).extract_tau(hermitize=True)
+            build_accelerant(data, GridSpec(512), 64)).extract_tau()
         redata = spectral_data(tau_n, 64)
         alpha_dev = np.max(np.linalg.norm(
             data.alphas - redata.alphas, ord=2, axis=(-2, -1)))
@@ -304,7 +304,7 @@ def test_criterion_9_star_equivariance():
                           for k in range(3))
         vals += 0.05 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
         h = MatrixGrid(r, spec, vals)
-        t1, _ = solve_krein(h).extract_tau(hermitize=False)
-        t2, _ = solve_krein(h.conj_transpose()).extract_tau(hermitize=False)
+        t1, _ = solve_krein(h).extract_tau()
+        t2, _ = solve_krein(h.conj_transpose()).extract_tau()
         dev = np.abs(t2.values - np.conj(np.swapaxes(t1.values, -1, -2))).max()
         assert dev <= 1e-8

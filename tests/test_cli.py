@@ -412,8 +412,7 @@ def test_roundtrip_interior_error(tmp_path):
     spec = GridSpec(m)
     tau = fourier_tau(1, 3, 0.3, 5, spec)
     data = spectral_data(tau, n_bins)
-    tau_hat, _ = solve_krein(build_accelerant(data, spec, n_bins)).extract_tau(
-        hermitize=True)
+    tau_hat, _ = solve_krein(build_accelerant(data, spec, n_bins)).extract_tau()
     x = spec.points()
     inside = x < 0.9
     diff = np.abs(tau_hat.values - tau.values)[inside, 0, 0]

@@ -317,6 +317,35 @@ class TestRootSearch:
         assert sum(report["kernel_dim"][1:]) == n_bins * tau.r
 
 
+def test_direct_solve_leaves_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma, about 1.3 MB of resident
+    # memory in every process that runs a direct solve; the root search
+    # (bracket splits, cluster Newton steps) does without it.  Checked in
+    # a fresh interpreter, since other tests import it.
+    import os
+    import subprocess
+    import sys
+
+    import kreinsl
+
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from kreinsl.core import GridSpec, MatrixGrid\n"
+        "from kreinsl.direct import spectral_data\n"
+        "from kreinsl.synthetic import fourier_tau\n"
+        "spectral_data(fourier_tau(2, 3, 0.3, 91, GridSpec(64)), 8)\n"
+        "vals = np.tile(0.7 * np.eye(2), (65, 1, 1))\n"
+        "spectral_data(MatrixGrid(2, GridSpec(64), vals, hermitian=True), 8)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(kreinsl.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert done.stdout.strip() == "False"
+
+
 def _bin_traces(data, n_bins):
     out = np.zeros(n_bins + 1)
     for lam, alpha in zip(data.lambdas[1:], data.alphas[1:]):
@@ -365,14 +394,14 @@ class TestCount:
         roots = np.concatenate([np.sqrt(np.pi ** 2 * n ** 2 + ck ** 2) for ck in c])
         return len(c) + (roots[None, :] < lams[:, None]).sum(axis=1)
 
-    @pytest.mark.parametrize("m, lam_max, sub", [
-        # per cell 2 r h lam_max = 4.0 > pi: one lift per factor is needed
-        (64, 20.5 * np.pi, 1),
-        # one factor alone moves arg det U by about 8: four sub-steps each
-        (16, 20.5 * np.pi, 4),
-    ])
-    def test_constant_diag_closed_form(self, m, lam_max, sub):
-        c = (0.7, -1.3)
+    @pytest.mark.parametrize("c, m, lam_max, plan", [
+        # per cell 2 r h lam_max = 4.0 > pi, yet the rotation is taken out:
+        # one lift per 80 factors
+        ((0.7, -1.3), 64, 20.5 * np.pi, (1, 80)),
+        # 2 (|d_1| + |d_2|) = 55 / 16 > 2.5: tau alone forces two sub-steps
+        ((25.0, -30.0), 16, 20.5 * np.pi, (2, 1)),
+    ], ids=["diag(.7,-1.3)-m64", "diag(25,-30)-m16"])
+    def test_constant_diag_closed_form(self, c, m, lam_max, plan):
         tau = diag_tau(c, m)
         roots = np.concatenate([
             np.sqrt(np.pi ** 2 * np.arange(1, 30) ** 2 + ck ** 2) for ck in c])
@@ -382,9 +411,30 @@ class TestCount:
                                        roots - 1e-9, roots + 1e-9]))
         lams = lams[lams <= lam_max]
         want = self._closed_form(c, lams)
-        assert _lift_plan(_factors(tau), lams)[0] == sub
+        assert _lift_plan(_factors(tau)) == plan
         assert 2 * 2 * tau.spec.h * lam_max > np.pi
         np.testing.assert_array_equal(count_eigenvalues(tau, lams), want)
+
+    def test_lift_schedule_is_free_of_lambda(self, monkeypatch):
+        # a lifted sweep makes as many determinant evaluations at lambda =
+        # 400 as at lambda = 1: only tau sets the lift schedule
+        import kreinsl.direct as direct
+
+        fac = _factors(smooth_tau(2, 256))
+        det_phase = direct._det_phase
+        calls = []
+
+        def counted(frame):
+            calls.append(1)
+            return det_phase(frame)
+
+        monkeypatch.setattr(direct, "_det_phase", counted)
+        per_lam = []
+        for lam in (1.0, 400.0):
+            calls.clear()
+            direct._sweep(fac, [lam], 2, lift=True)
+            per_lam.append(len(calls))
+        assert per_lam[0] == per_lam[1]
 
     def test_counts_bins_of_a_seeded_potential(self):
         # every bin of the direct-r2 benchmark input at seed 91 holds two

@@ -11,8 +11,6 @@ from kreinsl.core import (
     NotAnAccelerantError,
     SpectralData,
     TriangularKernel,
-    sym_nystrom_square,
-    sym_nystrom_triangular,
 )
 from kreinsl.krein import (
     krein_kernel,
@@ -28,6 +26,8 @@ from oracles import (
     constant_tau_lambdas,
     krein_dense_rows,
     krein_residual_one_gemm,
+    sym_nystrom_square,
+    sym_nystrom_triangular,
     theta,
 )
 
@@ -173,8 +173,7 @@ class TestStreaming:
         H = make()
         sol = solve_krein(H)
         R = krein_kernel(H)
-        tau, _ = sol.extract_tau(hermitize=False)
-        assert tau.values.tobytes() == (-R.values[:, 0]).tobytes()
+        assert (-sol.column.values).tobytes() == (-R.values[:, 0]).tobytes()
         assert abs(sol.residual - krein_residual_one_gemm(H.values, R.values)) <= 1e-15
         assert sol.min_pivot == pytest.approx(min_pivot, rel=1e-12)
         if dense_from_x is None:
@@ -258,8 +257,8 @@ class TestResidual:
                 1, GridSpec(2 * m),
                 (0.5 + 0.3 * np.cos(2 * GridSpec(2 * m).points()))[:, None, None],
                 hermitian=True))
-            tau_c, _ = sol.extract_tau(True)
-            tau_f, _ = fine.extract_tau(True)
+            tau_c, _ = sol.extract_tau()
+            tau_f, _ = fine.extract_tau()
             errs.append(np.abs(tau_c.values[:, 0, 0]
                                - tau_f.values[::2, 0, 0]).max())
         rate1 = np.log2(errs[0] / errs[1])
@@ -281,7 +280,7 @@ class TestTheta:
     def test_hermitian_defect_small(self):
         H = smooth_kernel(96, hermitian=True)
         sol = solve_krein(H)
-        _, defect = sol.extract_tau(hermitize=True)
+        _, defect = sol.extract_tau()
         assert defect <= 1e-8
 
     def test_alternative_form_agrees(self):
@@ -303,8 +302,8 @@ class TestTheta:
 
     def test_star_equivariance(self):
         H = smooth_kernel(96, hermitian=False)
-        t1, _ = solve_krein(H).extract_tau(hermitize=False)
-        t2, _ = solve_krein(H.conj_transpose()).extract_tau(hermitize=False)
+        t1, _ = solve_krein(H).extract_tau()
+        t2, _ = solve_krein(H.conj_transpose()).extract_tau()
         diff = np.abs(t2.values - np.conj(np.swapaxes(t1.values, -1, -2))).max()
         assert diff < 1e-8
 
@@ -337,7 +336,7 @@ class TestTransformationKernels:
         m = 256
         H = const_kernel(0.8, m)
         sol = solve_krein(H)
-        tau, _ = sol.extract_tau(hermitize=True)
+        tau, _ = sol.extract_tau()
         kd, _ = transformation_kernels(krein_kernel(H))
         spec = GridSpec(m)
         w = trapezoid_weights(spec)
@@ -358,7 +357,7 @@ class TestConvergenceAndFactorization:
             x = spec.points()
             H = MatrixGrid(1, spec, (0.7 * np.cos(3 * x) + 0.2)[:, None, None],
                            hermitian=True)
-            taus[m], _ = solve_krein(H).extract_tau(True)
+            taus[m], _ = solve_krein(H).extract_tau()
         e1 = np.abs(taus[64].values[:, 0, 0] - taus[128].values[::2, 0, 0]).max()
         e2 = np.abs(taus[128].values[:, 0, 0] - taus[256].values[::2, 0, 0]).max()
         assert 2.5 < e1 / e2 < 6.0

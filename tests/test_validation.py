@@ -415,7 +415,8 @@ class TestPositivityRoutes:
 
 
 def _conv_matrix(h):
-    from kreinsl.core import SquareKernel, sym_nystrom_square
+    from kreinsl.core import SquareKernel
+    from oracles import sym_nystrom_square
 
     spec = h.spec
     idx = np.abs(np.arange(spec.m + 1)[:, None] - np.arange(spec.m + 1)[None, :])
@@ -426,7 +427,7 @@ def _conv_matrix(h):
 
 def _heo_matrices(h):
     from kreinsl.accelerant import build_heo
-    from kreinsl.core import sym_nystrom_square
+    from oracles import sym_nystrom_square
 
     he, ho = build_heo(h)
     n = (h.spec.m + 1) * h.r
