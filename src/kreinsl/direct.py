@@ -17,21 +17,24 @@ exactly; for constant tau the scheme is exact up to roundoff, which
 classical Runge-Kutta phase error cannot deliver at the eigenvalue
 tolerances this module has to meet.
 
-A batch of L lambdas is propagated by one loop over the 2m factors that
-updates a single (columns, r, 2, L) accumulator.  For scalar and Hermitian
-tau each factor acts in the eigenbasis of its lambda-independent generator
-hu = V diag(d) V^H, where it is one fixed basis change (a GEMM on the
-accumulator) and r independent 2 x 2 blocks per lambda built from the
-scalars cosh, sinhc of sqrt(d^2 - v^2).  That setup (spline, generators,
-eigenbases, basis changes) is built once per tau (_Factors) and shared by
-every propagation of a direct solve.  Factor coefficients are formed for a
-byte-capped block of factors at a time, so memory is O(L r^2 + m r^2): no
-array with a full cell axis and a lambda axis exists, and the traced peak
-for 2000 lambdas at r = 2 is about 3 MB at any m (2.6 MB at m = 256,
-3.0 MB at m = 1024).  A propagation carries only the columns it needs:
-the r frame columns for counting and Newton steps, all 2r for residues,
-and dW/dlambda of the frame when asked, from the closed forms of dc/dv
-and ds/dv (lambda enters a factor only through v = h lambda / 2), so
+A batch of L lambdas is propagated along the 2m factors by one of two
+paths behind one entry point (_sweep).  Hermitian tau with r > 1 takes a
+loop over the factors in the eigenbasis of each factor's lambda-free
+generator hu = V diag(d) V^H: one basis change (a GEMM) and r independent
+2 x 2 blocks per lambda, from the scalars cosh, sinhc of sqrt(d^2 - v^2).
+Scalar and non-Hermitian tau, whose factors are dense 2r x 2r matrices per
+lambda, take the product chain (chain.py), one Python step per run of
+factors between two lifts instead of one per factor: 2-9x faster per sweep
+of up to 33 lambdas at r = 1, while at r = 2 dense products cost 16-28x
+the loop.  The setup (spline, generators, eigenbases, basis changes) is
+built once per tau (_Factors) and shared by every propagation of a direct
+solve.  Coefficients are formed for a byte-capped block of factors at a
+time, so memory is O(L r^2 + m r^2): no array with a full cell axis and a
+lambda axis exists, and 2000 lambdas peak at 2.3-2.7 MB traced at r = 2
+and 0.6 MB at r = 1, at any m.  A propagation carries only the columns it
+needs: the r frame columns for counting and Newton steps, all 2r for
+residues, and dW/dlambda of the frame when asked, from the closed forms of
+dc/dv and ds/dv (lambda enters a factor only through v = h lambda / 2), so
 derivatives are those of the discrete scheme.
 
 Eigenvalues are counted, not scanned.  For Hermitian tau,
@@ -74,7 +77,6 @@ eigenvalues to second order.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -116,53 +118,48 @@ _PREDICT_HALF = 0.25 * _SPLIT_FLOOR
 _NEWTON_TOL = 1e-10
 # Rounds of the root search before it gives up on a bracket.
 _ROUNDS = 100
-# Lambdas per propagation of a count, so that a batch's accumulator and
-# per-factor buffers stay in cache and memory stays bounded.  The direct
-# solve counts only its n_bins + 1 edges, one batch for up to 1023 bins.
-_COUNT_BATCH = 1024
-
-# Byte cap of one block of factor coefficients in _propagate_many: each
-# (factors, r, L) array of a block, or (factors, L, r, r) for matrix
-# coefficients, stays within it, so a block's temporaries stay in cache
-# whatever m and L are, while small batches still get all 2m factors in
-# one vectorized evaluation.
-_COEF_BYTES = 1 << 17
+# Byte cap of one (factors, r, L) array of _eigen_sweep's block of factor
+# coefficients, so a block's temporaries stay in cache and memory stays
+# bounded whatever m and L are.  At 64 KB direct-r2's process peaks
+# 0.4 MB lower than at 128 KB, at no measurable cost in time.
+_COEF_BYTES = 1 << 16
 
 
 def _cosh_sinhc(m: np.ndarray, blocks: bool) -> tuple[np.ndarray, np.ndarray]:
     """cosh(sqrt(M)) and sinh(sqrt(M))/sqrt(M), of (..., r, r) blocks or,
     without blocks, elementwise.
 
-    Taylor series after scaling M by 4^-s, then s double-angle steps
-    C <- 2C^2 - I, S <- S C.  Both series are entire in M, so no square
-    roots or eigendecompositions are needed and the sign of M is free.
-    The series stops once the scaled norm bounds its remainder by 1e-18.
+    Taylor series after scaling each element (each block) by its own 4^-s
+    to norm at most 1/4, then s double-angle steps C <- 2C^2 - I, S <- S C.
+    Both series are entire in M, so no square roots or eigendecompositions
+    are needed and the sign of M is free.  Eight terms bound the remainder
+    by 1e-18 at that norm; as s and the length are per element, every
+    value is the same bytes whatever else shares its array.
     """
     if blocks:
         mul = np.matmul
         one = np.eye(m.shape[-1])
-        nrm = float(np.max(np.abs(m).sum(axis=-1))) if m.size else 0.0
+        nrm = np.abs(m).sum(axis=-1).max(axis=-1)
     else:
         mul = np.multiply
         one = 1.0
-        nrm = float(np.max(np.abs(m))) if m.size else 0.0
-    s_steps = 0
-    while nrm > 1.0:
-        nrm /= 4.0
-        s_steps += 1
-    z = m / (4.0 ** s_steps)
-    kmax = 1
-    while nrm ** (kmax + 1) / math.factorial(2 * kmax + 2) > 1e-18:
-        kmax += 1
-
-    c = one / math.factorial(2 * kmax)
-    s = one / math.factorial(2 * kmax + 1)
-    for k in range(kmax - 1, -1, -1):
+        nrm = np.abs(m)
+    z, steps = m, 0
+    if np.max(nrm, initial=0.0) >= 0.25:
+        # the least s with 4^(s+1) >= 2^e > nrm, from nrm's exponent e
+        steps = np.maximum((np.frexp(nrm)[1] + 3) // 2, 0)
+        if blocks:
+            steps = steps[..., None, None]
+        z = m * np.ldexp(1.0, -2 * steps)
+    c = one / math.factorial(14)
+    s = one / math.factorial(15)
+    for k in range(6, -1, -1):
         c = one / math.factorial(2 * k) + mul(z, c)
         s = one / math.factorial(2 * k + 1) + mul(z, s)
-    for _ in range(s_steps):
-        s = mul(s, c)
-        c = 2.0 * mul(c, c) - one
+    for j in range(int(np.max(steps, initial=0))):
+        more = steps > j
+        s, c = (np.where(more, mul(s, c), s),
+                np.where(more, 2.0 * mul(c, c) - one, c))
     return c, s
 
 
@@ -323,21 +320,40 @@ def _lift_plan(fac: _Factors) -> tuple[int, int]:
 
 def _det(a: np.ndarray) -> np.ndarray:
     """Determinants of the (r, r) leading blocks of an (r, r, L) array."""
-    r = a.shape[0]
-    if r == 1:
-        return a[0, 0]
-    if r == 2:
+    if a.shape[0] == 2:
         return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     return np.linalg.det(np.moveaxis(a, -1, 0))
 
 
 def _det_phase(frame: np.ndarray) -> np.ndarray:
-    """det(X + iY) conj(det(X - iY)) of a (r, r, 2, L) frame accumulator:
-    its argument is arg det U.  A basis change acts on X and Y alike, so
-    the eigenbasis form gives the same value."""
-    x = frame[:, :, 0]
-    y = frame[:, :, 1]
+    """det(X + iY) conj(det(X - iY)) of a (2, r, r, L) frame (X, Y): its
+    argument is arg det U.  A basis change acts on X and Y alike, and
+    transposing both leaves it too, so any layout gives the same value."""
+    x, y = frame
     return _det(x + 1j * y) * np.conj(_det(x - 1j * y))
+
+
+def _lifted(arg, phase, frame, turn):
+    """Add the change of psi = arg det U + turn since phase to arg, in
+    place, at frame (_det_phase); returns the new phase."""
+    now = _det_phase(frame) * np.exp(1j * turn)
+    arg += np.angle(now * np.conj(phase))
+    return now
+
+
+def _scalar_coefficients(d, v, dv: float, deriv):
+    """[(c, s d, s v)] for the 2 x 2 blocks exp([[-d, v], [-v, d]]) =
+    [[c - s d, s v], [-s v, c + s d]], c and s the cosh and sinhc of
+    sqrt(d^2 - v^2), broadcast over d and v; with deriv, the same three
+    differentiated in lambda follow as a second triple."""
+    z = d * d - v * v
+    c, s = _cosh_sinhc(z, False)
+    out = [(c, s * d, s * v)]
+    if deriv:
+        # dc/dv = -v s and ds/dv = -2 v ds/dz, with dv/dlam = dv
+        s_v = -2.0 * v * _sinhc_slope(z, c, s)
+        out.append((-dv * v * s, dv * s_v * d, dv * (s + v * s_v)))
+    return out
 
 
 def _half_pairs(c, su, sv):
@@ -354,24 +370,20 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
     dW/dlam of the r frame columns, else None; with lift, arg (L,) is
     arg det U at x = 1, lifted continuously from 0 at x = 0, else None.
 
-    One loop over the 2m CF4 factors, in the order they act, updates an
-    accumulator laid out as (column, row i of the top and bottom halves,
-    half, lambda last), the derivative columns after the value columns.  A
-    factor maps the pair of rows (top_i, bot_i) to
-    P (top_i, bot_i) + Q (bot_i, top_i) with per-lambda coefficients
-    P = (c - s hu, c + s hu), Q = (s v, -s v); the derivative columns get
-    the same map plus P_lam, Q_lam applied to the frame's values.
+    Hermitian tau with r > 1 takes the eigenbasis loop (_eigen_sweep);
+    scalar and non-Hermitian tau take the product chain (chain.py).  At
+    r = 1 the chain is 2-9x faster than the loop was per sweep of up to 33
+    lambdas (most for few), 2x slower at 1000, while dense 4 x 4 products
+    take 16-28x the loop's time
+    on direct-r2's input (r = 2, m = 256, 33-93 lambdas): the loop applies
+    r independent 2 x 2 blocks and one basis change per factor.  Only
+    scalar and Hermitian tau offer dW/dlambda and the lift.
 
-    For scalar and Hermitian tau the accumulator is kept in the eigenbasis
-    of the current generator, hu = V diag(d) V^H.  Entering a factor is
-    then the fixed basis change V_k^H V_{k-1} (one GEMM, V_{-1} = I), and
-    c, s are the scalars cosh, sinhc of sqrt(d^2 - v^2): r independent
-    2 x 2 blocks.  Non-Hermitian generators with r > 1 have no unitary
-    eigenbasis; their c, s are r x r matrices, and only plain propagation
-    is offered there.
-    Coefficients are evaluated for a block of factors at once, capped at
-    _COEF_BYTES per array, so memory is O(L r^2 + m r^2) and no array has
-    both a cell and a lambda axis beyond one block.
+    Coefficients are scaled per lambda (_cosh_sinhc), the lift schedule
+    depends on tau alone (_lift_plan) and product runs end at fixed factor
+    indices, so at r = 1 a lambda's w, dw and arg are the same bytes in
+    any batch; at r > 1 the loop's basis-change GEMMs round a lambda's
+    columns differently with the batch around it.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if not np.any(lams.imag):
@@ -379,84 +391,73 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
         # cost half as much to form
         lams = lams.real
     r = fac.tau.r
-    L = lams.size
-    eigen = fac.d is not None
-    if (deriv or lift) and not eigen:
+    if (deriv or lift) and fac.d is None:
         raise ValidationError(
             "lambda derivatives and eigenvalue counts need scalar or "
             "Hermitian tau")
-    nf = fac.hu.shape[0]
     sub, stride = _lift_plan(fac) if lift else (1, 0)
     dv = 0.5 * fac.tau.spec.h / sub
     v = dv * lams
-    nder = r if deriv else 0
-    if eigen:
-        apply = np.multiply
-        per_factor = r * max(L, 1) * 16
+    if fac.vecs is None:
+        # imported here, so that runs at Hermitian r > 1 do not compile it
+        from .chain import chain_sweep as propagator
     else:
-        apply = partial(np.einsum, "ijhl,cjhl->cihl")
-        per_factor = r * r * max(L, 1) * 16
+        propagator = _eigen_sweep
+    out, arg = propagator(fac, v, dv, ncol, r if deriv else 0, sub, stride)
+    if lift:
+        arg -= 2.0 * r * v * (fac.hu.shape[0] * sub)  # 2 r v k = 2 r lambda
+    return out[..., :ncol], (out[..., ncol:] if deriv else None), arg
 
+
+def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
+    """_sweep's loop for Hermitian r > 1: (out, arg), out (L, 2r,
+    ncol + nder) with the derivative columns last; stride is the sub-steps
+    per lift, 0 for none.  The accumulator is laid out as (column, row i of
+    the top and bottom halves, half, lambda) in the current eigenbasis;
+    entering a factor is the GEMM V_k^H V_{k-1}, then each pair of rows
+    (top_i, bot_i) maps to P (top_i, bot_i) + Q (bot_i, top_i) with
+    P = (c - s d_i, c + s d_i), Q = (s v, -s v)."""
+    r = fac.tau.r
+    L = v.size
+    nf = fac.hu.shape[0]
     acc = np.zeros((ncol + nder, r, 2, L), dtype=complex)
     for i in range(ncol):
         acc[i, i % r, i // r] = 1.0
     work = np.empty_like(acc)
     tmp = np.empty_like(acc)
     arg = None
-    if lift:
-        # psi = arg det U + 2 r v k after k sub-steps (_lift_plan)
+    if stride:
         arg, phase = np.zeros(L), np.ones(L, dtype=complex)
         spin, taken = 2.0 * r * v, 0
-    block = max(1, _COEF_BYTES // per_factor)
+    block = max(1, _COEF_BYTES // (r * max(L, 1) * 16))
     for lo in range(0, nf, block):
         hi = min(lo + block, nf)
-        if eigen:
-            dk = fac.d[lo:hi, :, None] / sub
-            z = dk * dk - (v * v)[None, None, :]
-            c, s = _cosh_sinhc(z, False)
-            # (factor, row, half, lambda)
-            P, Q = _half_pairs(c, s * dk, s * v)
-            if deriv:
-                # dc/dv = -v s and ds/dv = -2 v ds/dz, with dv/dlam = dv
-                s_v = -2.0 * v * _sinhc_slope(z, c, s)
-                P_lam, Q_lam = _half_pairs(-dv * v * s, dv * s_v * dk,
-                                           dv * (s + v * s_v))
-        else:
-            c, s = _cosh_sinhc(fac.hu2[lo:hi, None]
-                               - (v * v)[None, :, None, None] * np.eye(r),
-                               True)
-            su = s @ fac.hu[lo:hi, None]
-            sv = s * v[None, :, None, None]
-            # (factor, row, column of the r x r block, half, lambda)
-            P = np.moveaxis(np.stack([c - su, c + su], axis=-1), 1, -1)
-            Q = np.moveaxis(np.stack([sv, -sv], axis=-1), 1, -1)
+        coef = _scalar_coefficients(fac.d[lo:hi, :, None] / sub, v, dv, nder)
+        # (factor, row, half, lambda)
+        P, Q = _half_pairs(*coef[0])
+        if nder:
+            P_lam, Q_lam = _half_pairs(*coef[1])
         for k in range(hi - lo):
-            if fac.turns is not None:
-                np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
-                          out=work.reshape(ncol + nder, r, -1))
-                acc, work = work, acc
+            np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
+                      out=work.reshape(ncol + nder, r, -1))
+            acc, work = work, acc
             for _ in range(sub):
-                apply(P[k], acc, out=work)
-                apply(Q[k], acc[:, :, ::-1], out=tmp)
+                np.multiply(P[k], acc, out=work)
+                np.multiply(Q[k], acc[:, :, ::-1], out=tmp)
                 np.add(work, tmp, out=work)
-                if deriv:
+                if nder:
                     np.multiply(P_lam[k], acc[:r], out=tmp[:r])
                     np.add(work[ncol:], tmp[:r], out=work[ncol:])
                     np.multiply(Q_lam[k], acc[:r, :, ::-1], out=tmp[:r])
                     np.add(work[ncol:], tmp[:r], out=work[ncol:])
                 acc, work = work, acc
-                if lift:
+                if stride:
                     taken += 1
                     if taken % stride == 0 or taken == nf * sub:
-                        now = _det_phase(acc[:r]) * np.exp(1j * spin * taken)
-                        arg += np.angle(now * np.conj(phase))
-                        phase = now
-    if lift:
-        arg -= spin * taken  # back to arg det U; 2 r v k = 2 r lambda
-    if fac.vecs is not None:
-        acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
-    out = acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder)
-    return out[..., :ncol], (out[..., ncol:] if deriv else None), arg
+                        phase = _lifted(arg, phase, np.moveaxis(acc[:r], 2, 0),
+                                        spin * taken)
+    acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
+    return acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder), arg
 
 
 def _propagate_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
@@ -559,13 +560,9 @@ def count_eigenvalues(tau: MatrixGrid, lams) -> np.ndarray:
     fac = _factors(tau)
     if not fac.tau.hermitian:
         raise ValidationError("eigenvalue counts require Hermitian tau")
-    lams = np.asarray(lams, dtype=float).ravel()
-    out = np.empty(lams.size, dtype=int)
-    for lo in range(0, lams.size, _COUNT_BATCH):
-        part = slice(lo, lo + _COUNT_BATCH)
-        w, _, arg = _sweep(fac, lams[part], fac.tau.r, lift=True)
-        out[part] = _count(arg, _eigenphases(w))
-    return out
+    w, _, arg = _sweep(fac, np.asarray(lams, dtype=float), fac.tau.r,
+                       lift=True)
+    return _count(arg, _eigenphases(w))
 
 
 def _predict(theta, vec, uhdu) -> np.ndarray:

@@ -8,12 +8,14 @@ from kreinsl.core import (
     PoleProximityError,
     bin_index,
     matrix_rank_psd,
+    resample_matrix_grid,
 )
 from kreinsl.direct import (
     _SPLIT_FLOOR,
     _factors,
     _lift_plan,
     _propagate_many,
+    _sweep,
     count_eigenvalues,
     find_eigenvalues,
     norming_constants,
@@ -151,26 +153,69 @@ class TestPropagatorOracle:
         tau = MatrixGrid(2, GridSpec(m), vals)
         assert _oracle_gap(tau, [2.0 + 1.5j]) <= 1e-12
 
+    def test_scalar_products_lifted_with_derivative(self):
+        # a strong scalar potential lifts every 14 factors, so lift runs
+        # end inside the product chain's blocks of factors; dW/dlambda
+        # against a central difference of the oracle, step 1e-5: its
+        # truncation error is about 1e-10 here, roundoff well below
+        from kreinsl import chain
+
+        fac = _factors(smooth_tau(1, 128, seed=91, scale=8.0))
+        assert _lift_plan(fac) == (1, 14)
+        assert chain._BLOCK % 14 != 0
+        lams = np.array([0.0, 0.7, 3.2, 11.0, 40.3, 99.5])
+        w, dw, _ = _sweep(fac, lams, 2, deriv=True, lift=True)
+
+        def norm(a):
+            return np.linalg.norm(a, 2, axis=(-2, -1))
+
+        want = cf4_fundamental_matrix(fac.tau.values, lams)
+        assert np.max(norm(w - want) / norm(want)) <= 1e-12
+        step = 1e-5
+        fd = (cf4_fundamental_matrix(fac.tau.values, lams + step)
+              - cf4_fundamental_matrix(fac.tau.values, lams - step))[:, :, :1]
+        fd /= 2.0 * step
+        assert np.max(norm(dw - fd) / norm(fd)) <= 1e-8
+
 
 def test_propagation_memory_bounded_in_m():
     # only an (L, 2r, 2r)-sized accumulator and one byte-capped block of
-    # factor coefficients are live; an (m, L, 2r, 2r) array of step
-    # matrices would be 1 GB here at m = 256
+    # factor coefficients (r = 2) or leaves (r = 1) are live; an
+    # (m, L, 2r, 2r) array of step matrices would be 1 GB here at m = 256.
+    # At r = 1 the per-factor loop that the product chain replaced peaked
+    # at 1.29 MB (m = 256) and 1.33 MB (m = 1024).
     import tracemalloc
 
     lams = np.linspace(0.1, 100.0, 2000)
-    peaks = {}
-    for m in (256, 1024):
-        tau = smooth_tau(2, m)
-        tracemalloc.start()
-        try:
-            _propagate_many(tau, lams)
-            peaks[m] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[256] < 32 * 2 ** 20
-    assert peaks[256] < 4 * 2 ** 20
-    assert peaks[1024] <= 1.5 * peaks[256]
+    for r, bound in ((2, 4 * 2 ** 20), (1, 1.25 * 2 ** 20)):
+        peaks = {}
+        for m in (256, 1024):
+            tau = smooth_tau(r, m)
+            tracemalloc.start()
+            try:
+                _propagate_many(tau, lams)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[256] < 32 * 2 ** 20
+        assert peaks[256] < bound
+        assert peaks[1024] < bound
+        assert peaks[1024] <= 1.5 * peaks[256]
+
+
+def test_scalar_sweep_is_free_of_its_batch():
+    # a lambda's W(1), dW/dlambda and lifted arg det U are the same bytes
+    # alone, in a batch of 1000 and in that batch reversed: coefficients
+    # are scaled per lambda and product runs end at fixed factor indices
+    fac = _factors(smooth_tau(1, 128))
+    lams = np.linspace(0.05, 200.0, 1000)
+    batch = _sweep(fac, lams, 1, deriv=True, lift=True)
+    back = _sweep(fac, lams[::-1], 1, deriv=True, lift=True)
+    for got, rev in zip(batch, back):
+        assert got.tobytes() == rev[::-1].tobytes()
+    for j, lam in enumerate(lams):
+        for got, one in zip(batch, _sweep(fac, [lam], 1, deriv=True, lift=True)):
+            assert got[j].tobytes() == one[0].tobytes()
 
 
 class TestWeyl:
@@ -400,7 +445,9 @@ class TestCount:
         ((0.7, -1.3), 64, 20.5 * np.pi, (1, 80)),
         # 2 (|d_1| + |d_2|) = 55 / 16 > 2.5: tau alone forces two sub-steps
         ((25.0, -30.0), 16, 20.5 * np.pi, (2, 1)),
-    ], ids=["diag(.7,-1.3)-m64", "diag(25,-30)-m16"])
+        # scalar, through the product chain: 2 |d| = 25 / 8 > 2.5
+        ((25.0,), 8, 20.5 * np.pi, (2, 1)),
+    ], ids=["diag(.7,-1.3)-m64", "diag(25,-30)-m16", "25-m8"])
     def test_constant_diag_closed_form(self, c, m, lam_max, plan):
         tau = diag_tau(c, m)
         roots = np.concatenate([
@@ -435,6 +482,40 @@ class TestCount:
             direct._sweep(fac, [lam], 2, lift=True)
             per_lam.append(len(calls))
         assert per_lam[0] == per_lam[1]
+
+    def test_strong_scalar_matches_loop(self):
+        # fourier_tau(1, 3, 8.0, 91) lifts every 14 factors; its edge
+        # counts and roots as the per-factor loop gave them
+        tau = smooth_tau(1, 128, seed=91, scale=8.0)
+        report = {}
+        data = spectral_data(tau, 24, report)
+        assert report["edge_counts"] == [1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                         13, 14, 15, 16, 17, 18, 19, 20, 21,
+                                         22, 23, 24, 25]
+        assert report["kernel_dim"] == [1] * 25
+        loop = np.array([
+            0.0, 3.7126956447010633, 7.778084278788017, 12.170708659414066,
+            15.29678559767109, 18.508932357337553, 21.594602631269215,
+            24.536838123924447, 27.406118668206837, 30.265363018656547,
+            33.17136741946248, 36.12951169913687, 39.12650827080474,
+            42.15047357432296, 45.193616842105946, 48.251106709117785,
+            51.319805409437635, 54.39752798656065, 57.48265862855571,
+            60.57395887076687, 63.67045726564067, 66.77137886095304,
+            69.87609708725773, 72.98409948386713, 76.09496262306911])
+        assert np.all(np.abs(data.lambdas - loop)
+                      <= 1e-13 * np.maximum(1.0, loop))
+
+    @pytest.mark.parametrize("tau", [
+        smooth_tau(1, 256, seed=467),
+        # the roundtrip's 2m grid, where a batch-wide scaling once moved
+        # alpha by 6.7e-16
+        resample_matrix_grid(smooth_tau(1, 128, seed=467), GridSpec(256)),
+    ], ids=["m256", "resampled-m256"])
+    def test_prefix_of_longer_solve_is_bit_identical_r1(self, tau):
+        short, long = spectral_data(tau, 16), spectral_data(tau, 32)
+        k = short.lambdas.size
+        assert short.lambdas.tobytes() == long.lambdas[:k].tobytes()
+        assert short.alphas.tobytes() == long.alphas[:k].tobytes()
 
     def test_counts_bins_of_a_seeded_potential(self):
         # every bin of the direct-r2 benchmark input at seed 91 holds two
