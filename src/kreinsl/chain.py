@@ -6,13 +6,15 @@ At r = 1, and for non-Hermitian tau at r > 1, a CF4 factor is a dense
 the functions cosh and sinhc of hu^2 - v^2 (direct._cosh_sinhc).  Applied
 one at a time, every factor costs one Python step, about 25 us at r = 1
 whatever the batch.  Here a block of _BLOCK factors is formed at once as
-(factor, 2r, 2r, lambda) leaves, and the leaves of every run between two
-lifts, or up to the end of the block, are multiplied pairwise, vectorized
-over the runs and lambdas: one Python step applies a whole run.  Runs end
-at factor indices that tau alone fixes (direct._lift_plan), and the batch
-is taken in chunks of lambdas whose leaves fit _LEAF_BYTES, so a
-lambda's W(1), dW/dlambda and lifted phase do not depend on the lambdas
-around it, and memory does not grow with m or L.
+(factor, 2r, 2r, lambda) leaves, lambda last so that every matrix product
+is a few elementwise products (_mul), and the leaves of every run between
+two lifts, or up to the end of the block, are multiplied pairwise,
+vectorized over the runs and lambdas: one Python step applies a whole run.
+Runs end at factor indices that tau alone fixes (direct._lift_plan), and
+the batch is taken in chunks of lambdas whose leaves fit _LEAF_BYTES, so
+a lambda's W(1), dW/dlambda and lifted phase do not depend on the lambdas
+around it, and memory does not grow with m or L.  direct._sweep sends
+here only lift plans whose runs are longer than one step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .direct import _cosh_sinhc, _lifted, _scalar_coefficients
 _BLOCK = 256
 # Byte cap of one array of leaves, which sets the lambdas per chunk: 16 at
 # r = 1 for real lambdas.  A sweep's traced peak is a few such arrays,
-# 0.6-0.8 MB at r = 1.
+# 0.57-0.75 MB at r = 1.
 _LEAF_BYTES = 1 << 17
 
 
@@ -59,7 +61,10 @@ def _join(pairs: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _factor(c, su, sv) -> np.ndarray:
-    """[[C - S hu, S v], [-S v, C + S hu]] from (factor, r, r, L) blocks."""
+    """[[C - S hu, S v], [-S v, C + S hu]] from (factor, r, r, L) blocks,
+    or at r = 1 from (factor, L) scalars."""
+    if c.ndim == 2:
+        c, su, sv = (p[:, None, None] for p in (c, su, sv))
     r = c.shape[1]
     out = np.empty((c.shape[0], 2 * r, 2 * r, c.shape[-1]),
                    dtype=np.result_type(c, su, sv))
@@ -70,29 +75,40 @@ def _factor(c, su, sv) -> np.ndarray:
     return out
 
 
-def _leaves(fac, lo: int, hi: int, sub: int, v, dv: float, deriv: bool):
-    """The (step, 2r, 2r, L) matrices of factors lo..hi-1, each repeated as
-    its sub sub-steps, and with deriv (r = 1) their lambda-derivatives."""
+def _leaves(fac, lo: int, hi: int, v, dv: float, deriv: bool):
+    """The (factor, 2r, 2r, L) matrices of factors lo..hi-1 and with deriv
+    (r = 1) their lambda-derivatives."""
     r = fac.tau.r
     if r == 1:
-        parts = [[p[:, None, None] for p in part] for part in
-                 _scalar_coefficients(fac.d[lo:hi] / sub, v, dv, deriv)]
+        out = _scalar_coefficients(fac.d[lo:hi], v, dv, deriv, _factor)
     else:
-        c, s = _cosh_sinhc(fac.hu2[lo:hi, None]
-                           - (v * v)[:, None, None] * np.eye(r), True)
-        parts = [[np.moveaxis(p, 1, -1) for p in
-                  (c, s @ fac.hu[lo:hi, None], s * v[:, None, None])]]
-    out = [_factor(*part) for part in parts]
-    if sub > 1:
-        out = [np.repeat(leaf, sub, axis=0) for leaf in out]
+        c, s = _cosh_sinhc(fac.hu2[lo:hi, :, :, None]
+                           - np.eye(r)[:, :, None] * (v * v), _mul)
+        out = [_factor(c, _mul(s, fac.hu[lo:hi, :, :, None]), s * v)]
     return out[0], (out[1] if deriv else None)
 
 
-def chain_sweep(fac, v, dv: float, ncol: int, nder: int, sub: int,
-                stride: int):
+def _products(fac, lo: int, hi: int, v, dv: float, deriv: bool, ends):
+    """(n, product, derivative or None) of every run of factors lo..hi-1,
+    in order, the runs ending at ends; the block's leaves are freed on
+    return, before the next block forms its own."""
+    x, dx = _leaves(fac, lo, hi, v, dv, deriv)
+    out = []
+    for n, group in groupby(b - a for a, b in zip([lo] + ends, ends)):
+        k = len(list(group))
+        shape = (k, n) + x.shape[1:]
+        prod, dprod = _runs(x[:k * n].reshape(shape),
+                            None if dx is None else dx[:k * n].reshape(shape))
+        x, dx = x[k * n:], (None if dx is None else dx[k * n:])
+        out += [(n, prod[q], None if dprod is None else dprod[q])
+                for q in range(k)]
+    return out
+
+
+def chain_sweep(fac, v, dv: float, ncol: int, nder: int, stride: int):
     """direct._sweep by products: (out, arg), out (L, 2r, ncol + nder)
     with the nder derivative columns of the frame last, arg the lifted
-    psi at x = 1 (direct._lifted) or None; stride is the sub-steps per
+    psi at x = 1 (direct._lifted) or None; stride is the factors per
     lift, 0 for no lift.
 
     Per chunk of lambdas the accumulator (2r, ncol, L) and its derivative
@@ -102,9 +118,9 @@ def chain_sweep(fac, v, dv: float, ncol: int, nder: int, sub: int,
     """
     r = fac.tau.r
     L = v.size
-    steps = fac.hu.shape[0] * sub
+    steps = fac.hu.shape[0]
     itemsize = np.result_type(v, fac.hu if fac.d is None else fac.d).itemsize
-    chunk = max(1, _LEAF_BYTES // (_BLOCK * sub * 4 * r * r * itemsize))
+    chunk = max(1, _LEAF_BYTES // (_BLOCK * 4 * r * r * itemsize))
     out = np.empty((L, 2 * r, ncol + nder), dtype=complex)
     arg = np.zeros(L) if stride else None
     for start in range(0, L, chunk):
@@ -114,30 +130,22 @@ def chain_sweep(fac, v, dv: float, ncol: int, nder: int, sub: int,
         acc[range(ncol), range(ncol)] = 1.0
         dacc = np.zeros((2 * r, nder, vp.size))
         phase = np.ones(vp.size, dtype=complex)
-        taken = 0
-        for lo in range(0, fac.hu.shape[0], _BLOCK):
-            hi = min(lo + _BLOCK, fac.hu.shape[0])
-            x, dx = _leaves(fac, lo, hi, sub, vp, dv, nder > 0)
+        for lo in range(0, steps, _BLOCK):
+            hi = min(lo + _BLOCK, steps)
             # runs end at every lift and at the end of the block
-            ends = [*(range(taken - taken % stride + stride, hi * sub, stride)
-                      if stride else ()), hi * sub]
-            at = 0
-            for n, group in groupby(b - a for a, b in zip([taken] + ends, ends)):
-                k = len(list(group))
-                shape = (k, n) + x.shape[1:]
-                prod, dprod = _runs(
-                    x[at:at + k * n].reshape(shape),
-                    None if dx is None else dx[at:at + k * n].reshape(shape))
-                at += k * n
-                for q in range(k):
-                    if nder:
-                        dacc = _mul(dprod[q], acc[:, :r]) + _mul(prod[q], dacc)
-                    acc = _mul(prod[q], acc)
-                    taken += n
-                    if stride and (taken % stride == 0 or taken == steps):
-                        phase = _lifted(arg[part], phase,
-                                        acc[:, :r].reshape(2, r, r, -1),
-                                        2.0 * r * vp * taken)
+            ends = [*(range(lo - lo % stride + stride, hi, stride)
+                      if stride else ()), hi]
+            taken = lo
+            for n, prod, dprod in _products(fac, lo, hi, vp, dv, nder > 0,
+                                            ends):
+                if nder:
+                    dacc = _mul(dprod, acc[:, :r]) + _mul(prod, dacc)
+                acc = _mul(prod, acc)
+                taken += n
+                if stride and (taken % stride == 0 or taken == steps):
+                    phase = _lifted(arg[part], phase,
+                                    acc[:, :r].reshape(2, r, r, -1),
+                                    2.0 * r * vp * taken)
         out[part, :, :ncol] = acc.transpose(2, 0, 1)
         out[part, :, ncol:] = dacc.transpose(2, 0, 1)
     return out, arg

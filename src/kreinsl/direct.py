@@ -18,24 +18,22 @@ classical Runge-Kutta phase error cannot deliver at the eigenvalue
 tolerances this module has to meet.
 
 A batch of L lambdas is propagated along the 2m factors by one of two
-paths behind one entry point (_sweep).  Hermitian tau with r > 1 takes a
-loop over the factors in the eigenbasis of each factor's lambda-free
-generator hu = V diag(d) V^H: one basis change (a GEMM) and r independent
-2 x 2 blocks per lambda, from the scalars cosh, sinhc of sqrt(d^2 - v^2).
-Scalar and non-Hermitian tau, whose factors are dense 2r x 2r matrices per
-lambda, take the product chain (chain.py), one Python step per run of
-factors between two lifts instead of one per factor: 2-9x faster per sweep
-of up to 33 lambdas at r = 1, while at r = 2 dense products cost 16-28x
-the loop.  The setup (spline, generators, eigenbases, basis changes) is
-built once per tau (_Factors) and shared by every propagation of a direct
-solve.  Coefficients are formed for a byte-capped block of factors at a
-time, so memory is O(L r^2 + m r^2): no array with a full cell axis and a
-lambda axis exists, and 2000 lambdas peak at 2.3-2.7 MB traced at r = 2
-and 0.6 MB at r = 1, at any m.  A propagation carries only the columns it
+paths behind one entry point (_sweep).  Scalar and non-Hermitian tau,
+whose factors are dense 2r x 2r matrices per lambda, take the product
+chain (chain.py): one Python step per run of factors between two lifts,
+not one per factor, 2-8x faster per sweep of up to 33 lambdas at r = 1.
+Hermitian tau with r > 1, and scalar tau lifted after every sub-step,
+take a loop over the factors in the eigenbasis of each generator
+hu = V diag(d) V^H: one basis change (a GEMM) and r independent 2 x 2
+blocks per lambda, 4-8x faster than dense products at r = 2.  The setup
+(spline, generators, eigenbases, basis changes) is built once per tau
+(_Factors) and shared by every propagation of a direct solve.  Memory is
+O(L r^2 + m r^2): no array has both a cell and a lambda axis beyond one
+byte-capped block of factors.  A propagation carries only the columns it
 needs: the r frame columns for counting and Newton steps, all 2r for
-residues, and dW/dlambda of the frame when asked, from the closed forms of
-dc/dv and ds/dv (lambda enters a factor only through v = h lambda / 2), so
-derivatives are those of the discrete scheme.
+residues, and dW/dlambda of the frame when asked, from the closed forms
+of dc/dv and ds/dv (lambda enters a factor only through v = h lambda / 2),
+so derivatives are those of the discrete scheme.
 
 Eigenvalues are counted, not scanned.  For Hermitian tau,
 J W' = (V - lambda) W with J = [[0, I], [-I, 0]] and V = [[0, tau], [tau, 0]]
@@ -118,16 +116,19 @@ _PREDICT_HALF = 0.25 * _SPLIT_FLOOR
 _NEWTON_TOL = 1e-10
 # Rounds of the root search before it gives up on a bracket.
 _ROUNDS = 100
+# Lambdas per propagation of a count, so that a batch's accumulator and
+# per-factor buffers stay in cache and memory stays bounded.  The direct
+# solve counts only its n_bins + 1 edges, one batch for up to 1023 bins.
+_COUNT_BATCH = 1024
 # Byte cap of one (factors, r, L) array of _eigen_sweep's block of factor
-# coefficients, so a block's temporaries stay in cache and memory stays
-# bounded whatever m and L are.  At 64 KB direct-r2's process peaks
-# 0.4 MB lower than at 128 KB, at no measurable cost in time.
-_COEF_BYTES = 1 << 16
+# coefficients, so a block's temporaries stay in cache whatever m and L
+# are, while small batches still get all 2m factors in one evaluation.
+_COEF_BYTES = 1 << 17
 
 
-def _cosh_sinhc(m: np.ndarray, blocks: bool) -> tuple[np.ndarray, np.ndarray]:
-    """cosh(sqrt(M)) and sinh(sqrt(M))/sqrt(M), of (..., r, r) blocks or,
-    without blocks, elementwise.
+def _cosh_sinhc(m: np.ndarray, mul=np.multiply):
+    """cosh(sqrt(M)) and sinh(sqrt(M))/sqrt(M), elementwise or, with mul
+    the product of (..., r, r, L) blocks (chain._mul), of those blocks.
 
     Taylor series after scaling each element (each block) by its own 4^-s
     to norm at most 1/4, then s double-angle steps C <- 2C^2 - I, S <- S C.
@@ -136,21 +137,18 @@ def _cosh_sinhc(m: np.ndarray, blocks: bool) -> tuple[np.ndarray, np.ndarray]:
     by 1e-18 at that norm; as s and the length are per element, every
     value is the same bytes whatever else shares its array.
     """
-    if blocks:
-        mul = np.matmul
-        one = np.eye(m.shape[-1])
-        nrm = np.abs(m).sum(axis=-1).max(axis=-1)
-    else:
-        mul = np.multiply
-        one = 1.0
-        nrm = np.abs(m)
+    one, nrm = 1.0, np.abs(m)
+    if mul is not np.multiply:
+        one = np.eye(m.shape[-2])[:, :, None]
+        nrm = nrm.sum(axis=-2).max(axis=-2)
     z, steps = m, 0
     if np.max(nrm, initial=0.0) >= 0.25:
-        # the least s with 4^(s+1) >= 2^e > nrm, from nrm's exponent e
+        # the least s with 4^(s-1) >= 2^e > nrm, from nrm's exponent e
         steps = np.maximum((np.frexp(nrm)[1] + 3) // 2, 0)
-        if blocks:
-            steps = steps[..., None, None]
+        if mul is not np.multiply:
+            steps = steps[..., None, None, :]
         z = m * np.ldexp(1.0, -2 * steps)
+    del nrm
     c = one / math.factorial(14)
     s = one / math.factorial(15)
     for k in range(6, -1, -1):
@@ -320,6 +318,8 @@ def _lift_plan(fac: _Factors) -> tuple[int, int]:
 
 def _det(a: np.ndarray) -> np.ndarray:
     """Determinants of the (r, r) leading blocks of an (r, r, L) array."""
+    if a.shape[0] == 1:
+        return a[0, 0]
     if a.shape[0] == 2:
         return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     return np.linalg.det(np.moveaxis(a, -1, 0))
@@ -341,18 +341,18 @@ def _lifted(arg, phase, frame, turn):
     return now
 
 
-def _scalar_coefficients(d, v, dv: float, deriv):
-    """[(c, s d, s v)] for the 2 x 2 blocks exp([[-d, v], [-v, d]]) =
+def _scalar_coefficients(d, v, dv: float, deriv, pack):
+    """[pack(c, s d, s v)] for the 2 x 2 blocks exp([[-d, v], [-v, d]]) =
     [[c - s d, s v], [-s v, c + s d]], c and s the cosh and sinhc of
     sqrt(d^2 - v^2), broadcast over d and v; with deriv, the same three
-    differentiated in lambda follow as a second triple."""
+    differentiated in lambda follow, packed as a second entry."""
     z = d * d - v * v
-    c, s = _cosh_sinhc(z, False)
-    out = [(c, s * d, s * v)]
+    c, s = _cosh_sinhc(z)
+    out = [pack(c, s * d, s * v)]
     if deriv:
         # dc/dv = -v s and ds/dv = -2 v ds/dz, with dv/dlam = dv
         s_v = -2.0 * v * _sinhc_slope(z, c, s)
-        out.append((-dv * v * s, dv * s_v * d, dv * (s + v * s_v)))
+        out.append(pack(-dv * v * s, dv * s_v * d, dv * (s + v * s_v)))
     return out
 
 
@@ -370,20 +370,16 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
     dW/dlam of the r frame columns, else None; with lift, arg (L,) is
     arg det U at x = 1, lifted continuously from 0 at x = 0, else None.
 
-    Hermitian tau with r > 1 takes the eigenbasis loop (_eigen_sweep);
-    scalar and non-Hermitian tau take the product chain (chain.py).  At
-    r = 1 the chain is 2-9x faster than the loop was per sweep of up to 33
-    lambdas (most for few), 2x slower at 1000, while dense 4 x 4 products
-    take 16-28x the loop's time
-    on direct-r2's input (r = 2, m = 256, 33-93 lambdas): the loop applies
-    r independent 2 x 2 blocks and one basis change per factor.  Only
-    scalar and Hermitian tau offer dW/dlambda and the lift.
-
-    Coefficients are scaled per lambda (_cosh_sinhc), the lift schedule
-    depends on tau alone (_lift_plan) and product runs end at fixed factor
-    indices, so at r = 1 a lambda's w, dw and arg are the same bytes in
-    any batch; at r > 1 the loop's basis-change GEMMs round a lambda's
-    columns differently with the batch around it.
+    Scalar and non-Hermitian tau take the product chain (chain.py).  Two
+    inputs take the loop (_eigen_sweep) instead.  Hermitian tau with
+    r > 1: the loop applies r independent 2 x 2 blocks and one basis
+    change per factor, 4-8x faster than dense products.  Scalar tau lifted
+    after every sub-step: every run is then one sub-step, and the chain
+    would take a Python step per sub-step for each chunk of 16 lambdas.
+    At r = 1 a lambda's w, dw and arg are the same bytes in any batch:
+    coefficients are scaled per lambda (_cosh_sinhc), and lifts and runs
+    end at factor indices that tau alone fixes (_lift_plan).  At r > 1
+    the loop's basis-change GEMMs round them with the batch around them.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if not np.any(lams.imag):
@@ -398,24 +394,25 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
     sub, stride = _lift_plan(fac) if lift else (1, 0)
     dv = 0.5 * fac.tau.spec.h / sub
     v = dv * lams
-    if fac.vecs is None:
+    nder = r if deriv else 0
+    if fac.vecs is None and stride != 1:
         # imported here, so that runs at Hermitian r > 1 do not compile it
-        from .chain import chain_sweep as propagator
+        from .chain import chain_sweep
+        out, arg = chain_sweep(fac, v, dv, ncol, nder, stride)
     else:
-        propagator = _eigen_sweep
-    out, arg = propagator(fac, v, dv, ncol, r if deriv else 0, sub, stride)
+        out, arg = _eigen_sweep(fac, v, dv, ncol, nder, sub, stride)
     if lift:
         arg -= 2.0 * r * v * (fac.hu.shape[0] * sub)  # 2 r v k = 2 r lambda
     return out[..., :ncol], (out[..., ncol:] if deriv else None), arg
 
 
 def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
-    """_sweep's loop for Hermitian r > 1: (out, arg), out (L, 2r,
+    """_sweep's loop for scalar and Hermitian tau: (out, arg), out (L, 2r,
     ncol + nder) with the derivative columns last; stride is the sub-steps
     per lift, 0 for none.  The accumulator is laid out as (column, row i of
     the top and bottom halves, half, lambda) in the current eigenbasis;
-    entering a factor is the GEMM V_k^H V_{k-1}, then each pair of rows
-    (top_i, bot_i) maps to P (top_i, bot_i) + Q (bot_i, top_i) with
+    entering a factor is the GEMM V_k^H V_{k-1} (r > 1), then each pair of
+    rows (top_i, bot_i) maps to P (top_i, bot_i) + Q (bot_i, top_i) with
     P = (c - s d_i, c + s d_i), Q = (s v, -s v)."""
     r = fac.tau.r
     L = v.size
@@ -432,15 +429,17 @@ def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
     block = max(1, _COEF_BYTES // (r * max(L, 1) * 16))
     for lo in range(0, nf, block):
         hi = min(lo + block, nf)
-        coef = _scalar_coefficients(fac.d[lo:hi, :, None] / sub, v, dv, nder)
-        # (factor, row, half, lambda)
-        P, Q = _half_pairs(*coef[0])
+        # (factor, row, half, lambda); the last block's go before these form
+        P = Q = P_lam = Q_lam = lam = None
+        (P, Q), *lam = _scalar_coefficients(fac.d[lo:hi, :, None] / sub, v,
+                                            dv, nder, _half_pairs)
         if nder:
-            P_lam, Q_lam = _half_pairs(*coef[1])
+            (P_lam, Q_lam), = lam
         for k in range(hi - lo):
-            np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
-                      out=work.reshape(ncol + nder, r, -1))
-            acc, work = work, acc
+            if fac.turns is not None:
+                np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
+                          out=work.reshape(ncol + nder, r, -1))
+                acc, work = work, acc
             for _ in range(sub):
                 np.multiply(P[k], acc, out=work)
                 np.multiply(Q[k], acc[:, :, ::-1], out=tmp)
@@ -456,7 +455,8 @@ def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
                     if taken % stride == 0 or taken == nf * sub:
                         phase = _lifted(arg, phase, np.moveaxis(acc[:r], 2, 0),
                                         spin * taken)
-    acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
+    if fac.vecs is not None:
+        acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
     return acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder), arg
 
 
@@ -560,9 +560,13 @@ def count_eigenvalues(tau: MatrixGrid, lams) -> np.ndarray:
     fac = _factors(tau)
     if not fac.tau.hermitian:
         raise ValidationError("eigenvalue counts require Hermitian tau")
-    w, _, arg = _sweep(fac, np.asarray(lams, dtype=float), fac.tau.r,
-                       lift=True)
-    return _count(arg, _eigenphases(w))
+    lams = np.asarray(lams, dtype=float).ravel()
+    out = np.empty(lams.size, dtype=int)
+    for lo in range(0, lams.size, _COUNT_BATCH):
+        part = slice(lo, lo + _COUNT_BATCH)
+        w, _, arg = _sweep(fac, lams[part], fac.tau.r, lift=True)
+        out[part] = _count(arg, _eigenphases(w))
+    return out
 
 
 def _predict(theta, vec, uhdu) -> np.ndarray:

@@ -203,11 +203,17 @@ def test_propagation_memory_bounded_in_m():
         assert peaks[1024] <= 1.5 * peaks[256]
 
 
-def test_scalar_sweep_is_free_of_its_batch():
+@pytest.mark.parametrize("tau", [
+    smooth_tau(1, 128),
+    # lifted after each of two sub-steps per factor, so through the loop
+    const_tau(25.0, 8),
+], ids=["chain", "loop"])
+def test_scalar_sweep_is_free_of_its_batch(tau):
     # a lambda's W(1), dW/dlambda and lifted arg det U are the same bytes
     # alone, in a batch of 1000 and in that batch reversed: coefficients
-    # are scaled per lambda and product runs end at fixed factor indices
-    fac = _factors(smooth_tau(1, 128))
+    # are scaled per lambda, and lifts and product runs end at factor
+    # indices that tau alone fixes
+    fac = _factors(tau)
     lams = np.linspace(0.05, 200.0, 1000)
     batch = _sweep(fac, lams, 1, deriv=True, lift=True)
     back = _sweep(fac, lams[::-1], 1, deriv=True, lift=True)
@@ -445,7 +451,8 @@ class TestCount:
         ((0.7, -1.3), 64, 20.5 * np.pi, (1, 80)),
         # 2 (|d_1| + |d_2|) = 55 / 16 > 2.5: tau alone forces two sub-steps
         ((25.0, -30.0), 16, 20.5 * np.pi, (2, 1)),
-        # scalar, through the product chain: 2 |d| = 25 / 8 > 2.5
+        # scalar, lifted after every sub-step, so through the loop
+        # rather than the product chain: 2 |d| = 25 / 8 > 2.5
         ((25.0,), 8, 20.5 * np.pi, (2, 1)),
     ], ids=["diag(.7,-1.3)-m64", "diag(25,-30)-m16", "25-m8"])
     def test_constant_diag_closed_form(self, c, m, lam_max, plan):
