@@ -286,12 +286,13 @@ def cmd_roundtrip(args) -> int:
     from .direct import spectral_data, spectral_prefix
 
     cfg = build_config(args)
+    if bool(args.synthetic) == bool(args.tau_file):
+        raise ConfigurationError(
+            "roundtrip needs exactly one of a tau file and --synthetic")
     if args.synthetic:
         tau = _synthetic_tau(args.synthetic, cfg)
-    elif args.tau_file:
-        tau = _load_tau(args.tau_file, cfg)
     else:
-        raise ConfigurationError("roundtrip needs a tau file or --synthetic")
+        tau = _load_tau(args.tau_file, cfg)
     if not tau.hermitian:
         from .core import ValidationError
         raise ValidationError("roundtrip requires a Hermitian potential")

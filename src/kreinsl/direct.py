@@ -18,22 +18,22 @@ classical Runge-Kutta phase error cannot deliver at the eigenvalue
 tolerances this module has to meet.
 
 A batch of L lambdas is propagated along the 2m factors by one of two
-paths behind one entry point (_sweep).  Scalar and non-Hermitian tau,
-whose factors are dense 2r x 2r matrices per lambda, take the product
-chain (chain.py): one Python step per run of factors between two lifts,
-not one per factor, 2-8x faster per sweep of up to 33 lambdas at r = 1.
-Hermitian tau with r > 1, and scalar tau lifted after every sub-step,
-take a loop over the factors in the eigenbasis of each generator
+paths behind one entry point (_sweep), chosen by the class of tau alone.
+Scalar and non-Hermitian tau, whose factors are dense 2r x 2r matrices
+per lambda, take the product chain (chain.py): one Python step per run
+of sub-steps, all runs of one length that tau fixes, not one per factor,
+2-8x faster per sweep of up to 33 lambdas at r = 1.  Hermitian tau with
+r > 1 takes a loop over the factors in the eigenbasis of each generator
 hu = V diag(d) V^H: one basis change (a GEMM) and r independent 2 x 2
 blocks per lambda, 4-8x faster than dense products at r = 2.  The setup
 (spline, generators, eigenbases, basis changes) is built once per tau
 (_Factors) and shared by every propagation of a direct solve.  Memory is
 O(L r^2 + m r^2): no array has both a cell and a lambda axis beyond one
-byte-capped block of factors.  A propagation carries only the columns it
-needs: the r frame columns for counting and Newton steps, all 2r for
-residues, and dW/dlambda of the frame when asked, from the closed forms
-of dc/dv and ds/dv (lambda enters a factor only through v = h lambda / 2),
-so derivatives are those of the discrete scheme.
+block of factors under _BLOCK_BYTES.  A propagation carries only the
+columns it needs: the r frame columns for counting and Newton steps, all
+2r for residues, and dW/dlambda of the frame when asked, from the closed
+forms of dc/dv and ds/dv (lambda enters a factor only through
+v = h lambda / 2), so derivatives are those of the discrete scheme.
 
 Eigenvalues are counted, not scanned.  For Hermitian tau,
 J W' = (V - lambda) W with J = [[0, I], [-I, 0]] and V = [[0, tau], [tau, 0]]
@@ -120,10 +120,12 @@ _ROUNDS = 100
 # per-factor buffers stay in cache and memory stays bounded.  The direct
 # solve counts only its n_bins + 1 edges, one batch for up to 1023 bins.
 _COUNT_BATCH = 1024
-# Byte cap of one (factors, r, L) array of _eigen_sweep's block of factor
-# coefficients, so a block's temporaries stay in cache whatever m and L
-# are, while small batches still get all 2m factors in one evaluation.
-_COEF_BYTES = 1 << 17
+# Byte cap of one array of a sweep's block of factors: the (factors, r, L)
+# coefficients of _eigen_sweep and the (sub-steps, 2r, 2r, L) leaves of
+# the product chain, whose chunks take as many lambdas as the leaves of
+# one run fit.  A block's temporaries stay in cache whatever m and L are,
+# while small batches still get all 2m factors in one evaluation.
+_BLOCK_BYTES = 1 << 17
 
 
 def _cosh_sinhc(m: np.ndarray, mul=np.multiply):
@@ -231,15 +233,14 @@ def _sinhc_slope(z: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _step_generators(tau_values: np.ndarray, h: float):
     """Per-cell lambda-independent pieces of the two CF4 exponentials.
 
-    Returns hu (2, m, r, r) and hu^2 (2, m, r, r): h times the effective
-    potential of each factor and its square, from tau at the Gauss nodes
-    of every cell.  Those values come from the not-a-knot cubic spline
-    through the samples: reading the samples as piecewise linear instead
-    costs second order in h, which dominates the fourth-order scheme and
-    shifts eigenvalues of smooth potentials by ~2e-4 at m = 128.  The
-    spline is linear in the samples with real weights, so it reproduces
-    constants to roundoff and keeps the generators of -tau* the exact
-    negated adjoints of those of tau.
+    Returns hu (2, m, r, r), h times the effective potential of each
+    factor, from tau at the Gauss nodes of every cell.  Those values come
+    from the not-a-knot cubic spline through the samples: reading the
+    samples as piecewise linear instead costs second order in h, which
+    dominates the fourth-order scheme and shifts eigenvalues of smooth
+    potentials by ~2e-4 at m = 128.  The spline is linear in the samples
+    with real weights, so it reproduces constants to roundoff and keeps
+    the generators of -tau* the exact negated adjoints of those of tau.
     """
     t0 = tau_values[:-1]
     t1 = tau_values[1:]
@@ -255,14 +256,13 @@ def _step_generators(tau_values: np.ndarray, h: float):
     tg2 = at(_C2)
     u_first = _A1 * tg1 + _A2 * tg2
     u_second = _A2 * tg1 + _A1 * tg2
-    hu = h * np.stack([u_first, u_second])
-    return hu, hu @ hu
+    return h * np.stack([u_first, u_second])
 
 
 class _Factors:
     """The lambda-independent setup of tau's 2m CF4 factors, in the order
     they act (cell 0 first, cell 0 second, cell 1 ...): the generators hu
-    and hu^2 (2m, r, r) and, for scalar and Hermitian tau, the eigenvalues
+    (2m, r, r) and, for scalar and Hermitian tau, the eigenvalues
     d (2m, r) of hu; for Hermitian r > 1 also the eigenbases vecs and the
     basis changes turns = V_k^H V_{k-1} (V_{-1} = I).
 
@@ -273,12 +273,12 @@ class _Factors:
 
     # a plain class: a dataclass here would add milliseconds to every
     # import of the package's validation path, which never propagates
-    __slots__ = ("tau", "hu", "hu2", "d", "vecs", "turns")
+    __slots__ = ("tau", "hu", "d", "vecs", "turns")
 
-    def __init__(self, tau: MatrixGrid, hu: np.ndarray, hu2: np.ndarray,
+    def __init__(self, tau: MatrixGrid, hu: np.ndarray,
                  d: np.ndarray | None, vecs: np.ndarray | None,
                  turns: np.ndarray | None):
-        self.tau, self.hu, self.hu2 = tau, hu, hu2
+        self.tau, self.hu = tau, hu
         self.d, self.vecs, self.turns = d, vecs, turns
 
 
@@ -286,8 +286,8 @@ def _factors(tau) -> _Factors:
     if isinstance(tau, _Factors):
         return tau
     r = tau.r
-    hu, hu2 = (np.swapaxes(g, 0, 1).reshape(-1, r, r)
-               for g in _step_generators(tau.values, tau.spec.h))
+    hu = np.swapaxes(_step_generators(tau.values, tau.spec.h),
+                     0, 1).reshape(-1, r, r)
     d = vecs = turns = None
     if r == 1:
         d = hu[:, 0]
@@ -297,7 +297,7 @@ def _factors(tau) -> _Factors:
         d, vecs = np.linalg.eigh(hu)
         prev = np.concatenate([np.eye(r)[None], vecs[:-1]])
         turns = np.conj(np.swapaxes(vecs, -1, -2)) @ prev
-    return _Factors(tau, hu, hu2, d, vecs, turns)
+    return _Factors(tau, hu, d, vecs, turns)
 
 
 def _lift_plan(fac: _Factors) -> tuple[int, int]:
@@ -370,16 +370,14 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
     dW/dlam of the r frame columns, else None; with lift, arg (L,) is
     arg det U at x = 1, lifted continuously from 0 at x = 0, else None.
 
-    Scalar and non-Hermitian tau take the product chain (chain.py).  Two
-    inputs take the loop (_eigen_sweep) instead.  Hermitian tau with
-    r > 1: the loop applies r independent 2 x 2 blocks and one basis
-    change per factor, 4-8x faster than dense products.  Scalar tau lifted
-    after every sub-step: every run is then one sub-step, and the chain
-    would take a Python step per sub-step for each chunk of 16 lambdas.
-    At r = 1 a lambda's w, dw and arg are the same bytes in any batch:
-    coefficients are scaled per lambda (_cosh_sinhc), and lifts and runs
-    end at factor indices that tau alone fixes (_lift_plan).  At r > 1
-    the loop's basis-change GEMMs round them with the batch around them.
+    The class of tau alone picks the path.  Scalar and non-Hermitian tau
+    take the product chain (chain.py); Hermitian tau with r > 1 takes the
+    loop (_eigen_sweep), which applies r independent 2 x 2 blocks and one
+    basis change per factor, 4-8x faster than dense products.  At r = 1 a
+    lambda's w, dw and arg are the same bytes in any batch: coefficients
+    are scaled per lambda (_cosh_sinhc), and runs and lifts end at
+    sub-step indices that tau alone fixes (_lift_plan).  At r > 1 the
+    loop's basis-change GEMMs round them with the batch around them.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if not np.any(lams.imag):
@@ -394,26 +392,27 @@ def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
     sub, stride = _lift_plan(fac) if lift else (1, 0)
     dv = 0.5 * fac.tau.spec.h / sub
     v = dv * lams
-    nder = r if deriv else 0
-    if fac.vecs is None and stride != 1:
+    args = (fac, v, dv, ncol, r if deriv else 0, sub, stride)
+    if fac.vecs is None:
         # imported here, so that runs at Hermitian r > 1 do not compile it
         from .chain import chain_sweep
-        out, arg = chain_sweep(fac, v, dv, ncol, nder, stride)
+        out, arg = chain_sweep(*args)
     else:
-        out, arg = _eigen_sweep(fac, v, dv, ncol, nder, sub, stride)
+        out, arg = _eigen_sweep(*args)
     if lift:
         arg -= 2.0 * r * v * (fac.hu.shape[0] * sub)  # 2 r v k = 2 r lambda
     return out[..., :ncol], (out[..., ncol:] if deriv else None), arg
 
 
 def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
-    """_sweep's loop for scalar and Hermitian tau: (out, arg), out (L, 2r,
-    ncol + nder) with the derivative columns last; stride is the sub-steps
-    per lift, 0 for none.  The accumulator is laid out as (column, row i of
-    the top and bottom halves, half, lambda) in the current eigenbasis;
-    entering a factor is the GEMM V_k^H V_{k-1} (r > 1), then each pair of
-    rows (top_i, bot_i) maps to P (top_i, bot_i) + Q (bot_i, top_i) with
-    P = (c - s d_i, c + s d_i), Q = (s v, -s v)."""
+    """_sweep's loop for Hermitian tau at r > 1: (out, arg), out (L, 2r,
+    ncol + nder) with the derivative columns last; sub is the sub-steps
+    per factor and stride the sub-steps per lift, 0 for none.  The
+    accumulator is laid out as (column, row i of the top and bottom
+    halves, half, lambda) in the current eigenbasis; entering a factor is
+    the GEMM V_k^H V_{k-1}, then each pair of rows (top_i, bot_i) maps to
+    P (top_i, bot_i) + Q (bot_i, top_i) with P = (c - s d_i, c + s d_i),
+    Q = (s v, -s v)."""
     r = fac.tau.r
     L = v.size
     nf = fac.hu.shape[0]
@@ -426,7 +425,7 @@ def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
     if stride:
         arg, phase = np.zeros(L), np.ones(L, dtype=complex)
         spin, taken = 2.0 * r * v, 0
-    block = max(1, _COEF_BYTES // (r * max(L, 1) * 16))
+    block = max(1, _BLOCK_BYTES // (r * max(L, 1) * 16))
     for lo in range(0, nf, block):
         hi = min(lo + block, nf)
         # (factor, row, half, lambda); the last block's go before these form
@@ -436,10 +435,9 @@ def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
         if nder:
             (P_lam, Q_lam), = lam
         for k in range(hi - lo):
-            if fac.turns is not None:
-                np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
-                          out=work.reshape(ncol + nder, r, -1))
-                acc, work = work, acc
+            np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
+                      out=work.reshape(ncol + nder, r, -1))
+            acc, work = work, acc
             for _ in range(sub):
                 np.multiply(P[k], acc, out=work)
                 np.multiply(Q[k], acc[:, :, ::-1], out=tmp)
@@ -455,8 +453,7 @@ def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
                     if taken % stride == 0 or taken == nf * sub:
                         phase = _lifted(arg, phase, np.moveaxis(acc[:r], 2, 0),
                                         spin * taken)
-    if fac.vecs is not None:
-        acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
+    acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
     return acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder), arg
 
 
@@ -660,8 +657,9 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float, *,
     tau = fac.tau
     if not tau.hermitian:
         raise ValidationError("eigenvalue search requires Hermitian tau")
-    if lambda_max <= 0:
-        raise ConfigurationError("lambda_max must be positive")
+    if not 0 < lambda_max < math.inf:
+        raise ConfigurationError(
+            f"lambda_max must be positive and finite, got {lambda_max}")
     r = tau.r
     edges = np.pi * (np.arange(math.ceil(lambda_max / np.pi)) + 0.5)
     grid = np.append(edges[edges < lambda_max], lambda_max)

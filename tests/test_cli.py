@@ -446,6 +446,20 @@ def test_roundtrip_bad_potential_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_roundtrip_file_and_synthetic_exits_2(tmp_path, capsys):
+    # a tau file and --synthetic name two potentials: refused, not one
+    # of them silently dropped
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau, r=2, m=64)
+    out = tmp_path / "out"
+    assert main(["roundtrip", str(tau), "--synthetic", "1:3:0.3",
+                 "--grid-m", "64", "--n-bins", "2", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert "exactly one" in lines[-1]
+    assert not out.exists()
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.toml"
     cfg.write_text(

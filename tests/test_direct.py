@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kreinsl.core import (
+    ConfigurationError,
     ConsistencyError,
     GridSpec,
     MatrixGrid,
@@ -153,18 +154,26 @@ class TestPropagatorOracle:
         tau = MatrixGrid(2, GridSpec(m), vals)
         assert _oracle_gap(tau, [2.0 + 1.5j]) <= 1e-12
 
-    def test_scalar_products_lifted_with_derivative(self):
-        # a strong scalar potential lifts every 14 factors, so lift runs
-        # end inside the product chain's blocks of factors; dW/dlambda
-        # against a central difference of the oracle, step 1e-5: its
-        # truncation error is about 1e-10 here, roundoff well below
+    @staticmethod
+    def _check_scalar_chain(tau, plan, run, monkeypatch):
+        # a lifted sweep with dW/dlambda whose product-chain runs are all
+        # `run` sub-steps long; W(1) against the oracle, dW/dlambda against
+        # a central difference of it, step 1e-5: its truncation error is
+        # about 1e-10 here, roundoff well below
         from kreinsl import chain
 
-        fac = _factors(smooth_tau(1, 128, seed=91, scale=8.0))
-        assert _lift_plan(fac) == (1, 14)
-        assert chain._BLOCK % 14 != 0
+        fac = _factors(tau)
+        assert _lift_plan(fac) == plan
+        runs, chain_runs = [], chain._runs
+
+        def spy(x, dx):
+            runs.append(x.shape[1])
+            return chain_runs(x, dx)
+
+        monkeypatch.setattr(chain, "_runs", spy)
         lams = np.array([0.0, 0.7, 3.2, 11.0, 40.3, 99.5])
         w, dw, _ = _sweep(fac, lams, 2, deriv=True, lift=True)
+        assert set(runs) == {run}
 
         def norm(a):
             return np.linalg.norm(a, 2, axis=(-2, -1))
@@ -176,6 +185,25 @@ class TestPropagatorOracle:
               - cf4_fundamental_matrix(fac.tau.values, lams - step))[:, :, :1]
         fd /= 2.0 * step
         assert np.max(norm(dw - fd) / norm(fd)) <= 1e-8
+
+    def test_scalar_products_lifted_with_derivative(self, monkeypatch):
+        # a strong scalar potential lifts every 14 factors, so every run
+        # is 8 long, the largest power of two within the lift stride, and
+        # psi is lifted after each
+        self._check_scalar_chain(smooth_tau(1, 128, seed=91, scale=8.0),
+                                 (1, 14), 8, monkeypatch)
+
+    def test_scalar_sub_steps_lifted_with_derivative(self, monkeypatch):
+        # 2 |d| = 25 / 8 > 2.5: every factor runs as two sub-steps, each
+        # its own run and lifted after it
+        self._check_scalar_chain(const_tau(25.0, 8), (2, 1), 1, monkeypatch)
+
+    def test_scalar_padded_tail(self, monkeypatch):
+        # runs of 32 within the stride of 33; the 200 factors leave a last
+        # run of 8, padded with 24 identity leaves
+        tau = smooth_tau(1, 100, seed=0, scale=3.0)
+        assert 2 * tau.spec.m % 32 == 8
+        self._check_scalar_chain(tau, (1, 33), 32, monkeypatch)
 
 
 def test_propagation_memory_bounded_in_m():
@@ -205,13 +233,13 @@ def test_propagation_memory_bounded_in_m():
 
 @pytest.mark.parametrize("tau", [
     smooth_tau(1, 128),
-    # lifted after each of two sub-steps per factor, so through the loop
+    # two sub-steps per factor, each its own run and lifted after it
     const_tau(25.0, 8),
-], ids=["chain", "loop"])
+], ids=["chain", "chain-sub-steps"])
 def test_scalar_sweep_is_free_of_its_batch(tau):
     # a lambda's W(1), dW/dlambda and lifted arg det U are the same bytes
     # alone, in a batch of 1000 and in that batch reversed: coefficients
-    # are scaled per lambda, and lifts and product runs end at factor
+    # are scaled per lambda, and product runs and lifts end at sub-step
     # indices that tau alone fixes
     fac = _factors(tau)
     lams = np.linspace(0.05, 200.0, 1000)
@@ -257,6 +285,11 @@ class TestWeyl:
 
 
 class TestFindEigenvalues:
+    @pytest.mark.parametrize("lambda_max", [0.0, -1.0, np.nan, np.inf])
+    def test_lambda_max_positive_and_finite(self, lambda_max):
+        with pytest.raises(ConfigurationError, match="lambda_max"):
+            find_eigenvalues(zero_tau(1, 64), lambda_max)
+
     def test_free_case(self):
         pairs = find_eigenvalues(zero_tau(1, 256), 10.0)
         lams = [lam for lam, _ in pairs]
@@ -371,8 +404,10 @@ class TestRootSearch:
 def test_direct_solve_leaves_numpy_ma_unimported():
     # np.unique's first call imports numpy.ma, about 1.3 MB of resident
     # memory in every process that runs a direct solve; the root search
-    # (bracket splits, cluster Newton steps) does without it.  Checked in
-    # a fresh interpreter, since other tests import it.
+    # (bracket splits, cluster Newton steps) does without it.  Hermitian
+    # r = 2 solves also leave the product chain (chain.py) unimported, so
+    # they do not compile it.  Checked in a fresh interpreter, since other
+    # tests import both.
     import os
     import subprocess
     import sys
@@ -388,13 +423,13 @@ def test_direct_solve_leaves_numpy_ma_unimported():
         "spectral_data(fourier_tau(2, 3, 0.3, 91, GridSpec(64)), 8)\n"
         "vals = np.tile(0.7 * np.eye(2), (65, 1, 1))\n"
         "spectral_data(MatrixGrid(2, GridSpec(64), vals, hermitian=True), 8)\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'kreinsl.chain' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(kreinsl.__file__))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def _bin_traces(data, n_bins):
@@ -451,8 +486,8 @@ class TestCount:
         ((0.7, -1.3), 64, 20.5 * np.pi, (1, 80)),
         # 2 (|d_1| + |d_2|) = 55 / 16 > 2.5: tau alone forces two sub-steps
         ((25.0, -30.0), 16, 20.5 * np.pi, (2, 1)),
-        # scalar, lifted after every sub-step, so through the loop
-        # rather than the product chain: 2 |d| = 25 / 8 > 2.5
+        # scalar, so through the product chain's sub-steps, each its
+        # own run: 2 |d| = 25 / 8 > 2.5
         ((25.0,), 8, 20.5 * np.pi, (2, 1)),
     ], ids=["diag(.7,-1.3)-m64", "diag(25,-30)-m16", "25-m8"])
     def test_constant_diag_closed_form(self, c, m, lam_max, plan):
@@ -617,7 +652,7 @@ class TestSpectralData:
         spline = make_interp_spline(knots, coarse.values, k=3, axis=0)
         tg1, tg2 = spline(knots[:-1] + _C1), spline(knots[:-1] + _C2)
         want = h * np.stack([_A1 * tg1 + _A2 * tg2, _A2 * tg1 + _A1 * tg2])
-        hu, _ = _step_generators(coarse.values, h)
+        hu = _step_generators(coarse.values, h)
         assert np.abs(hu - want).max() <= 1e-13 * h
 
     def test_matches_step_matrix_propagator(self):
