@@ -164,9 +164,10 @@ def cmd_direct(args) -> int:
     return EXIT_OK
 
 
-def _inverse_pipeline(data, n_bins: int, grid_m: int):
-    """Measure -> accelerant -> triangular solve -> potential."""
-    from .accelerant import build_accelerant, covered_bins, tail_proxy
+def _inverse_solve(data, n_bins: int, grid_m: int):
+    """Measure -> accelerant -> triangular solve: the accelerant, its Krein
+    solution, the truncation used and the notes on the data."""
+    from .accelerant import build_accelerant, covered_bins
     from .core import GridSpec
     from .krein import solve_krein
 
@@ -176,10 +177,16 @@ def _inverse_pipeline(data, n_bins: int, grid_m: int):
     used, clamped = covered_bins(data, n_bins)
     if clamped:
         notes.append(f"data covers {used} bins; truncation clamped from {n_bins}")
-    n_bins = used
-    spec = GridSpec(grid_m)
-    H = build_accelerant(data, spec, n_bins)
-    sol = solve_krein(H)
+    H = build_accelerant(data, GridSpec(grid_m), used)
+    return H, solve_krein(H), used, notes
+
+
+def _inverse_pipeline(data, n_bins: int, grid_m: int):
+    """Measure -> accelerant -> triangular solve -> potential, with the
+    inverse diagnostics."""
+    from .accelerant import tail_proxy
+
+    H, sol, n_bins, notes = _inverse_solve(data, n_bins, grid_m)
     tau, defect = sol.extract_tau()
     diagnostics = {
         "krein_residual": sol.residual,
@@ -188,7 +195,7 @@ def _inverse_pipeline(data, n_bins: int, grid_m: int):
         "min_pivot_x": sol.min_pivot_x,
         "dense_from_x": sol.dense_from_x,
         "hermitization_defect": defect,
-        "accelerant_tail_proxy": tail_proxy(data, spec, n_bins, h_full=H),
+        "accelerant_tail_proxy": tail_proxy(data, H.spec, n_bins, h_full=H),
         "n_bins_used": n_bins,
         "notes": notes,
     }
@@ -307,10 +314,11 @@ def cmd_roundtrip(args) -> int:
         full = spectral_data(tau_gm, 2 * cfg.n_bins, report)
         prefix = spectral_prefix(full, report["kernel_dim"], cfg.n_bins)
         for nb, data in ((cfg.n_bins, prefix), (2 * cfg.n_bins, full)):
-            tau_hat, diag = _inverse_pipeline(data, nb, gm)
+            sol = _inverse_solve(data, nb, gm)[1]
+            tau_hat = sol.tau()
             errs = _relative_errors(tau_hat, tau_gm)
             table.append({"n_bins": nb, "grid_m": gm, "tau_errors": errs,
-                          "krein_residual": diag["krein_residual"]})
+                          "krein_residual": sol.residual})
             if nb == cfg.n_bins and gm == cfg.grid_m:
                 base = (data, tau_hat)
             log.info("roundtrip n_bins=%d m=%d: rel L2 %.3e", nb, gm, errs["l2"])

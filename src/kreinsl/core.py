@@ -72,8 +72,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _herm_defect(a: np.ndarray) -> float:
-    """Max over grid of ||A - A*|| relative to 1 + ||A||."""
-    d = np.linalg.norm(a - np.conj(np.swapaxes(a, -1, -2)), ord=2, axis=(-2, -1))
+    """Max over grid of ||A - A*|| relative to 1 + ||A||, in 2-norms; or
+    the Frobenius bound on it, ||D||_2 <= ||D||_F and ||A||_2 >=
+    ||A||_F / sqrt(r), when that bound is within HERMITIAN_RTOL, which
+    settles the check without an SVD."""
+    skew = a - np.conj(np.swapaxes(a, -1, -2))
+    bound = float(np.max(np.linalg.norm(skew, axis=(-2, -1)) / (
+        1.0 + np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(a.shape[-1]))))
+    if bound <= HERMITIAN_RTOL:
+        return bound
+    d = np.linalg.norm(skew, ord=2, axis=(-2, -1))
     s = np.linalg.norm(a, ord=2, axis=(-2, -1))
     return float(np.max(d / (1.0 + s)))
 

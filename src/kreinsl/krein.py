@@ -24,14 +24,18 @@ need not go singular at the same row near the edge of the accelerant
 class; from the first row where a recursion pivot degrades, the remaining
 rows are solved by one dense LU each, whose condition estimate decides.
 
-The rows come out one at a time, in order, from one producer.
-`solve_krein` takes them _RESIDUAL_ROWS at a time, keeps R(x_i, 0) for
-the potential, scores the block's defect and drops it, so it never holds
-more of R than one block of rows; `krein_kernel` collects every row into
-the whole triangle for the callers that need R itself.  The defect needs
-the block-Toeplitz matrix of H only in panels of _RESIDUAL_ROWS block
-columns, and each such panel is a contiguous row slice of one strip
-(`toeplitz_strip`), so the residual builds no (m+1) r square matrix.
+The rows come out in blocks of _RESIDUAL_ROWS, in order, in one buffer
+that is refilled for every block.  Within a block the recursion carries
+only what the next row needs and leaves each row's first block column of
+G_i^{-1} in the buffer; the pivot checks, the Woodbury solves and the
+turning of those columns into rows of R are then one stacked call each for
+the whole block.  `solve_krein` keeps R(x_i, 0) for the potential and
+scores the block's defect in place, so it never holds more of R than one
+block of rows; `krein_kernel` copies every block into the whole triangle
+for the callers that need R itself.  The defect needs the block-Toeplitz
+matrix of H only in panels of _RESIDUAL_ROWS block columns, and each such
+panel is a contiguous row slice of one strip (`toeplitz_strip`), so the
+residual builds no (m+1) r square matrix.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class KreinSolution:
     H(x) + int_0^x R(x, s) H(s) ds by construction of the row systems.
     `dense_from_x` is x_i of the first row solved by dense LU after the
     recursion degraded, or None when the recursion solved every row.
-    `hermitian` is H's flag; extract_tau Hermitizes tau when it is set.
+    `hermitian` is H's flag; `tau` Hermitizes tau when it is set.
     """
 
     column: MatrixGrid
@@ -89,19 +93,24 @@ class KreinSolution:
     dense_from_x: float | None
     hermitian: bool
 
-    def extract_tau(self) -> tuple[MatrixGrid, float]:
-        """Potential tau(x_i) = -R(x_i, 0), Hermitized for a Hermitian H.
-
-        Returns the grid and the pre-symmetrization Hermiticity defect
-        (NaN for a non-Hermitian H).
-        """
+    def tau(self) -> MatrixGrid:
+        """Potential tau(x_i) = -R(x_i, 0), Hermitized for a Hermitian H."""
         r, spec = self.column.r, self.column.spec
         raw = -self.column.values
         if not self.hermitian:
-            return MatrixGrid(r, spec, raw), float("nan")
+            return MatrixGrid(r, spec, raw)
         sym = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
-        defect = float(np.max(np.linalg.norm(raw - sym, ord=2, axis=(-2, -1))))
-        return MatrixGrid(r, spec, sym, hermitian=True), defect
+        return MatrixGrid(r, spec, sym, hermitian=True)
+
+    def extract_tau(self) -> tuple[MatrixGrid, float]:
+        """`tau()` and the pre-symmetrization Hermiticity defect (NaN for
+        a non-Hermitian H)."""
+        tau = self.tau()
+        if not self.hermitian:
+            return tau, float("nan")
+        raw = -self.column.values
+        defect = float(np.max(np.linalg.norm(raw - tau.values, ord=2, axis=(-2, -1))))
+        return tau, defect
 
 
 @dataclass
@@ -150,16 +159,11 @@ def solve_krein(H: MatrixGrid) -> KreinSolution:
     spec = H.spec
     m, r, h = spec.m, H.r, spec.h
     pivots = _Pivots()
-    rows = _kernel_rows(H, pivots)
     strip = toeplitz_strip(H)
     column = np.zeros((m + 1, r, r), dtype=complex)
     residual, residual_x = 0.0, 0.0
-    for i0 in range(0, m + 1, _RESIDUAL_ROWS):
-        i1 = min(i0 + _RESIDUAL_ROWS, m + 1)
-        block = np.zeros((i1 - i0, m + 1, r, r), dtype=strip.dtype)
-        for a, y in zip(range(i1 - i0), rows):
-            block[a, :len(y)] = y
-        column[i0:i1] = block[:, 0]
+    for i0, block in _row_blocks(H, pivots):
+        column[i0:i0 + len(block)] = block[:, 0]
         defect, i = krein_residual(H, strip, i0, block)
         if defect > residual:
             residual, residual_x = defect, i * h
@@ -174,26 +178,38 @@ def krein_kernel(H: MatrixGrid) -> TriangularKernel:
     `transformation_kernels`.  It holds (m+1)^2 r^2 entries."""
     m, r = H.spec.m, H.r
     values = np.zeros((m + 1, m + 1, r, r), dtype=complex)
-    for i, y in enumerate(_kernel_rows(H, _Pivots())):
-        values[i, :i + 1] = y
+    for i0, block in _row_blocks(H, _Pivots()):
+        i1 = i0 + len(block)
+        values[i0:i1, :i1] = block[:, :i1]
     return TriangularKernel(r, H.spec, values)
 
 
-def _kernel_rows(H: MatrixGrid, pivots: _Pivots):
-    """Rows i = 0..m of R in order: y[k] = R(x_i, t_k) for k = 0..i.
+def _row_blocks(H: MatrixGrid, pivots: _Pivots):
+    """R in blocks of _RESIDUAL_ROWS rows, in order: yields (i0, rows) with
+    rows[a, k] = R(x_{i0+a}, t_k) for k <= i0 + a and zero beyond.
 
-    The recursion solves rows until a pivot degrades, then the dense
-    fallback the rest; `pivots` records what they report.
+    Every block is the same buffer, refilled for the next one.  The
+    recursion solves rows until a pivot degrades, then the dense fallback
+    the rest; `pivots` records what they report.
     """
     h = H.spec.h
     hv = _working_values(H)
     # T[d] = H(d h)^T for d = 0..m (evenness for d < 0)
     Td = np.swapaxes(hv, -1, -2).copy()
-    yield -hv[:1]
-    start = yield from _levinson_rows(Td, h, H.hermitian, pivots)
-    if start < Td.shape[0]:
-        pivots.dense_from_x = start * h
-        yield from _dense_rows(Td, h, start, pivots)
+    m1, r = Td.shape[0], Td.shape[1]
+    buf = np.zeros((min(_RESIDUAL_ROWS, m1), m1, r, r), dtype=Td.dtype)
+    buf[0, 0] = -hv[0]
+    levinson = _levinson_rows(Td, h, H.hermitian, pivots, buf)
+    dense = None
+    for i0 in range(0, m1, _RESIDUAL_ROWS):
+        i1 = min(i0 + _RESIDUAL_ROWS, m1)
+        start = i0 if dense is not None else next(levinson)
+        if dense is None and start < i1:
+            pivots.dense_from_x = start * h
+            dense = _dense_rows(Td, h, start, pivots)
+        for i in range(start, i1):
+            buf[i - i0, :i + 1] = next(dense)
+        yield i0, buf[:i1 - i0]
 
 
 def _pivot_size(block: np.ndarray, hermitian: bool) -> float:
@@ -204,22 +220,31 @@ def _pivot_size(block: np.ndarray, hermitian: bool) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 
-def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots):
-    """Yield rows 1.. of R by the block Levinson recursion.
+def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots,
+                   buf: np.ndarray):
+    """Solve rows 1.. of R by the block Levinson recursion into `buf`, one
+    block of len(buf) rows at a time.
 
-    Returns the first row left unsolved (m + 1 when all are solved); the
-    pivots of the solved rows go to `pivots`.
+    Row i goes to buf[i - i0], i0 the start of its block.  After each
+    block the generator yields the first row it left unsolved (the block's
+    end when it solved them all) and stops after the first block that
+    leaves one; the pivots of the solved rows go to `pivots`.
 
     The forward predictor of G_i is a = [I; a_1; ...; a_i] with
     G_i a = [E; 0; ...; 0].  Its entries a_j and E - I are O(h), so the
     recursion carries alpha_j = a_j / h and eps = (E - I) / h: the first
     block column of (I - G_i^{-1}) / h, which the row solve needs, is then
-    [eps; -alpha_1; ...; -alpha_i] E^{-1} with no cancellation.
+    [eps; -alpha_1; ...; -alpha_i] E^{-1} with no cancellation.  That
+    column and E are all a row leaves for `_woodbury_rows`.  The recursion
+    runs to the end of the block before any pivot of it is checked, so
+    rows past a degraded pivot are computed and dropped; an E that is
+    exactly singular (or not finite) ends the block at its row, and what
+    such rows compute may overflow, so floating-point warnings are off
+    while the block runs.
     """
     m1, r = Td.shape[0], Td.shape[1]
     m = m1 - 1
     eye = np.eye(r)
-    eye2 = np.eye(2 * r)
     # T[m], ..., T[0] side by side: T[n-1], ..., T[1] is a contiguous slice
     trow = Td[::-1].transpose(1, 0, 2).reshape(r, m1 * r)
     alpha = np.zeros((m * r, r), dtype=Td.dtype)  # alpha_1..alpha_m stacked
@@ -228,50 +253,113 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots):
     scale = float(np.linalg.norm(E, 2))
     pivot = _pivot_size(E, hermitian) / scale if scale > 0 else 0.0
     if not pivot >= LEVINSON_FLOOR:
-        return 1
+        yield 1
+        return
     pivots.see(pivot, 0.0)
     e_inv = np.linalg.solve(E, eye)
-    # the Woodbury matrix's block pattern [[first, last], [last, first]],
-    # refilled row by row; its right block column [last; first] is the
-    # right-hand side
-    corner = np.empty((2 * r, 2 * r), dtype=Td.dtype)
-    rhs = corner[:, r:]
-    woodbury = np.empty_like(corner)
-    for i in range(1, m1):
-        # grow the predictor from i to i + 1 blocks; Delta = h delta is the
-        # defect of [a; 0] in the new last block row
-        k = (i - 1) * r
-        delta = Td[i] + h * (trow[:, (m1 - i) * r:m * r] @ alpha[:k])
-        kappa = -e_inv @ delta
-        alpha[:k] += h * (alpha[:k].reshape(i - 1, r, r)[::-1].reshape(k, r) @ kappa)
-        alpha[k:k + r] = kappa
-        eps = eps + h * (delta @ kappa)
-        E = eye + h * eps
-        pivot = _pivot_size(E, hermitian) / scale
-        if not pivot >= LEVINSON_FLOOR:
-            return i
-        e_inv = np.linalg.solve(E, eye)
+    Es = np.empty((len(buf), r, r), dtype=Td.dtype)
+    for i0 in range(0, m1, len(buf)):
+        lo, i1 = max(i0, 1), min(i0 + len(buf), m1)
+        stop = i1
+        with np.errstate(all="ignore"):
+            for i in range(lo, i1):
+                # grow the predictor from i to i + 1 blocks; Delta = h delta
+                # is the defect of [a; 0] in the new last block row
+                k = (i - 1) * r
+                delta = Td[i] + h * (trow[:, (m1 - i) * r:m * r] @ alpha[:k])
+                kappa = -e_inv @ delta
+                alpha[:k] += h * (alpha[:k].reshape(i - 1, r, r)[::-1].reshape(k, r) @ kappa)
+                alpha[k:k + r] = kappa
+                eps = eps + h * (delta @ kappa)
+                E = np.add(eye, h * eps, out=Es[i - i0])
+                try:
+                    e_inv = np.linalg.solve(E, eye)
+                except np.linalg.LinAlgError:
+                    stop = i
+                    break
+                # first block column of (I - G_i^{-1}) / h
+                w0 = buf[i - i0, :i + 1]
+                np.matmul(eps, e_inv, out=w0[0])
+                rest = w0[1:].reshape(k + r, r)
+                np.matmul(alpha[:k + r], e_inv, out=rest)
+                np.negative(rest, out=rest)
+        end = _woodbury_rows(buf[lo - i0:stop - i0], Es[lo - i0:stop - i0], lo, h,
+                             hermitian, scale, pivots)
+        yield end
+        if end < i1:
+            return
 
-        # first block column of (I - G_i^{-1}) / h; the last is its reversal
-        w0 = np.empty(((i + 1) * r, r), dtype=Td.dtype)
-        w0[:r] = eps @ e_inv
-        w0[r:] = -(alpha[:k + r] @ e_inv)
-        blocks = w0.reshape(i + 1, r, r)
-        wi = blocks[::-1].reshape(-1, r)
-        # Woodbury: A_i = G_i - (h/2) T_i [e_0 e_i][e_0 e_i]^T, rhs -T_i e_i
-        corner[:r, :r] = corner[r:, r:] = blocks[0]
-        corner[:r, r:] = corner[r:, :r] = blocks[i]
-        np.multiply(corner, h / 2.0, out=woodbury)
-        np.subtract(eye2, woodbury, out=woodbury)
-        sig = np.linalg.svd(woodbury, compute_uv=False)
-        wpivot = float(sig[-1] / sig[0])
-        if not wpivot >= LEVINSON_FLOOR:
-            return i
-        c = (h / 2.0) * np.linalg.solve(woodbury, rhs)
-        y = -(w0 @ c[:r]) - wi @ (eye + c[r:])
-        pivots.see(min(pivot, wpivot), i * h)
-        yield np.swapaxes(y.reshape(i + 1, r, r), -1, -2)
-    return m1
+
+def _leading(ok: np.ndarray) -> int:
+    """Number of leading True entries of a boolean vector."""
+    return int(np.argmin(ok)) if not ok.all() else len(ok)
+
+
+def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
+                   hermitian: bool, scale: float, pivots: _Pivots) -> int:
+    """Turn the first block columns of (I - G_i^{-1}) / h of the
+    consecutive rows i = lo, lo + 1, ... into those rows of R, in place.
+
+    rows[a, :i + 1] holds row i's column and E[a] its recursion pivot
+    block.  The rows are taken up to the first whose pivot degrades: the
+    smallest eigenvalue (Hermitian kernels) or singular value of E
+    relative to `scale`, then the reciprocal 2-norm condition number of
+    the 2r x 2r Woodbury matrix.  Returns the first row not taken; the
+    pivots of the taken ones go to `pivots`.  Each step is one stacked
+    call for all rows.
+
+    With w0 the column and wi its block reversal (the last block column),
+    A_i = G_i - (h/2) T_i [e_0 e_i][e_0 e_i]^T and the right-hand side
+    -T_i e_i give the row as y = -w0 c_0 - wi (I + c_1), where
+    [c_0; c_1] = (h/2) W^{-1} [w0_i; w0_0] and W = I - (h/2) [[w0_0,
+    w0_i], [w0_i, w0_0]]; R(x_i, t_k) = y_k^T.
+    """
+    r = E.shape[-1]
+    n = _leading(np.isfinite(E).all(axis=(1, 2)))
+    if hermitian:
+        pivot = np.linalg.eigvalsh((E[:n] + np.conj(np.swapaxes(E[:n], -1, -2))) / 2.0)[:, 0]
+    else:
+        pivot = np.linalg.svd(E[:n], compute_uv=False)[:, -1]
+    pivot /= scale
+    n = _leading(pivot >= LEVINSON_FLOOR)
+    i = np.arange(lo, lo + n)
+    # the Woodbury matrix's block pattern [[first, last], [last, first]];
+    # its right block column [last; first] is the right-hand side
+    corner = np.empty((n, 2 * r, 2 * r), dtype=rows.dtype)
+    corner[:, :r, :r] = corner[:, r:, r:] = rows[:n, 0]
+    corner[:, :r, r:] = corner[:, r:, :r] = rows[np.arange(n), i]
+    woodbury = np.eye(2 * r) - corner * (h / 2.0)
+    n = _leading(np.isfinite(woodbury).all(axis=(1, 2)))
+    sig = np.linalg.svd(woodbury[:n], compute_uv=False)
+    wpivot = sig[:, -1] / sig[:, 0]
+    n = _leading(wpivot >= LEVINSON_FLOOR)
+    if n == 0:
+        return lo
+    c = (h / 2.0) * np.linalg.solve(woodbury[:n], corner[:n, :, r:])
+    seen = np.minimum(pivot[:n], wpivot[:n])
+    a = int(np.argmin(seen))
+    pivots.see(float(seen[a]), (lo + a) * h)
+
+    # y_k = -w0_k c_0 - w0_{i-k} (I + c_1).  The products w0_j (I + c_1)
+    # of row a go to rows of width + 1 blocks, shifted by n - 1 blocks of
+    # zeros: then w0_{i-k} (I + c_1) is a reversed view of them, whose
+    # entries past k = i read zeros.
+    width = lo + n
+    cols = rows[:n, :width]
+    flat = cols.reshape(n, width * r, r)
+    shifted = np.zeros((n * (width + 1), r, r), dtype=rows.dtype)
+    np.matmul(flat, np.eye(r) + c[:, r:],
+              out=shifted[n - 1:n - 1 + n * width].reshape(n, width * r, r))
+    back = shifted.reshape(n, width + 1, r, r)[:, width - 1::-1]
+    y = (flat @ c[:, :r]).reshape(n, width, r, r)
+    np.negative(y, out=y)
+    np.subtract(y, back, out=y)
+    # R(x_i, t_k) = y_k^T for k <= i: every row takes all columns k < lo
+    y = np.swapaxes(y, -1, -2)
+    np.copyto(cols[:, :lo], y[:, :lo])
+    inside = np.arange(lo, width) <= i[:, None]
+    np.copyto(cols[:, lo:], y[:, lo:], where=inside[:, :, None, None])
+    return lo + n
 
 
 def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
@@ -340,9 +428,15 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
     every block (i, k) scaled by its row's trapezoid weight w_k, times the
     block-Toeplitz matrix of H(|k - j| h) in the columns j < i1 (the defect
     needs t_j <= x_i only), one product per panel of _RESIDUAL_ROWS
-    columns, each a row slice of the strip.  The inner dimension stays the
-    full grid, zero weights included, so every entry sums the same terms
-    as one product over all rows would.  The work arrays hold
+    columns, each a row slice of the strip; H(x_i - t_j) is another row
+    slice of it.  The inner dimension stays the full grid, zero weights
+    included, so every entry sums the same terms as one product over all
+    rows would.  The 2-norm lies within a factor sqrt(r) below the
+    Frobenius norm, so only blocks within that factor of the largest
+    Frobenius norm can hold the maximum: each panel keeps the blocks
+    within that factor of the largest Frobenius norm so far, and one
+    stacked 2-norm call per block of rows takes those still within it of
+    the block's largest.  The work arrays hold
     O(_RESIDUAL_ROWS m r^2) entries.  When every defect is zero the row
     returned is i0.
     """
@@ -352,7 +446,6 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
     if (rows.shape[1:] != (n_full, r, r) or not 0 <= i0 <= n_full - n
             or strip.shape != ((2 * m + 1) * r, _RESIDUAL_ROWS * r)):
         raise ValidationError("kernel shapes disagree")
-    hv = _working_values(H)
     worst, worst_i = 0.0, i0
     for b0 in range(0, n, _RESIDUAL_ROWS):
         lo = i0 + b0
@@ -363,24 +456,31 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
         if lo == 0:
             weights[0, 0] = 0.0
         rw = block_flatten(rows[b0:b0 + b] * weights[:, :, None, None])
+        top, fro, at, blocks = 0.0, [], [], []
         for j0 in range(0, i1, _RESIDUAL_ROWS):
             j1 = min(j0 + _RESIDUAL_ROWS, i1)
-            panel = strip[(m - j0) * r:(2 * m + 1 - j0) * r, :(j1 - j0) * r]
-            quad = (rw @ panel).reshape(b, r, j1 - j0, r)
-            a, c = np.nonzero(np.arange(j0, j1)[None, :] <= np.arange(lo, i1)[:, None])
-            # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j)
-            defect = rows[b0 + a, j0 + c] + hv[lo + a - j0 - c] + quad[a, :, c, :]
-            # the 2-norm lies within a factor sqrt(r) below the Frobenius norm,
-            # so only blocks near the panel's largest Frobenius norm can hold
-            # its maximum
-            fro = np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))
-            top = fro.max()
+            c = j1 - j0
+            panel = strip[(m - j0) * r:(2 * m + 1 - j0) * r, :c * r]
+            # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j),
+            # laid out [a, :, j - j0, :] like the product
+            h_ij = strip[(m + lo - j0) * r:(m + i1 - j0) * r, :c * r]
+            defect = (np.swapaxes(rows[b0:b0 + b, j0:j1], 1, 2)
+                      + h_ij.reshape(b, r, c, r))
+            defect += (rw @ panel).reshape(b, r, c, r)
+            # blocks with t_j > x_i lie outside the triangle
+            size = np.tril(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(1, 3))), k=lo - j0)
+            top = max(top, float(size.max()))
             if top > 0.0:
-                near = np.flatnonzero(fro >= 0.99 * top / np.sqrt(r))
-                norms = np.linalg.norm(defect[near], ord=2, axis=(-2, -1))
-                k = int(np.argmax(norms))
-                if norms[k] > worst:
-                    worst, worst_i = float(norms[k]), lo + int(a[near[k]])
+                a, col = np.nonzero(size >= 0.99 * top / np.sqrt(r))
+                fro.append(size[a, col])
+                at.append(lo + a)
+                blocks.append(defect[a, :, col, :])
+        if top > 0.0:
+            keep = np.concatenate(fro) >= 0.99 * top / np.sqrt(r)
+            norms = np.linalg.norm(np.concatenate(blocks)[keep], ord=2, axis=(-2, -1))
+            k = int(np.argmax(norms))
+            if norms[k] > worst:
+                worst, worst_i = float(norms[k]), int(np.concatenate(at)[keep][k])
     return worst, worst_i
 
 

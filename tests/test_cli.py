@@ -382,6 +382,30 @@ def test_roundtrip_one_direct_solve_per_grid(tmp_path, monkeypatch):
     assert calls == [8, 8, 4]
 
 
+def test_roundtrip_builds_no_tail_proxy(tmp_path, monkeypatch):
+    # the roundtrip report holds neither the tail proxy nor the
+    # Hermitization defect, so its inverse rows compute neither; inverse
+    # still reports the proxy
+    import kreinsl.accelerant as accelerant
+
+    calls = []
+    proxy = accelerant.tail_proxy
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return proxy(*args, **kwargs)
+
+    monkeypatch.setattr(accelerant, "tail_proxy", counted)
+    assert main(["roundtrip", "--synthetic", "1:3:0.3", "--seed", "5",
+                 "--grid-m", "64", "--n-bins", "4",
+                 "--out", str(tmp_path / "rt")]) == 0
+    assert calls == []
+    data = nu0_file(tmp_path / "d.json")
+    assert main(["inverse", str(data), "--grid-m", "64", "--n-bins", "4",
+                 "--out", str(tmp_path / "inv")]) == 0
+    assert calls == [4]
+
+
 def test_roundtrip_prefix_rank_identity_exits_1(tmp_path, capsys):
     # the 24-bin solve of this strong potential passes its own check, but
     # its 12-bin prefix has total rank 11: the rows that read the prefix

@@ -69,6 +69,46 @@ def test_hermitian_flag_checked():
     MatrixGrid(2, spec, vals, hermitian=False)  # fine unflagged
 
 
+def _two_norm_calls(monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord=ord, axis=axis, keepdims=keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return calls
+
+
+def test_hermitian_grid_passes_without_svd(monkeypatch):
+    # the Frobenius bound of an exactly Hermitian grid is 0
+    calls = _two_norm_calls(monkeypatch)
+    MatrixGrid(2, GridSpec(16), _random_grid(3, hermitian=True).values, hermitian=True)
+    assert calls == []
+
+
+def test_hermitian_check_falls_back_to_two_norms(monkeypatch):
+    # A = [[1000, e], [0, 0]]: ||D||_2 = e and ||A||_2 = 1000, so the defect
+    # e / 1001 = 9.0e-13 passes, while the Frobenius bound
+    # sqrt(2) e / (1 + 1000 / sqrt(2)) = 1.8e-12 does not decide it
+    calls = _two_norm_calls(monkeypatch)
+    vals = np.zeros((9, 2, 2), dtype=complex)
+    vals[:, 0, 0] = 1000.0
+    vals[4, 0, 1] = 9.009e-10
+    MatrixGrid(2, GridSpec(8), vals, hermitian=True)
+    assert len(calls) == 2
+
+
+def test_non_hermitian_grid_message():
+    vals = np.zeros((9, 2, 2), dtype=complex)
+    vals[3, 0, 1] = 1.0
+    with pytest.raises(ValidationError,
+                       match=r"^grid flagged hermitian but worst sample defect is 5\.000e-01$"):
+        MatrixGrid(2, GridSpec(8), vals, hermitian=True)
+
+
 def test_matrix_grid_immutable():
     g = MatrixGrid(1, GridSpec(8), np.zeros((9, 1, 1)))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,19 +161,29 @@ def hermitian_kernel(m):
 class TestStreaming:
     # the rows reach the residual 64 at a time: m + 1 = 64 and 128 fill
     # the last block, 65 and 129 leave one row in it, and the cos kernel's
-    # dense rows start at row 79, inside the second block.  The pivots are
-    # those of the row solves before they were streamed.
+    # dense rows start at row 79, inside the second block.  At m = 77, 78,
+    # 154 and 155 the first degraded recursion pivot is on row 63, 64, 127
+    # and 127: the last or the first row of a block.  The pivots are those
+    # of the row solves before they were blocked.
     @pytest.mark.parametrize("make, min_pivot, dense_from_x", [
         (lambda: hermitian_kernel(63), 0.9797862556848314, None),
         (lambda: hermitian_kernel(64), 0.9800992160248965, None),
         (lambda: hermitian_kernel(127), 0.9899257160616813, None),
         (lambda: hermitian_kernel(128), 0.9900040612809882, None),
         (lambda: cos_kernel(96), 0.0014266971898237457, 79 / 96),
-    ], ids=["m63", "m64", "m127", "m128", "fallback-cos-m96"])
+        (lambda: cos_kernel(77), 0.0027681822714144873, 63 / 77),
+        (lambda: cos_kernel(78), 0.0026623630694300035, 64 / 78),
+        (lambda: cos_kernel(154), 0.0005228826059971654, 127 / 154),
+        (lambda: cos_kernel(155), 5.569888633656357e-05, 127 / 155),
+    ], ids=["m63", "m64", "m127", "m128", "fallback-cos-m96",
+            "degraded-last-row-m77", "degraded-first-row-m78",
+            "degraded-last-row-m154", "degraded-last-row-m155"])
     def test_block_edges(self, make, min_pivot, dense_from_x):
         H = make()
-        sol = solve_krein(H)
-        R = krein_kernel(H)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_krein(H)
+            R = krein_kernel(H)
         assert (-sol.column.values).tobytes() == (-R.values[:, 0]).tobytes()
         assert abs(sol.residual - krein_residual_one_gemm(H.values, R.values)) <= 1e-15
         assert sol.min_pivot == pytest.approx(min_pivot, rel=1e-12)
@@ -180,6 +191,30 @@ class TestStreaming:
             assert sol.dense_from_x is None
         else:
             assert sol.dense_from_x == pytest.approx(dense_from_x, abs=1e-15)
+
+    def test_singular_pivot_inside_block(self, monkeypatch):
+        # the constant -2 kernel's recursion pivot E is exactly singular on
+        # row 47 of 96, inside the first block: that ends the block there,
+        # the dense rows start on it, and row 48 (x = 0.5) is singular
+        singular = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        H = const_kernel(-2.0, 96)
+        for run in (solve_krein, krein_kernel):
+            with warnings.catch_warnings(), pytest.raises(NotAnAccelerantError) as exc:
+                warnings.simplefilter("error")
+                run(H)
+            assert exc.value.x == 0.5
+            assert exc.value.pivot == pytest.approx(3.06951027431273e-17, rel=1e-12)
+        assert len(singular) == 2
 
     def test_solve_memory_bounded(self):
         # m = 1024, r = 2 complex: the whole triangle plus the square
