@@ -353,41 +353,49 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--log-level", default=None, choices=LOG_LEVELS)
 
 
-def make_parser() -> argparse.ArgumentParser:
+# Each command: its help line, its input positional, and its handler.
+_COMMANDS = {
+    "direct": ("potential file -> spectral data", "tau_file", cmd_direct),
+    "inverse": ("spectral data -> potential", "data_file", cmd_inverse),
+    "validate": ("check characterization conditions", "data_file", cmd_validate),
+    "roundtrip": ("direct then inverse, with comparison", "tau_file", cmd_roundtrip),
+}
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every command's subparser, or only that
+    of `command` when it is given; the usage line names every command
+    either way, so the two parse and fail alike on that command's
+    arguments."""
     parser = argparse.ArgumentParser(
         prog="kreinsl",
         description="Direct and inverse spectral runs for matrix "
                     "Sturm-Liouville potentials",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("direct", help="potential file -> spectral data")
-    p.add_argument("tau_file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_direct)
-
-    p = sub.add_parser("inverse", help="spectral data -> potential")
-    p.add_argument("data_file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_inverse)
-
-    p = sub.add_parser("validate", help="check characterization conditions")
-    p.add_argument("data_file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("roundtrip", help="direct then inverse, with comparison")
-    p.add_argument("tau_file", nargs="?")
-    p.add_argument("--synthetic", default=None, metavar="R:ORDER:SCALE",
-                   help="generate a seeded Fourier potential instead of "
-                        "reading a file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_roundtrip)
+    names = list(_COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, positional, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if name == "roundtrip":
+            p.add_argument(positional, nargs="?")
+            p.add_argument("--synthetic", default=None, metavar="R:ORDER:SCALE",
+                           help="generate a seeded Fourier potential instead of "
+                                "reading a file")
+        else:
+            p.add_argument(positional)
+        _add_common(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run names its command first; --help, no command or an unknown one
+    # build every subparser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = make_parser(command).parse_args(argv)
     # the level is set once the config is resolved (build_config)
     logging.basicConfig(format="%(levelname)s %(message)s")
 

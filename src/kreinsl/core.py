@@ -355,16 +355,26 @@ def block_flatten(blocks: np.ndarray) -> np.ndarray:
 # File I/O.  Complex numbers are stored as two-element [re, im] arrays; the
 # float repr round-trips, so save followed by load is bit exact.
 
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+def _matrix_to_json(values: np.ndarray) -> list:
+    """A matrix, or a stack of them, as nested lists of [re, im] floats."""
+    return np.stack([values.real, values.imag], -1).tolist()
+
+
+def _matrices_from_json(objs: list, r: int) -> np.ndarray | None:
+    """The complex (n, r, r) stack of n JSON matrices, checked and
+    converted in one pass; None unless each is r x r [re, im] number pairs."""
+    arr = np.array(objs, dtype=object)
+    if arr.shape != (len(objs), r, r, 2) or not {type(v) for v in arr.flat} <= {int, float}:
+        return None
+    arr = arr.astype(float)
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _matrix_from_json(obj, r: int, where: str) -> np.ndarray:
-    arr = np.array(obj, dtype=object)
-    if arr.shape != (r, r, 2) or any(type(v) not in (int, float) for v in arr.flat):
+    mat = _matrices_from_json([obj], r)
+    if mat is None:
         raise ParseError(f"{where}: expected a matrix of {r} x {r} [re, im] number pairs")
-    arr = arr.astype(float)
-    return arr[..., 0] + 1j * arr[..., 1]
+    return mat[0]
 
 
 def _load_json(path) -> dict:
@@ -412,7 +422,7 @@ def save_matrix_grid(grid: MatrixGrid, path, extra: dict | None = None) -> None:
         "r": grid.r,
         "m": grid.spec.m,
         "hermitian": bool(grid.hermitian),
-        "values": [_matrix_to_json(v) for v in grid.values],
+        "values": _matrix_to_json(grid.values),
     }
     if extra:
         doc.update(extra)
@@ -426,9 +436,11 @@ def load_matrix_grid(path) -> MatrixGrid:
     values = _field(doc, "values", list, path)
     if len(values) != spec.m + 1:
         raise ParseError(f"{path}: expected {spec.m + 1} matrices in 'values'")
-    mats = np.stack([
-        _matrix_from_json(v, r, f"{path}: values[{i}]") for i, v in enumerate(values)
-    ])
+    mats = _matrices_from_json(values, r)
+    if mats is None:
+        mats = np.stack([
+            _matrix_from_json(v, r, f"{path}: values[{i}]") for i, v in enumerate(values)
+        ])
     finite = np.isfinite(mats).all(axis=(-2, -1))
     if not finite.all():
         raise ValidationError(f"{path}: non-finite sample at values[{np.argmin(finite)}]")
@@ -440,8 +452,8 @@ def save_spectral_data(data: SpectralData, path) -> None:
         "r": data.r,
         "includes_zero": bool(data.includes_zero),
         "entries": [
-            {"lambda": float(lam), "alpha": _matrix_to_json(al)}
-            for lam, al in zip(data.lambdas, data.alphas)
+            {"lambda": lam, "alpha": al}
+            for lam, al in zip(data.lambdas.tolist(), _matrix_to_json(data.alphas))
         ],
     }
     _save_json(doc, path)
@@ -450,14 +462,22 @@ def save_spectral_data(data: SpectralData, path) -> None:
 def load_spectral_data(path) -> SpectralData:
     doc = _load_json(path)
     r = _field(doc, "r", int, path)
-    lams, alphas = [], []
-    for i, ent in enumerate(_field(doc, "entries", list, path)):
-        where = f"{path}: entries[{i}]"
-        if not isinstance(ent, dict):
-            raise ParseError(f"{where} is not an object")
-        lams.append(_field(ent, "lambda", float, where))
-        alphas.append(_matrix_from_json(_field(ent, "alpha", list, where),
-                                        r, f"{where}.alpha"))
+    entries = _field(doc, "entries", list, path)
+    lams = alphas = None
+    if all(type(ent) is dict and type(ent.get("lambda")) in (int, float)
+           and type(ent.get("alpha")) is list for ent in entries):
+        lams = [float(ent["lambda"]) for ent in entries]
+        alphas = _matrices_from_json([ent["alpha"] for ent in entries], r)
+    if alphas is None:
+        # the entry-by-entry path, for the error that names the first bad one
+        lams, alphas = [], []
+        for i, ent in enumerate(entries):
+            where = f"{path}: entries[{i}]"
+            if not isinstance(ent, dict):
+                raise ParseError(f"{where} is not an object")
+            lams.append(_field(ent, "lambda", float, where))
+            alphas.append(_matrix_from_json(_field(ent, "alpha", list, where),
+                                            r, f"{where}.alpha"))
     if not lams:
         raise ValidationError(f"{path}: spectral data needs at least one entry")
     return SpectralData(r, np.asarray(lams), np.stack(alphas),

@@ -32,10 +32,13 @@ turning of those columns into rows of R are then one stacked call each for
 the whole block.  `solve_krein` keeps R(x_i, 0) for the potential and
 scores the block's defect in place, so it never holds more of R than one
 block of rows; `krein_kernel` copies every block into the whole triangle
-for the callers that need R itself.  The defect needs the block-Toeplitz
-matrix of H only in panels of _RESIDUAL_ROWS block columns, and each such
-panel is a contiguous row slice of one strip (`toeplitz_strip`), so the
-residual builds no (m+1) r square matrix.
+for the callers that need R itself.  The defect of a block of rows is a
+block-Toeplitz product along each row: a block that ends at row i1 with
+i1 r < _FFT_FROM takes it in GEMM panels, each a contiguous row slice of
+one small strip of H (`toeplitz_strip`), and a larger block takes it as a
+convolution by FFT, in O(m r^2 log m + m r^3) per row instead of
+O(m^2 r^3); so the residual costs O(m^2 log m) in m and builds no (m+1) r
+square matrix.
 """
 
 from __future__ import annotations
@@ -62,6 +65,13 @@ LEVINSON_FLOOR = 1e-6
 # Triangle rows per block of the streamed solve and of the residual's
 # quadrature product; also the width of the Toeplitz strip.
 _RESIDUAL_ROWS = 64
+# A residual block of rows i0..i1-1 takes its quadrature by FFT along k when
+# i1 r reaches this, by GEMM panels below it.  The two routes break even
+# for i1 r between 256 and 384 (r = 1, 2); the top of that band keeps small
+# solves off numpy's FFT module, which costs a cold import and 0.5 MB.
+_FFT_FROM = 384
+# Transform entries per sub-block of rows on the FFT route.
+_FFT_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -398,21 +408,43 @@ def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
         yield np.swapaxes(y.reshape(n, r, r), -1, -2)
 
 
-def toeplitz_strip(H: MatrixGrid) -> np.ndarray:
-    """The (2m + 1) r x _RESIDUAL_ROWS r matrix of blocks
-    S[d, c] = H(|d - m - c| h), in the arithmetic of the solve.
+def _gemm_reach(m: int, r: int) -> int:
+    """The largest end row i1 of a residual block on the GEMM route."""
+    return max(1, min(m + 1, (_FFT_FROM - 1) // r))
 
-    Rows m - j0 .. m - j0 + n - 1 of it are the block-Toeplitz matrix of
-    H(|k - j| h), k < n, in the columns j = j0 .. j0 + _RESIDUAL_ROWS - 1:
-    every panel of columns the residual needs is a contiguous row slice.
-    Blocks with |d - m - c| > m lie in no such panel and hold zero.
+
+def toeplitz_strip(H: MatrixGrid) -> np.ndarray:
+    """The (2g - 1) r x _RESIDUAL_ROWS r matrix of blocks
+    S[d, c] = H(|d - g + 1 - c| h), in the arithmetic of the solve, with g
+    the largest end row of a residual block on the GEMM route.
+
+    Rows g - 1 - j0 .. g - 2 - j0 + n of it are the block-Toeplitz matrix
+    of H(|k - j| h), k < n, in the columns j = j0 .. j0 + _RESIDUAL_ROWS - 1:
+    every panel of columns a GEMM block needs (n <= g) is a contiguous row
+    slice.  Blocks with |d - g + 1 - c| > m hold zero.  Its size does not
+    grow with m once m + 1 > g.
     """
-    m = H.spec.m
+    m, r = H.spec.m, H.r
+    g = _gemm_reach(m, r)
     hv = _working_values(H)
-    padded = np.zeros((m + _RESIDUAL_ROWS,) + hv.shape[1:], dtype=hv.dtype)
-    padded[:m + 1] = hv
-    d = np.abs(np.arange(2 * m + 1)[:, None] - m - np.arange(_RESIDUAL_ROWS)[None, :])
+    padded = np.zeros((g + _RESIDUAL_ROWS,) + hv.shape[1:], dtype=hv.dtype)
+    padded[:min(m + 1, len(padded))] = hv[:len(padded)]
+    d = np.abs(np.arange(2 * g - 1)[:, None] - (g - 1) - np.arange(_RESIDUAL_ROWS)[None, :])
     return block_flatten(padded[d])
+
+
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n: a transform length that numpy's
+    FFT factors into radices 2, 3 and 5 (others fall back to Bluestein)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << max(-(-n // p35) - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
@@ -425,56 +457,52 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
     is recomputed from scratch with the same quadrature as the solver, so
     an exact discrete solution scores at roundoff level.  The rows go
     _RESIDUAL_ROWS at a time, i0..i1-1 say: their quadrature is those rows,
-    every block (i, k) scaled by its row's trapezoid weight w_k, times the
-    block-Toeplitz matrix of H(|k - j| h) in the columns j < i1 (the defect
-    needs t_j <= x_i only), one product per panel of _RESIDUAL_ROWS
-    columns, each a row slice of the strip; H(x_i - t_j) is another row
-    slice of it.  The inner dimension stays the full grid, zero weights
-    included, so every entry sums the same terms as one product over all
-    rows would.  The 2-norm lies within a factor sqrt(r) below the
-    Frobenius norm, so only blocks within that factor of the largest
-    Frobenius norm can hold the maximum: each panel keeps the blocks
-    within that factor of the largest Frobenius norm so far, and one
-    stacked 2-norm call per block of rows takes those still within it of
-    the block's largest.  The work arrays hold
-    O(_RESIDUAL_ROWS m r^2) entries.  When every defect is zero the row
+    every block (i, k) scaled by its row's trapezoid weight w_k (zero for
+    k > i), times the block-Toeplitz matrix of H(|k - j| h), k, j < i1 (the
+    defect needs t_j <= x_i only).  A block with i1 r < _FFT_FROM takes
+    that product in GEMM panels (`_gemm_defects`); a larger one takes it
+    by FFT along k (`_fft_defects`), in O(i1 log i1) per row instead of
+    O(i1^2), and then its figure does not depend on the BLAS thread count.
+    The 2-norm lies within a factor sqrt(r) below the Frobenius norm, so
+    only blocks within that factor of the largest Frobenius norm can hold
+    the maximum: each panel keeps the blocks within that factor of the
+    largest Frobenius norm so far, and one stacked 2-norm call per block
+    of rows takes those still within it of the block's largest.  Besides
+    the rows, the work arrays hold O(_RESIDUAL_ROWS m) entries and buffers
+    whose size does not grow with m.  When every defect is zero the row
     returned is i0.
     """
     m, r, h = H.spec.m, H.r, H.spec.h
     n_full = m + 1
     n = rows.shape[0]
     if (rows.shape[1:] != (n_full, r, r) or not 0 <= i0 <= n_full - n
-            or strip.shape != ((2 * m + 1) * r, _RESIDUAL_ROWS * r)):
+            or strip.shape != ((2 * _gemm_reach(m, r) - 1) * r, _RESIDUAL_ROWS * r)):
         raise ValidationError("kernel shapes disagree")
     worst, worst_i = 0.0, i0
     for b0 in range(0, n, _RESIDUAL_ROWS):
         lo = i0 + b0
         i1 = min(lo + _RESIDUAL_ROWS, i0 + n)
         b = i1 - lo
-        weights = np.tril(np.full((b, n_full), h), k=lo)
+        block = rows[b0:b0 + b, :i1]
+        weights = np.tril(np.full((b, i1), h), k=lo)
         weights[:, 0] = weights[np.arange(b), np.arange(lo, i1)] = h / 2.0
         if lo == 0:
             weights[0, 0] = 0.0
-        rw = block_flatten(rows[b0:b0 + b] * weights[:, :, None, None])
+        if i1 * r >= _FFT_FROM:
+            panels = _fft_defects(H, lo, block, weights)
+        else:
+            panels = _gemm_defects(strip, lo, block, weights)
         top, fro, at, blocks = 0.0, [], [], []
-        for j0 in range(0, i1, _RESIDUAL_ROWS):
-            j1 = min(j0 + _RESIDUAL_ROWS, i1)
-            c = j1 - j0
-            panel = strip[(m - j0) * r:(2 * m + 1 - j0) * r, :c * r]
-            # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j),
-            # laid out [a, :, j - j0, :] like the product
-            h_ij = strip[(m + lo - j0) * r:(m + i1 - j0) * r, :c * r]
-            defect = (np.swapaxes(rows[b0:b0 + b, j0:j1], 1, 2)
-                      + h_ij.reshape(b, r, c, r))
-            defect += (rw @ panel).reshape(b, r, c, r)
+        for a0, j0, defect in panels:
             # blocks with t_j > x_i lie outside the triangle
-            size = np.tril(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(1, 3))), k=lo - j0)
+            size = np.tril(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(2, 3))),
+                           k=lo + a0 - j0)
             top = max(top, float(size.max()))
             if top > 0.0:
                 a, col = np.nonzero(size >= 0.99 * top / np.sqrt(r))
                 fro.append(size[a, col])
-                at.append(lo + a)
-                blocks.append(defect[a, :, col, :])
+                at.append(lo + a0 + a)
+                blocks.append(defect[a, col])
         if top > 0.0:
             keep = np.concatenate(fro) >= 0.99 * top / np.sqrt(r)
             norms = np.linalg.norm(np.concatenate(blocks)[keep], ord=2, axis=(-2, -1))
@@ -482,6 +510,81 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
             if norms[k] > worst:
                 worst, worst_i = float(norms[k]), int(np.concatenate(at)[keep][k])
     return worst, worst_i
+
+
+def _gemm_defects(strip: np.ndarray, lo: int, block: np.ndarray,
+                  weights: np.ndarray):
+    """The defects of rows lo.. (`block`, cut at column i1) by one product
+    per panel of _RESIDUAL_ROWS columns j0..j1-1: yields (0, j0, defect)
+    with defect[a, j - j0] the block of row lo + a, column j.
+
+    The weighted rows, built in one (b, r, i1, r) array, are the left
+    factor (b r, i1 r); the panel is the row slice
+    (g - 1 - j0) r .. (g - 1 - j0 + i1) r of the strip, and H(x_i - t_j)
+    another row slice of it.
+    """
+    b, i1, r = block.shape[:3]
+    mid = strip.shape[0] // r // 2  # g - 1, the strip's row of H(0) at c = 0
+    rw = np.empty((b, r, i1, r), dtype=block.dtype)
+    np.multiply(np.swapaxes(block, 1, 2), weights[:, None, :, None], out=rw)
+    rw = rw.reshape(b * r, i1 * r)
+    for j0 in range(0, i1, _RESIDUAL_ROWS):
+        j1 = min(j0 + _RESIDUAL_ROWS, i1)
+        c = j1 - j0
+        panel = strip[(mid - j0) * r:(mid - j0 + i1) * r, :c * r]
+        # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j),
+        # laid out [a, :, j - j0, :] like the product
+        h_ij = strip[(mid + lo - j0) * r:(mid + lo + b - j0) * r, :c * r]
+        defect = np.swapaxes(block[:, j0:j1], 1, 2) + h_ij.reshape(b, r, c, r)
+        defect += (rw @ panel).reshape(b, r, c, r)
+        yield 0, j0, np.swapaxes(defect, 1, 2)
+
+
+def _fft_defects(H: MatrixGrid, lo: int, block: np.ndarray, weights: np.ndarray):
+    """The defects of rows lo.. (`block`, cut at column i1) by FFT along
+    k, a few rows at a time: yields (a0, 0, defect) with defect[a, j] the
+    block of row lo + a0 + a, column j < i1, valid until the next yield.
+
+    Row i's quadrature sum_k u_k H(|k - j| h), u_k = w_k R(x_i, s_k), is a
+    linear convolution of u with H's even extension over |d| < i1, so a
+    cyclic one of any length n >= 2 i1 - 1 holds it without wrap-around;
+    n is the least 5-smooth such length.  H(x_i - t_j) joins it as an
+    identity block added to u_i.  The rows are transformed with k as the
+    last (contiguous) axis, multiplied by the transform of the extension
+    with r broadcast multiply-adds and transformed back, in buffers of
+    about _FFT_ENTRIES entries each that every sub-block of rows reuses;
+    real H and real rows take real transforms.
+    """
+    b, i1, r = block.shape[:3]
+    hv = _working_values(H)
+    real = hv.dtype.kind == "f" and block.dtype.kind == "f"
+    forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    n = _fast_len(2 * i1 - 1)
+    ext = np.zeros((r, r, n), dtype=hv.dtype)
+    ext[..., :i1] = hv[:i1].transpose(1, 2, 0)
+    ext[..., n - i1 + 1:] = ext[..., i1 - 1:0:-1]
+    spectrum = forward(ext)
+    per = min(b, max(1, _FFT_ENTRIES // (r * r * n)))
+    u = np.empty((per, r, r, n), dtype=float if real else complex)
+    # the complex transforms run in place
+    uf = np.empty((per, r, r, n // 2 + 1), dtype=complex) if real else u
+    prod, term = np.empty_like(uf), np.empty_like(uf)
+    eye = np.arange(r)
+    for a0 in range(0, b, per):
+        c = min(per, b - a0)
+        rk = block[a0:a0 + c].transpose(0, 2, 3, 1)  # [a, p, q, k]
+        np.multiply(rk, weights[a0:a0 + c, None, None, :], out=u[:c, ..., :i1])
+        u[:c, ..., i1:] = 0.0
+        a = np.arange(c)[:, None]
+        u[a, eye, eye, lo + a0 + a] += 1.0
+        forward(u[:c], out=uf[:c])
+        np.multiply(uf[:c, :, 0, None, :], spectrum[0], out=prod[:c])
+        for q in range(1, r):
+            prod[:c] += np.multiply(uf[:c, :, q, None, :], spectrum[q], out=term[:c])
+        inverse(prod[:c], n=n, out=u[:c])
+        defect = u[:c, ..., :i1]
+        defect += rk
+        yield a0, 0, np.moveaxis(defect, -1, 1)
 
 
 def transformation_kernels(R: TriangularKernel) -> tuple[TriangularKernel, TriangularKernel]:

@@ -22,7 +22,6 @@ from kreinsl.core import (
     save_spectral_data,
     trapezoid_weights,
 )
-from kreinsl.core import _matrix_to_json
 
 
 def test_gridspec_rejects_small_m():
@@ -200,18 +199,26 @@ def test_spectral_data_roundtrip_bit_exact(tmp_path):
 
 def test_writers_match_json_dump(tmp_path):
     # the writers go through the C encoder of json.dumps; the files are
-    # byte for byte what json.dump (the Python encoder) writes
+    # byte for byte what json.dump (the Python encoder) writes of one
+    # [float(re), float(im)] pair per entry, signed zeros and subnormals
+    # included
     def dumped(doc):
         buf = io.StringIO()
         json.dump(doc, buf)
         buf.write("\n")
         return buf.getvalue()
 
-    g = _random_grid(3, m=12)
+    def pairs(mat):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+    vals = _random_grid(3, m=12).values.copy()
+    vals[2, 0, 1] = complex(-0.0, -0.0)
+    vals[3, 1, 0] = complex(5e-324, -2.5e-310)
+    g = MatrixGrid(2, GridSpec(12), vals)
     save_matrix_grid(g, tmp_path / "g.json", extra={"kind": "potential_primitive"})
     assert (tmp_path / "g.json").read_text(encoding="utf-8") == dumped({
         "r": g.r, "m": g.spec.m, "hermitian": False,
-        "values": [_matrix_to_json(v) for v in g.values],
+        "values": [pairs(v) for v in g.values],
         "kind": "potential_primitive"})
     lams = np.array([0.0, 1e-300, 1.0 / 3.0, np.pi, 2.0 ** 60])
     alphas = np.tile(np.eye(2), (5, 1, 1)) * np.array([1.0, 0.1, 1e22, 3.0, 1.5])[:, None, None]
@@ -219,7 +226,7 @@ def test_writers_match_json_dump(tmp_path):
     save_spectral_data(data, tmp_path / "d.json")
     assert (tmp_path / "d.json").read_text(encoding="utf-8") == dumped({
         "r": 2, "includes_zero": True,
-        "entries": [{"lambda": float(lam), "alpha": _matrix_to_json(al)}
+        "entries": [{"lambda": float(lam), "alpha": pairs(al)}
                     for lam, al in zip(lams, data.alphas)]})
 
 

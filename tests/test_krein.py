@@ -301,6 +301,129 @@ class TestResidual:
         assert rate1 > 1.8 and rate2 > 1.8
 
 
+def closed_form_r2_accelerant(seed, m, n_bins=32):
+    # the accelerant of the closed-form data of tau = U diag(c1, c2) U*,
+    # as the inverse-r2 benchmark workload draws them for `seed`
+    rng = np.random.default_rng(seed)
+    c1 = rng.uniform(0.4, 1.0)
+    c = np.array([c1, c1 + rng.uniform(0.2, 0.6)])
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, rr = np.linalg.qr(z)
+    u = q * (np.diag(rr) / np.abs(np.diag(rr)))
+    proj = [np.outer(u[:, k], u[:, k].conj()) for k in range(2)]
+    entries = [(0.0, sum(ck / (1.0 - np.exp(-2.0 * ck)) * p for ck, p in zip(c, proj)))]
+    for n in range(1, n_bins + 1):
+        for ck, p in zip(c, proj):
+            lam = np.sqrt(np.pi ** 2 * n ** 2 + ck ** 2)
+            entries.append((lam, (np.pi * n / lam) ** 2 * p))
+    entries.sort(key=lambda e: e[0])
+    data = SpectralData(2, np.array([e[0] for e in entries]),
+                        np.stack([e[1] for e in entries]), includes_zero=True)
+    return build_accelerant(data, GridSpec(m), n_bins)
+
+
+def fft_bound(H, rows):
+    """16 eps max_i (sum_k w_k ||R(x_i, s_k)|| + 1) max_d ||H(d h)||: the
+    roundoff scale of one defect block, whose quadrature and H term the
+    FFT route sums in one transform of length n <= 1080 here."""
+    m, h = H.spec.m, H.spec.h
+    w = np.tril(np.full((m + 1, m + 1), h))
+    w[:, 0] = w[np.arange(m + 1), np.arange(m + 1)] = h / 2.0
+    w[0, 0] = 0.0
+    quad = np.sum(w * np.linalg.norm(rows, 2, axis=(-2, -1)), axis=1).max()
+    return 16 * np.finfo(float).eps * (quad + 1.0) * np.linalg.norm(
+        H.values, 2, axis=(-2, -1)).max()
+
+
+FFT_KERNELS = pytest.mark.parametrize("make", [
+    lambda: closed_form_r2_accelerant(1, 384),
+    lambda: smooth_kernel(384, hermitian=True),
+    lambda: smooth_kernel(384, hermitian=False),
+    lambda: cos_kernel(384),
+    lambda: cos_kernel(512),
+], ids=["inverse-r2-m384", "hermitian-r2-m384", "non-hermitian-r2-m384",
+        "real-cos-m384", "real-cos-m512"])
+
+
+class TestFFTRoute:
+    # blocks of rows i0..i1-1 with i1 r >= _FFT_FROM take the FFT route;
+    # each kernel here has such blocks, and the real cos kernels take the
+    # real transforms through solve_krein's real rows
+    @FFT_KERNELS
+    def test_matches_one_gemm_oracle(self, make):
+        H = make()
+        assert (H.spec.m + 1) * H.r >= krein._FFT_FROM
+        sol = solve_krein(H)
+        R = krein_kernel(H).values
+        bound = fft_bound(H, R)
+        assert abs(sol.residual - krein_residual_one_gemm(H.values, R)) <= bound
+        worst, _ = krein_residual(H, toeplitz_strip(H), 0, R)
+        assert abs(worst - krein_residual_one_gemm(H.values, R)) <= bound
+
+    @FFT_KERNELS
+    def test_perturbed_entry_found_at_its_row(self, make):
+        # real rows of a real kernel take the real transforms
+        H = make()
+        vals = krein_kernel(H).values
+        vals = (vals if np.any(H.values.imag) else vals.real).copy()
+        vals[200, 10] += 1e-3
+        worst, row = krein_residual(H, toeplitz_strip(H), 0, vals)
+        assert row == 200
+        assert abs(worst - krein_residual_one_gemm(H.values, vals)) <= fft_bound(H, vals)
+
+    @pytest.mark.parametrize("i1, route", [(191, "gemm"), (192, "fft")])
+    def test_blocks_straddling_the_switch(self, monkeypatch, i1, route):
+        # r = 2: a block ending at row 190 has i1 r = 382, one ending at
+        # row 191 has 384 = _FFT_FROM
+        assert krein._FFT_FROM == 384
+        seen = []
+        for name in ("_gemm_defects", "_fft_defects"):
+            def spy(*args, _f=getattr(krein, name), _n=name):
+                seen.append(_n)
+                return _f(*args)
+            monkeypatch.setattr(krein, name, spy)
+        H = smooth_kernel(384, hermitian=True)
+        vals = krein_kernel(H).values.copy()
+        vals[i1 - 1, 10] += 1e-3
+        worst, row = krein_residual(H, toeplitz_strip(H), 128, vals[128:i1])
+        assert seen == [f"_{route}_defects"]
+        assert row == i1 - 1
+        assert abs(worst - krein_residual_one_gemm(H.values, vals)) <= fft_bound(H, vals)
+
+    def test_fast_len_is_least_5_smooth(self):
+        def least_smooth(k):
+            while True:
+                rest = k
+                for p in (2, 3, 5):
+                    while rest % p == 0:
+                        rest //= p
+                if rest == 1:
+                    return k
+                k += 1
+
+        n = range(1, 5001)
+        assert [krein._fast_len(k) for k in n] == [least_smooth(k) for k in n]
+
+    def test_no_scipy_on_the_fft_route(self):
+        # the solver's only scipy import is the dense fallback's
+        import os
+        import subprocess
+        import sys
+
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from kreinsl.core import GridSpec, MatrixGrid\n"
+                "from kreinsl.krein import solve_krein\n"
+                "x = GridSpec(384).points()\n"
+                "solve_krein(MatrixGrid(2, GridSpec(384), "
+                "np.exp(-x)[:, None, None] * np.eye(2), hermitian=True))\n"
+                "print('scipy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(krein.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+
 class TestTheta:
     def test_zero(self):
         tau = theta(zero_kernel(64))
