@@ -3,9 +3,9 @@ tau by products of whole runs of CF4 sub-steps.
 
 At r = 1, and for non-Hermitian tau at r > 1, a CF4 factor is a dense
 2r x 2r matrix per lambda, [[C - S hu, S v], [-S v, C + S hu]] with C, S
-the functions cosh and sinhc of hu^2 - v^2 (direct._cosh_sinhc).  Applied
-one at a time, every factor costs one Python step, about 25 us at r = 1
-whatever the batch.  Here the sub-steps (sub-step s is factor s // sub
+the functions cosh and sinhc of hu^2 - v^2 (coefficients._cosh_sinhc).
+Applied one at a time, every factor costs one Python step, about 25 us at
+r = 1 whatever the batch.  Here the sub-steps (sub-step s is factor s // sub
 taken with hu / sub, direct._lift_plan) go in runs of one length n that
 tau alone fixes: a power of two, at most the lift stride, _RUN and the
 sweep's length.  A block of whole runs is formed at once as (sub-step,
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .direct import _BLOCK_BYTES, _cosh_sinhc, _lifted, _scalar_coefficients
+from .coefficients import _cosh_sinhc, _scalar_coefficients
+from .direct import _BLOCK_BYTES, _lifted
 
 # Longest run: 16 real lambdas per chunk at r = 1 at this length.  A
 # sweep's traced peak is a few arrays of leaves, 0.57-0.75 MB at r = 1.

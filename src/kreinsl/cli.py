@@ -124,14 +124,12 @@ def _load_tau(path, cfg: RunConfig):
     return tau
 
 
-def _direct_diagnostics(tau, data, report: dict, cfg: RunConfig) -> dict:
-    import numpy as np
-    from .direct import propagate, rank_checks
+def _direct_diagnostics(data, report: dict, cfg: RunConfig, probes) -> dict:
+    from .direct import rank_checks
     from .validation import check_a1
 
-    samples = [1.0, 2.5, 7.75, 0.25 + cfg.resolved_lambda_max() / 2.0]
-    resid = {f"{lam:.6g}": bv.identity_residual
-             for lam, bv in zip(samples, propagate(tau, np.array(samples)))}
+    resid = {f"{lam:.6g}": res for lam, res in
+             zip(probes, report["identity_residuals"].tolist())}
     a1 = check_a1(data, cfg.n_bins)
     return {
         "identity_residuals": resid,
@@ -153,11 +151,13 @@ def cmd_direct(args) -> int:
     cfg = build_config(args)
     tau = _load_tau(args.tau_file, cfg)
     report = {}
-    data = spectral_data(tau, cfg.n_bins, report)
+    # the inverse-pair identity is checked at these, in the residue sweep
+    probes = [1.0, 2.5, 7.75, 0.25 + cfg.resolved_lambda_max() / 2.0]
+    data = spectral_data(tau, cfg.n_bins, report, probes)
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "spectral_data.json")
     save_spectral_data(data, data_path)
-    diag = _direct_diagnostics(tau, data, report, cfg)
+    diag = _direct_diagnostics(data, report, cfg, probes)
     diag["config"] = cfg.to_json()
     _write_json(diag, os.path.join(args.out, "direct_diagnostics.json"))
     log.info("wrote %s (%d entries)", data_path, len(data))

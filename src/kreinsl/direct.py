@@ -8,68 +8,25 @@ The 2r x 2r fundamental system W' = Q(x, lambda) W with
 carries all four boundary matrices at once: its blocks at x = 1 are
 psi(1, lam, tau), phi(1, lam, -tau), -phi(1, lam, tau), psi(1, lam, -tau).
 
-Integration uses a fourth-order commutator-free exponential scheme: each
-step applies two exponentials of matrices of the form
-h * [[-u, v I], [-v I, u]], whose square is block scalar, so the
-exponential reduces to cosh/sinh-type functions of the small r x r matrix
-h^2 (u^2 - v^2 I).  The oscillation in lambda is therefore propagated
-exactly; for constant tau the scheme is exact up to roundoff, which
-classical Runge-Kutta phase error cannot deliver at the eigenvalue
-tolerances this module has to meet.
+It is integrated by a fourth-order commutator-free exponential scheme
+on tau's not-a-knot cubic spline at the Gauss nodes of every cell.  Each
+step applies two exponentials of h [[-u, v I], [-v I, u]], whose square
+is block scalar, so they are cosh/sinhc functions of h^2 (u^2 - v^2 I)
+and the oscillation in lambda is propagated exactly.  A batch of lambdas
+goes along the 2m factors by one of two paths behind _sweep, chosen by
+the class of tau alone: the product chain (chain.py) for scalar and
+non-Hermitian tau, the loop in each factor's eigenbasis (_eigen_sweep)
+for Hermitian tau with r > 1, on a setup built once per tau (_Factors).
+dW/dlambda comes from the closed forms of dc/dv and ds/dv (lambda enters
+a factor only through v = h lambda / 2), so it is the discrete scheme's.
 
-A batch of L lambdas is propagated along the 2m factors by one of two
-paths behind one entry point (_sweep), chosen by the class of tau alone.
-Scalar and non-Hermitian tau, whose factors are dense 2r x 2r matrices
-per lambda, take the product chain (chain.py): one Python step per run
-of sub-steps, all runs of one length that tau fixes, not one per factor,
-2-8x faster per sweep of up to 33 lambdas at r = 1.  Hermitian tau with
-r > 1 takes a loop over the factors in the eigenbasis of each generator
-hu = V diag(d) V^H: one basis change (a GEMM) and r independent 2 x 2
-blocks per lambda, 4-8x faster than dense products at r = 2.  The setup
-(spline, generators, eigenbases, basis changes) is built once per tau
-(_Factors) and shared by every propagation of a direct solve.  Memory is
-O(L r^2 + m r^2): no array has both a cell and a lambda axis beyond one
-block of factors under _BLOCK_BYTES.  A propagation carries only the
-columns it needs: the r frame columns for counting and Newton steps, all
-2r for residues, and dW/dlambda of the frame when asked, from the closed
-forms of dc/dv and ds/dv (lambda enters a factor only through
-v = h lambda / 2), so derivatives are those of the discrete scheme.
-
-Eigenvalues are counted, not scanned.  For Hermitian tau,
-J W' = (V - lambda) W with J = [[0, I], [-I, 0]] and V = [[0, tau], [tau, 0]]
-is a Hermitian canonical system, so the frame columns (X, Y) of W are
-Lagrangian and U = (X + iY)(X - iY)^{-1} is unitary.  Its eigenphases start
-at 0 and turn clockwise as lambda grows, and lambda is an eigenvalue
-exactly when one of them sits on a multiple of 2 pi at x = 1.  Lifting
-arg det U along x gives N(lambda), the number of eigenvalues in
-[0, lambda) with multiplicity (lambda_0 = 0 counts r times):
-
-    N = (sum_j (theta_j mod 2 pi) - lifted arg det U) / (2 pi)   at x = 1,
-
-theta_j the eigenphases of U(1).  The sweep lifts psi = arg det U +
-2 r lambda x, whose step per factor is bounded by tau alone (_lift_plan),
-and subtracts 2 r lambda at x = 1.  find_eigenvalues counts on the bin edges
-only, then runs one loop over the brackets whose count rises.  Each round
-is one propagation of W and dW/dlambda at new points; it gives their
-counts and, per eigenphase, a Newton prediction lambda - theta_j / theta_j'.
-A bracket whose count rises by k > 1 is split at points between and just
-outside the predicted roots, so a k-fold root closes into a bracket of
-width below 1e-9 with count jump k in a few rounds; every other bracket
-gets one Newton point per round, a single root from the best prediction
-of its ends with the count moving the bracket, a k-fold one by Newton on
-the sum of its k eigenphases inside its fixed bracket.  So the count jump
-alone decides each root's multiplicity k, and roots refine in the same
-rounds as the splitting.  On a smooth r = 2 potential with 32 bins a
-direct solve takes 6 propagations, residues included.  norming_constants
-takes the residues of the Weyl function by Keldysh's theorem, on kernels
-of the dimension k the count gave, from one propagation of W and
-dW/dlambda at all roots.
-
-The scheme needs tau at the two Gauss nodes of every cell.  It reads the
-grid samples through the not-a-knot cubic spline, whose fourth-order error
-matches the scheme's; the piecewise-linear reading used elsewhere in the
-package (quadrature, resampling, half-grid midpoints) would limit the
-eigenvalues to second order.
+Eigenvalues are counted, not scanned: for Hermitian tau the frame
+columns (X, Y) of W are Lagrangian, U = (X + iY)(X - iY)^{-1} is unitary,
+and lifting arg det U along x counts the eigenvalues below lambda
+(find_eigenvalues refines the roots by Newton on U's eigenphases in the
+same propagations).  norming_constants takes the Weyl function's residues
+by Keldysh's theorem.  The README's numerical notes give the derivations,
+the loop layout and measurements.
 """
 
 from __future__ import annotations
@@ -78,6 +35,7 @@ import math
 
 import numpy as np
 
+from .coefficients import _scalar_coefficients
 from .core import (
     BoundaryValues,
     ConfigurationError,
@@ -128,41 +86,6 @@ _COUNT_BATCH = 1024
 _BLOCK_BYTES = 1 << 17
 
 
-def _cosh_sinhc(m: np.ndarray, mul=np.multiply):
-    """cosh(sqrt(M)) and sinh(sqrt(M))/sqrt(M), elementwise or, with mul
-    the product of (..., r, r, L) blocks (chain._mul), of those blocks.
-
-    Taylor series after scaling each element (each block) by its own 4^-s
-    to norm at most 1/4, then s double-angle steps C <- 2C^2 - I, S <- S C.
-    Both series are entire in M, so no square roots or eigendecompositions
-    are needed and the sign of M is free.  Eight terms bound the remainder
-    by 1e-18 at that norm; as s and the length are per element, every
-    value is the same bytes whatever else shares its array.
-    """
-    one, nrm = 1.0, np.abs(m)
-    if mul is not np.multiply:
-        one = np.eye(m.shape[-2])[:, :, None]
-        nrm = nrm.sum(axis=-2).max(axis=-2)
-    z, steps = m, 0
-    if np.max(nrm, initial=0.0) >= 0.25:
-        # the least s with 4^(s-1) >= 2^e > nrm, from nrm's exponent e
-        steps = np.maximum((np.frexp(nrm)[1] + 3) // 2, 0)
-        if mul is not np.multiply:
-            steps = steps[..., None, None, :]
-        z = m * np.ldexp(1.0, -2 * steps)
-    del nrm
-    c = one / math.factorial(14)
-    s = one / math.factorial(15)
-    for k in range(6, -1, -1):
-        c = one / math.factorial(2 * k) + mul(z, c)
-        s = one / math.factorial(2 * k + 1) + mul(z, s)
-    for j in range(int(np.max(steps, initial=0))):
-        more = steps > j
-        s, c = (np.where(more, mul(s, c), s),
-                np.where(more, 2.0 * mul(c, c) - one, c))
-    return c, s
-
-
 def _linear_recurrence(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """z_k = a_k z_{k-1} + b_k along axis 0, z_{-1} = 0, by recursive doubling.
 
@@ -211,23 +134,6 @@ def _spline_curvatures(y: np.ndarray) -> np.ndarray:
     curv[0] = 2.0 * curv[1] - curv[2]
     curv[m] = 2.0 * curv[m - 1] - curv[m - 2]
     return curv
-
-
-def _sinhc_slope(z: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d/dz of sinh(sqrt z)/sqrt z, elementwise, given c = cosh(sqrt z) and
-    s = sinh(sqrt z)/sqrt z.
-
-    The closed form (c - s) / (2 z) cancels as z -> 0, so for |z| <= 1 the
-    Taylor series sum_k k z^(k-1) / (2k+1)! is summed instead (ten terms
-    leave a remainder below 1e-21).
-    """
-    t = np.zeros_like(z)
-    for k in range(10, 0, -1):
-        t = k / math.factorial(2 * k + 1) + z * t
-    big = np.abs(z) > 1.0
-    if np.any(big):
-        t = np.where(big, (c - s) / (2.0 * np.where(big, z, 1.0)), t)
-    return t
 
 
 def _step_generators(tau_values: np.ndarray, h: float):
@@ -341,25 +247,15 @@ def _lifted(arg, phase, frame, turn):
     return now
 
 
-def _scalar_coefficients(d, v, dv: float, deriv, pack):
-    """[pack(c, s d, s v)] for the 2 x 2 blocks exp([[-d, v], [-v, d]]) =
-    [[c - s d, s v], [-s v, c + s d]], c and s the cosh and sinhc of
-    sqrt(d^2 - v^2), broadcast over d and v; with deriv, the same three
-    differentiated in lambda follow, packed as a second entry."""
-    z = d * d - v * v
-    c, s = _cosh_sinhc(z)
-    out = [pack(c, s * d, s * v)]
-    if deriv:
-        # dc/dv = -v s and ds/dv = -2 v ds/dz, with dv/dlam = dv
-        s_v = -2.0 * v * _sinhc_slope(z, c, s)
-        out.append(pack(-dv * v * s, dv * s_v * d, dv * (s + v * s_v)))
-    return out
-
-
-def _half_pairs(c, su, sv):
-    """The coefficient pair P = (c - su, c + su), Q = (sv, -sv), laid out
-    as (factor, row, half, lambda)."""
-    return np.stack([c - su, c + su], axis=2), np.stack([sv, -sv], axis=2)
+def _half_pairs(c, su, sv, P, Q):
+    """The coefficient pair P = (c - su, c + su), Q = (sv, -sv), written
+    to P and Q, (factor, row, 1, half, lambda), to broadcast over the
+    columns."""
+    np.subtract(c, su, out=P[:, :, 0, 0])
+    np.add(c, su, out=P[:, :, 0, 1])
+    Q[:, :, 0, 0] = sv
+    np.negative(sv, out=Q[:, :, 0, 1])
+    return P, Q
 
 
 def _sweep(fac: _Factors, lams, ncol: int, *, deriv: bool = False,
@@ -408,53 +304,62 @@ def _eigen_sweep(fac: _Factors, v, dv, ncol, nder, sub, stride):
     """_sweep's loop for Hermitian tau at r > 1: (out, arg), out (L, 2r,
     ncol + nder) with the derivative columns last; sub is the sub-steps
     per factor and stride the sub-steps per lift, 0 for none.  The
-    accumulator is laid out as (column, row i of the top and bottom
-    halves, half, lambda) in the current eigenbasis; entering a factor is
-    the GEMM V_k^H V_{k-1}, then each pair of rows (top_i, bot_i) maps to
-    P (top_i, bot_i) + Q (bot_i, top_i) with P = (c - s d_i, c + s d_i),
-    Q = (s v, -s v)."""
+    accumulator is laid out as (row i of the top and bottom halves,
+    column, half, lambda) in the current eigenbasis; entering a factor is
+    one GEMM V_k^H V_{k-1} on its (r, -1) view, then each pair of rows
+    (top_i, bot_i) maps to P (top_i, bot_i) + Q (bot_i, top_i) with
+    P = (c - s d_i, c + s d_i), Q = (s v, -s v)."""
     r = fac.tau.r
     L = v.size
     nf = fac.hu.shape[0]
-    acc = np.zeros((ncol + nder, r, 2, L), dtype=complex)
+    bufs = np.zeros((3, r, ncol + nder, 2, L), dtype=complex)
     for i in range(ncol):
-        acc[i, i % r, i // r] = 1.0
-    work = np.empty_like(acc)
-    tmp = np.empty_like(acc)
+        bufs[0, i % r, i, i // r] = 1.0
+    t1, t2 = np.empty((2, r, r, 2, L), dtype=complex)
+
+    def views(a):  # what the loop reads of a buffer, built once
+        return (a, a.reshape(r, -1), a[:, :, ::-1], a[:, :r], a[:, :r, ::-1],
+                a[:, ncol:], np.moveaxis(a[:, :r], 2, 0))
+
+    acc, work = views(bufs[0]), views(bufs[1])
+    tmp = bufs[2]
     arg = None
     if stride:
         arg, phase = np.zeros(L), np.ones(L, dtype=complex)
         spin, taken = 2.0 * r * v, 0
     block = max(1, _BLOCK_BYTES // (r * max(L, 1) * 16))
+    # every block's P, Q and, with nder, their lambda-derivatives: one
+    # array each of a block's size, which the heap serves again and again
+    # (one array for all four is mapped afresh per sweep and raised the
+    # process's peak RSS by 0.3-0.5 MB)
+    pairs = [np.empty((min(block, nf), r, 1, 2, L), np.result_type(fac.d, v))
+             for _ in range(4 if nder else 2)]
     for lo in range(0, nf, block):
         hi = min(lo + block, nf)
-        # (factor, row, half, lambda); the last block's go before these form
-        P = Q = P_lam = Q_lam = lam = None
-        (P, Q), *lam = _scalar_coefficients(fac.d[lo:hi, :, None] / sub, v,
-                                            dv, nder, _half_pairs)
-        if nder:
-            (P_lam, Q_lam), = lam
-        for k in range(hi - lo):
-            np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
-                      out=work.reshape(ncol + nder, r, -1))
+        outs = iter([x[:hi - lo] for x in pairs])
+        coef = sum(_scalar_coefficients(
+            fac.d[lo:hi, :, None] / sub, v, dv, nder,
+            lambda *csv: _half_pairs(*csv, next(outs), next(outs))), ())
+        for turn, P, Q, *dpq in zip(fac.turns[lo:hi], *coef):
+            np.matmul(turn, acc[1], out=work[1])
             acc, work = work, acc
             for _ in range(sub):
-                np.multiply(P[k], acc, out=work)
-                np.multiply(Q[k], acc[:, :, ::-1], out=tmp)
-                np.add(work, tmp, out=work)
-                if nder:
-                    np.multiply(P_lam[k], acc[:r], out=tmp[:r])
-                    np.add(work[ncol:], tmp[:r], out=work[ncol:])
-                    np.multiply(Q_lam[k], acc[:r, :, ::-1], out=tmp[:r])
-                    np.add(work[ncol:], tmp[:r], out=work[ncol:])
+                a, _, a_rev, a_r, a_rev_r = acc[:5]
+                np.multiply(P, a, out=work[0])
+                np.multiply(Q, a_rev, out=tmp)
+                np.add(work[0], tmp, out=work[0])
+                if nder:  # summed in contiguous t1, t2 first
+                    np.multiply(dpq[0], a_r, out=t1)
+                    np.multiply(dpq[1], a_rev_r, out=t2)
+                    np.add(t1, t2, out=t1)
+                    np.add(work[5], t1, out=work[5])
                 acc, work = work, acc
                 if stride:
                     taken += 1
                     if taken % stride == 0 or taken == nf * sub:
-                        phase = _lifted(arg, phase, np.moveaxis(acc[:r], 2, 0),
-                                        spin * taken)
-    acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
-    return acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder), arg
+                        phase = _lifted(arg, phase, acc[6], spin * taken)
+    out = (fac.vecs[-1] @ acc[1]).reshape(acc[0].shape)
+    return out.transpose(3, 2, 0, 1).reshape(L, 2 * r, ncol + nder), arg
 
 
 def _propagate_many(tau: MatrixGrid, lams: np.ndarray) -> np.ndarray:
@@ -756,64 +661,69 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float, *,
 
 
 def norming_constants(tau: MatrixGrid, pairs, *, hermitize: bool = True,
-                      report: dict | None = None) -> list[np.ndarray]:
+                      report: dict | None = None,
+                      probes=()) -> list[np.ndarray]:
     """Norming constants of the (lambda_j, kernel_basis) pairs that
     find_eigenvalues returns: alpha_j is minus the residue of the Weyl
     function m = -phi^{-1} psi at lambda_j (half of it at lambda_0 = 0),
     with phi = phi(1, lam, tau) and psi = psi(1, lam, -tau).
 
     The poles are semisimple, so by Keldysh's theorem
-    phi(lam)^{-1} = K (L^* phi'(lam_j) K)^{-1} L^* / (lam - lam_j) + O(1),
-    where K and L are right and left kernel bases of phi(lam_j).  Their
-    dimension k is the multiplicity the count gave, the number of columns
-    of the pair's basis; they are the singular vectors of the k smallest
-    singular values of phi(lam_j).  Hence
-
-        alpha_j = K (L^* phi'(lam_j) K)^{-1} L^* psi(lam_j),
-
-    from one propagation of W and dW/dlambda at all eigenvalues.  With
-    hermitize the results are symmetrized and clipped to the positive
-    cone; an eigenvalue of alpha below -1e-6 aborts with an extraction
-    failure.  With a report dict, its "sigma" gets the singular values of
-    phi(lam_j), (L, r) in descending order, and its "kernel_dim" the k of
-    every entry.  Needs scalar or Hermitian tau.
+    alpha_j = K (L^* phi'(lam_j) K)^{-1} L^* psi(lam_j), K and L the
+    singular vectors of the k smallest singular values of phi(lam_j), k
+    the multiplicity the count gave (the columns of the pair's basis),
+    from one propagation of W and dW/dlambda at all eigenvalues, taken
+    in one stacked call per k.  With hermitize the results are
+    symmetrized and clipped to the positive cone; an eigenvalue of alpha
+    below -1e-6 aborts with an extraction failure.  With a report dict,
+    its "sigma" gets the singular values of phi(lam_j), (L, r) in
+    descending order, its "kernel_dim" the k of every entry, and its
+    "identity_residuals" ||W(lam) S W(-lam)^* S - I||_2,
+    S = [[0, I], [I, 0]], at each real lambda in probes, taken in the
+    same propagation: for Hermitian tau, S Q(lam, tau) S = Q(-lam, -tau)
+    factor by factor, so this is propagate's inverse-pair identity.
+    Needs scalar or Hermitian tau.
     """
     fac = _factors(tau)
     if len(pairs) == 0:
         return []
     lams = np.asarray([float(lam) for lam, _ in pairs])
-    dims = [basis.shape[1] for _, basis in pairs]
+    dims = np.array([basis.shape[1] for _, basis in pairs])
     if lams[0] != 0.0:
         raise ConfigurationError("eigenvalue list must start with lambda_0 = 0")
-    r = fac.tau.r
-    w, dw, _ = _sweep(fac, lams, 2 * r, deriv=True)
-    phi = -w[:, r:, :r]
-    dphi = -dw[:, r:, :]
-    psi = w[:, r:, r:]
-    u, s, vh = np.linalg.svd(phi)
+    r, n, p = fac.tau.r, lams.size, np.size(probes)
+    w, dw, _ = _sweep(fac, np.concatenate([lams, probes, np.negative(probes)]),
+                      2 * r, deriv=True)
+    u, s, vh = np.linalg.svd(-w[:n, r:, :r])
     if report is not None:
         report["sigma"] = s
-        report["kernel_dim"] = dims
-    alphas = []
-    for j, k in enumerate(dims):
-        right = vh[j, r - k:].conj().T
-        left_h = u[j, :, r - k:].conj().T
-        alphas.append(right @ np.linalg.solve(left_h @ dphi[j] @ right,
-                                              left_h @ psi[j]))
+        report["kernel_dim"] = dims.tolist()
+        if p:
+            sws = np.roll(np.conj(np.swapaxes(w[n + p:], -1, -2)), r,
+                          axis=(-2, -1))
+            report["identity_residuals"] = np.linalg.norm(
+                w[n:n + p] @ sws - np.eye(2 * r), 2, axis=(-2, -1))
+    alphas = np.empty((n, r, r), dtype=complex)
+    for k in set(dims.tolist()):
+        at = dims == k
+        right = np.conj(np.swapaxes(vh[at, r - k:], -1, -2))
+        left_h = np.conj(np.swapaxes(u[at, :, r - k:], -1, -2))
+        alphas[at] = right @ np.linalg.solve(
+            left_h @ -dw[:n][at, r:] @ right, left_h @ w[:n][at, r:, r:])
     alphas[0] = 0.5 * alphas[0]
     if not hermitize:
-        return alphas
-    out = []
-    for j in range(lams.size):
-        a = (alphas[j] + alphas[j].conj().T) / 2.0
-        w_eig, v = np.linalg.eigh(a)
-        if w_eig.min() < -1e-6:
-            raise ExtractionError(
-                f"norming constant at lambda = {lams[j]:.9g} has eigenvalue "
-                f"{w_eig.min():.3e} below the -1e-6 positivity floor"
-            )
-        out.append((v * np.clip(w_eig, 0.0, None)) @ v.conj().T)
-    return out
+        return list(alphas)
+    w_eig, v = np.linalg.eigh(
+        (alphas + np.conj(np.swapaxes(alphas, -1, -2))) / 2.0)
+    low = w_eig.min(axis=-1)
+    if np.any(low < -1e-6):
+        j = np.argmax(low < -1e-6)
+        raise ExtractionError(
+            f"norming constant at lambda = {lams[j]:.9g} has eigenvalue "
+            f"{low[j]:.3e} below the -1e-6 positivity floor"
+        )
+    return list(v * np.clip(w_eig, 0.0, None)[:, None]
+                @ np.conj(np.swapaxes(v, -1, -2)))
 
 
 def checked_ranks(alphas: np.ndarray, kernel_dims, n_bins: int) -> np.ndarray:
@@ -837,8 +747,8 @@ def checked_ranks(alphas: np.ndarray, kernel_dims, n_bins: int) -> np.ndarray:
     return ranks
 
 
-def spectral_data(tau: MatrixGrid, n_bins: int,
-                  report: dict | None = None) -> SpectralData:
+def spectral_data(tau: MatrixGrid, n_bins: int, report: dict | None = None,
+                  probes=()) -> SpectralData:
     """Full direct solve: eigenvalues plus norming constants up to bin n_bins.
 
     The truncation is lambda_max = pi (n_bins + 1/2), i.e. exactly the
@@ -848,11 +758,12 @@ def spectral_data(tau: MatrixGrid, n_bins: int,
     residue ranks disagree with the count.  A report dict collects what
     rank_checks reads: the counts at the bin edges, and the multiplicity
     of every entry, the rank of its alpha and the singular values of phi
-    there.
+    there, and the identity residuals at probes (norming_constants).
     """
     fac = _factors(tau)
     pairs = find_eigenvalues(fac, np.pi * (n_bins + 0.5), report=report)
-    alphas = np.stack(norming_constants(fac, pairs, report=report))
+    alphas = np.stack(norming_constants(fac, pairs, report=report,
+                                        probes=probes))
     ranks = checked_ranks(alphas, [basis.shape[1] for _, basis in pairs],
                           n_bins)
     if report is not None:

@@ -13,10 +13,15 @@ roots_by_bisection, which shares the package's eigenvalue count but none of
 its root search, and the Nystrom matrices sym_nystrom_square and
 sym_nystrom_triangular, completeness_via_heo, theta, accelerant_positivity
 and roundtrip_per_row, routes that only the tests use, built on the
-package's own kernels.
+package's own kernels.  The fresh_* coefficient functions,
+per_column_eigen_sweep and per_entry_residues are the package's earlier
+forms of the propagator's coefficients, its eigenbasis loop and its
+residue math, kept as references for the forms that replaced them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -416,3 +421,145 @@ def roundtrip_per_row(tau, n_bins: int, grid_m: int) -> dict:
             "entries_compared": k,
         },
     }
+
+
+def fresh_cosh_sinhc(m: np.ndarray, mul=np.multiply):
+    """cosh(sqrt(M)) and sinh(sqrt(M))/sqrt(M), elementwise or, with mul
+    the product of (..., r, r, L) blocks (chain._mul), of those blocks,
+    every step in fresh temporaries: the package's earlier form."""
+    one, nrm = 1.0, np.abs(m)
+    if mul is not np.multiply:
+        one = np.eye(m.shape[-2])[:, :, None]
+        nrm = nrm.sum(axis=-2).max(axis=-2)
+    z, steps = m, 0
+    if np.max(nrm, initial=0.0) >= 0.25:
+        # the least s with 4^(s-1) >= 2^e > nrm, from nrm's exponent e
+        steps = np.maximum((np.frexp(nrm)[1] + 3) // 2, 0)
+        if mul is not np.multiply:
+            steps = steps[..., None, None, :]
+        z = m * np.ldexp(1.0, -2 * steps)
+    del nrm
+    c = one / math.factorial(14)
+    s = one / math.factorial(15)
+    for k in range(6, -1, -1):
+        c = one / math.factorial(2 * k) + mul(z, c)
+        s = one / math.factorial(2 * k + 1) + mul(z, s)
+    for j in range(int(np.max(steps, initial=0))):
+        more = steps > j
+        s, c = (np.where(more, mul(s, c), s),
+                np.where(more, 2.0 * mul(c, c) - one, c))
+    return c, s
+
+
+def fresh_sinhc_slope(z: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d/dz of sinh(sqrt z)/sqrt z, elementwise, given c = cosh(sqrt z) and
+    s = sinh(sqrt z)/sqrt z, in fresh temporaries."""
+    t = np.zeros_like(z)
+    for k in range(10, 0, -1):
+        t = k / math.factorial(2 * k + 1) + z * t
+    big = np.abs(z) > 1.0
+    if np.any(big):
+        t = np.where(big, (c - s) / (2.0 * np.where(big, z, 1.0)), t)
+    return t
+
+
+def fresh_scalar_coefficients(d, v, dv: float, deriv, pack):
+    """[pack(c, s d, s v)] and, with deriv, their lambda-derivatives, from
+    fresh_cosh_sinhc and fresh_sinhc_slope."""
+    z = d * d - v * v
+    c, s = fresh_cosh_sinhc(z)
+    out = [pack(c, s * d, s * v)]
+    if deriv:
+        # dc/dv = -v s and ds/dv = -2 v ds/dz, with dv/dlam = dv
+        s_v = -2.0 * v * fresh_sinhc_slope(z, c, s)
+        out.append(pack(-dv * v * s, dv * s_v * d, dv * (s + v * s_v)))
+    return out
+
+
+def stacked_half_pairs(c, su, sv):
+    """The pair P = (c - su, c + su), Q = (sv, -sv) by np.stack, laid out
+    as (factor, row, half, lambda)."""
+    return np.stack([c - su, c + su], axis=2), np.stack([sv, -sv], axis=2)
+
+
+def per_column_eigen_sweep(fac, v, dv, ncol, nder, sub, stride):
+    """direct._eigen_sweep with the accumulator laid out as (column, row,
+    half, lambda), one GEMM per column and factor, and the coefficients
+    of fresh_scalar_coefficients: the package's earlier loop."""
+    from kreinsl.direct import _BLOCK_BYTES, _lifted
+
+    r = fac.tau.r
+    L = v.size
+    nf = fac.hu.shape[0]
+    acc = np.zeros((ncol + nder, r, 2, L), dtype=complex)
+    for i in range(ncol):
+        acc[i, i % r, i // r] = 1.0
+    work = np.empty_like(acc)
+    tmp = np.empty_like(acc)
+    arg = None
+    if stride:
+        arg, phase = np.zeros(L), np.ones(L, dtype=complex)
+        spin, taken = 2.0 * r * v, 0
+    block = max(1, _BLOCK_BYTES // (r * max(L, 1) * 16))
+    for lo in range(0, nf, block):
+        hi = min(lo + block, nf)
+        (P, Q), *lam = fresh_scalar_coefficients(
+            fac.d[lo:hi, :, None] / sub, v, dv, nder, stacked_half_pairs)
+        if nder:
+            (P_lam, Q_lam), = lam
+        for k in range(hi - lo):
+            np.matmul(fac.turns[lo + k], acc.reshape(ncol + nder, r, -1),
+                      out=work.reshape(ncol + nder, r, -1))
+            acc, work = work, acc
+            for _ in range(sub):
+                np.multiply(P[k], acc, out=work)
+                np.multiply(Q[k], acc[:, :, ::-1], out=tmp)
+                np.add(work, tmp, out=work)
+                if nder:
+                    np.multiply(P_lam[k], acc[:r], out=tmp[:r])
+                    np.add(work[ncol:], tmp[:r], out=work[ncol:])
+                    np.multiply(Q_lam[k], acc[:r, :, ::-1], out=tmp[:r])
+                    np.add(work[ncol:], tmp[:r], out=work[ncol:])
+                acc, work = work, acc
+                if stride:
+                    taken += 1
+                    if taken % stride == 0 or taken == nf * sub:
+                        phase = _lifted(arg, phase, np.moveaxis(acc[:r], 2, 0),
+                                        spin * taken)
+    acc = (fac.vecs[-1] @ acc.reshape(ncol + nder, r, -1)).reshape(acc.shape)
+    return acc.transpose(3, 2, 1, 0).reshape(L, 2 * r, ncol + nder), arg
+
+
+def per_entry_residues(lams, dims, w, dw, hermitize: bool = True):
+    """direct.norming_constants' residue math one entry at a time, from a
+    sweep (w, dw) of 2r columns with the derivative at lams: Keldysh's
+    alpha_j = K (L^* phi' K)^-1 L^* psi on kernels of dimension dims[j],
+    half of it at lambda_0, then symmetrized and clipped to the positive
+    cone, raising the package's ExtractionError below -1e-6."""
+    from kreinsl.core import ExtractionError
+
+    r = w.shape[-1] // 2
+    phi = -w[:, r:, :r]
+    dphi = -dw[:, r:, :]
+    psi = w[:, r:, r:]
+    u, s, vh = np.linalg.svd(phi)
+    alphas = []
+    for j, k in enumerate(dims):
+        right = vh[j, r - k:].conj().T
+        left_h = u[j, :, r - k:].conj().T
+        alphas.append(right @ np.linalg.solve(left_h @ dphi[j] @ right,
+                                              left_h @ psi[j]))
+    alphas[0] = 0.5 * alphas[0]
+    if not hermitize:
+        return alphas
+    out = []
+    for j in range(len(lams)):
+        a = (alphas[j] + alphas[j].conj().T) / 2.0
+        w_eig, v = np.linalg.eigh(a)
+        if w_eig.min() < -1e-6:
+            raise ExtractionError(
+                f"norming constant at lambda = {lams[j]:.9g} has eigenvalue "
+                f"{w_eig.min():.3e} below the -1e-6 positivity floor"
+            )
+        out.append((v * np.clip(w_eig, 0.0, None)) @ v.conj().T)
+    return out

@@ -599,8 +599,9 @@ def test_scan_step_is_not_a_knob(tmp_path, capsys):
 
 def test_direct_diagnostics_propagate_once_per_sign(tmp_path, monkeypatch):
     # the rank checks read the solve's own edge counts and singular values,
-    # and the four identity residuals take one propagation of tau and one
-    # of -tau*
+    # and the four identity residuals come from the solve's residue sweep
+    # (at the probes and their negatives), so nothing propagates after it:
+    # on this input the solve makes 5 sweeps (edges, 3 rounds, residues)
     import kreinsl.direct as direct
 
     calls = []
@@ -621,7 +622,33 @@ def test_direct_diagnostics_propagate_once_per_sign(tmp_path, monkeypatch):
     write_zero_tau(tau, r=2)
     assert main(["direct", str(tau), "--n-bins", "4",
                  "--out", str(tmp_path)]) == 0
-    assert calls[calls.index("solved"):] == ["solved", "sweep", "sweep"]
+    assert calls == ["sweep"] * 5 + ["solved"]
+
+
+def test_direct_builds_the_factors_once(tmp_path, monkeypatch):
+    # the solve's count, Newton and residue sweeps share one setup of tau,
+    # and the identity residuals need no -tau* grid or propagate call
+    import kreinsl.direct as direct
+
+    builds = []
+    factors = direct._factors
+
+    def counted(tau):
+        builds.append(isinstance(tau, direct._Factors))
+        return factors(tau)
+
+    def no_propagate(*args, **kwargs):
+        raise AssertionError("propagate called")
+
+    monkeypatch.setattr(direct, "_factors", counted)
+    monkeypatch.setattr(direct, "propagate", no_propagate)
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau, r=2)
+    assert main(["direct", str(tau), "--n-bins", "4",
+                 "--out", str(tmp_path)]) == 0
+    assert builds.count(False) == 1
+    diag = read_json(tmp_path / "direct_diagnostics.json")
+    assert len(diag["identity_residuals"]) == 4
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

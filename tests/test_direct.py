@@ -4,6 +4,7 @@ import pytest
 from kreinsl.core import (
     ConfigurationError,
     ConsistencyError,
+    ExtractionError,
     GridSpec,
     MatrixGrid,
     PoleProximityError,
@@ -31,7 +32,11 @@ from oracles import (
     constant_tau_phi1,
     contour_norming_constants,
     fd_eigen_r1_refined,
+    fresh_scalar_coefficients,
+    per_column_eigen_sweep,
+    per_entry_residues,
     roots_by_bisection,
+    stacked_half_pairs,
 )
 
 
@@ -608,6 +613,190 @@ class TestNormingConstants:
         raw = norming_constants(tau, pairs, hermitize=False)
         for a in raw:
             assert np.linalg.norm(a - a.conj().T, 2) <= 1e-8
+
+
+class TestStackedResidues:
+    """norming_constants' stacked residue math (one call per kernel
+    dimension k) against the per-entry form (tests/oracles.py) on the
+    same sweep: the stacked calls run the same per-matrix LAPACK and
+    matmul loops, so the results are the same bytes."""
+
+    @pytest.mark.parametrize("tau, n_bins, double", [
+        (smooth_tau(1, 128), 8, False),
+        (smooth_tau(2, 128), 8, False),
+        (smooth_tau(3, 128), 8, False),
+        (diag_tau([0.4, 0.4], 128), 6, True),
+    ], ids=["fourier-r1", "fourier-r2", "fourier-r3", "cI-r2"])
+    @pytest.mark.parametrize("hermitize", [False, True])
+    def test_matches_per_entry(self, tau, n_bins, double, hermitize):
+        pairs = find_eigenvalues(tau, np.pi * (n_bins + 0.5))
+        lams = [lam for lam, _ in pairs]
+        dims = [basis.shape[1] for _, basis in pairs]
+        assert (dims == [2] * len(dims)) == double  # c I: every k = 2
+        w, dw, _ = _sweep(_factors(tau), lams, 2 * tau.r, deriv=True)
+        got = norming_constants(tau, pairs, hermitize=hermitize)
+        want = per_entry_residues(lams, dims, w, dw, hermitize)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+    def test_same_extraction_error(self):
+        # points that are not roots give indefinite "residues"; the first
+        # of several below the floor is named, not the lowest, with the
+        # same text
+        tau = smooth_tau(2, 64)
+        lams = [0.0, 1.0, 1.5, 2.5, 4.5]
+        pairs = [(0.0, np.eye(2))] + [(lam, np.eye(2)[:, :1])
+                                      for lam in lams[1:]]
+        w, dw, _ = _sweep(_factors(tau), lams, 4, deriv=True)
+        raw = per_entry_residues(lams, [2, 1, 1, 1, 1], w, dw, False)
+        mins = [np.linalg.eigvalsh((a + a.conj().T) / 2).min() for a in raw]
+        low = [m < -1e-6 for m in mins]
+        assert sum(low) >= 2 and low.index(True) != int(np.argmin(mins))
+        with pytest.raises(ExtractionError) as want:
+            per_entry_residues(lams, [2, 1, 1, 1, 1], w, dw)
+        with pytest.raises(ExtractionError) as got:
+            norming_constants(tau, pairs)
+        assert str(got.value) == str(want.value)
+        assert f"lambda = {lams[low.index(True)]:.9g} " in str(got.value)
+
+
+class TestCoefficientBytes:
+    """The in-place coefficients are the bytes of the fresh-temporary
+    form (tests/oracles.py) with both packs, on |z| = |d^2 - v^2| from
+    below 1/4 to about 1e3, where double-angle steps run."""
+
+    @pytest.mark.parametrize("complex_lam", [False, True])
+    @pytest.mark.parametrize("deriv", [False, True])
+    @pytest.mark.parametrize("pack", ["factor", "half_pairs"])
+    def test_both_packs(self, pack, deriv, complex_lam):
+        from kreinsl.chain import _factor
+        from kreinsl.coefficients import _scalar_coefficients
+        from kreinsl.direct import _half_pairs
+
+        rng = np.random.default_rng(7)
+        d = np.concatenate([[0.0, 1e-3, -0.2, 0.1],
+                            rng.uniform(-31.0, 31.0, 20)])
+        v = np.geomspace(1e-3, 31.0, 13)
+        v = np.concatenate([[0.0, 0.05], v, -v])
+        if complex_lam:
+            v = v + 1j * rng.uniform(-2.0, 2.0, v.size)
+        z = np.abs(d[:, None] ** 2 - v ** 2)
+        assert z.min() < 0.25 and 5e2 < z.max() < 2e3
+        if pack == "factor":  # the chain's scalars at r = 1
+            d, packs = d[:, None], (_factor, _factor)
+        else:  # the loop's (factor, row, 1) eigenvalues at r = 2
+            d = d.reshape(-1, 2, 1)
+            shape = d.shape + (2, v.size)
+            packs = (lambda *csv: _half_pairs(*csv, *np.full(
+                (2,) + shape, np.nan, np.result_type(d, v))),
+                stacked_half_pairs)
+        got = _scalar_coefficients(d, v, 0.5 / 256, deriv, packs[0])
+        want = fresh_scalar_coefficients(d, v, 0.5 / 256, deriv, packs[1])
+        assert len(got) == len(want) == 1 + deriv
+        for g, w in zip(got, want):
+            if pack == "half_pairs":
+                g, w = np.stack(g)[:, :, :, 0], np.stack(w)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_complex_scalar_d(self):
+        # a non-real scalar tau gives complex d, as the chain passes it
+        from kreinsl.chain import _factor
+        from kreinsl.coefficients import _scalar_coefficients
+
+        rng = np.random.default_rng(3)
+        d = (rng.uniform(-20, 20, 17) + 1j * rng.uniform(-5, 5, 17))[:, None]
+        v = np.linspace(-9.0, 9.0, 11)
+        for deriv in (False, True):
+            got = _scalar_coefficients(d, v, 0.01, deriv, _factor)
+            want = fresh_scalar_coefficients(d, v, 0.01, deriv, _factor)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
+class TestLoopLayout:
+    """The (row, column, half, lambda) loop, its one GEMM per basis
+    change and the probes in the residue sweep move r >= 2 spectral data
+    from the per-column loop's (tests/oracles.py) by roundoff only."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_spectral_data_within_roundoff(self, r, seed, monkeypatch):
+        import kreinsl.direct as direct
+
+        tau = smooth_tau(r, 128, seed=seed)
+        got = spectral_data(tau, 12, {}, probes=[1.0, 2.5, 7.75, 19.7])
+        monkeypatch.setattr(direct, "_eigen_sweep", per_column_eigen_sweep)
+        want = spectral_data(tau, 12)
+        assert got.lambdas.shape == want.lambdas.shape
+        assert np.all(np.abs(got.lambdas - want.lambdas)
+                      <= 1e-15 * np.maximum(1.0, want.lambdas))
+        rel = (np.linalg.norm(got.alphas - want.alphas, 2, axis=(-2, -1))
+               / np.linalg.norm(want.alphas, 2, axis=(-2, -1)))
+        assert rel.max() <= 1e-11
+
+    def test_sweep_matches_per_column_loop(self, monkeypatch):
+        import kreinsl.direct as direct
+
+        fac = _factors(smooth_tau(3, 64, seed=2))
+        lams = np.linspace(0.3, 40.0, 37)
+        got = _sweep(fac, lams, 3, deriv=True, lift=True)
+        monkeypatch.setattr(direct, "_eigen_sweep", per_column_eigen_sweep)
+        want = _sweep(fac, lams, 3, deriv=True, lift=True)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("tau", [
+    smooth_tau(1, 128), smooth_tau(2, 128), smooth_tau(3, 128),
+    zero_tau(2, 64)], ids=["fourier-r1", "fourier-r2", "fourier-r3", "zero"])
+def test_inverse_pair_residual_from_residue_sweep(tau):
+    # S Q(lam, tau) S = Q(-lam, -tau), S = [[0, I], [I, 0]], so the residue
+    # sweep's W(-lam) gives the inverse-pair identity that propagate checks
+    # with a propagation of -tau*
+    probes = [1.0, 2.5, 7.75, 13.3]
+    report = {}
+    spectral_data(tau, 4, report, probes=probes)
+    folded = report["identity_residuals"]
+    direct_ = [bv.identity_residual for bv in propagate(tau, np.array(probes))]
+    assert len(folded) == len(probes)
+    assert max(folded) <= 1e-12 and max(direct_) <= 1e-12
+    assert np.abs(np.array(folded) - direct_).max() <= 1e-13
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from kreinsl.core import GridSpec
+from kreinsl.direct import _factors, _sweep, spectral_data
+from kreinsl.synthetic import fourier_tau
+data = spectral_data(fourier_tau(2, 3, 0.3, 5, GridSpec(128)), 16)
+w, dw, arg = _sweep(_factors(fourier_tau(3, 3, 0.3, 6, GridSpec(128))),
+                    np.linspace(0.2, 60.0, 300), 3, deriv=True, lift=True)
+h = hashlib.sha256()
+for a in (data.lambdas, data.alphas, w, dw, arg):
+    h.update(np.ascontiguousarray(a).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_same_bytes_at_one_and_two_blas_threads():
+    # the basis changes are one wider GEMM per factor; their rounding must
+    # not depend on how many threads OpenBLAS splits it over
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestSpectralData:
