@@ -27,6 +27,7 @@ from .core import (
     SpectralData,
     SquareKernel,
     ValidationError,
+    _unchecked,
     bin_index,
     trapezoid_weights,
 )
@@ -44,12 +45,8 @@ def covered_bins(data: SpectralData, n_bins: int) -> tuple[int, bool]:
 def prepend_unit_mass(data: SpectralData) -> SpectralData:
     """Complete a reduced dataset with the (0, I) entry."""
     eye = np.eye(data.r, dtype=complex)
-    return SpectralData(
-        r=data.r,
-        lambdas=np.concatenate([[0.0], data.lambdas]),
-        alphas=np.concatenate([eye[None], data.alphas]),
-        includes_zero=True,
-    )
+    return _unchecked(SpectralData, data.r, np.concatenate([[0.0], data.lambdas]),
+                      np.concatenate([eye[None], data.alphas]), True)
 
 
 def accelerant_terms(data: SpectralData, n_bins: int
@@ -113,7 +110,7 @@ def build_accelerant(data: SpectralData, spec: GridSpec, n_bins: int) -> MatrixG
         term += np.cos(2.0 * freq[ref] * x)[:, None, None] * coef[ref]
         h += term
     h = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
-    return MatrixGrid(data.r, spec, h, hermitian=True)
+    return _unchecked(MatrixGrid, data.r, spec, h, True)
 
 
 def tail_proxy(data: SpectralData, spec: GridSpec, n_bins: int, *,

@@ -312,7 +312,7 @@ def cmd_roundtrip(args) -> int:
         tau_gm = resample_matrix_grid(tau, GridSpec(gm))
         report = {}
         full = spectral_data(tau_gm, 2 * cfg.n_bins, report)
-        prefix = spectral_prefix(full, report["kernel_dim"], cfg.n_bins)
+        prefix = spectral_prefix(full, report, cfg.n_bins)
         for nb, data in ((cfg.n_bins, prefix), (2 * cfg.n_bins, full)):
             sol = _inverse_solve(data, nb, gm)[1]
             tau_hat = sol.tau()

@@ -1,9 +1,11 @@
 """Shared domain types, uniform grids, quadrature, and JSON file I/O.
 
-Everything here is immutable after construction: constructors validate,
-copy, and freeze their array arguments, so instances are safe to share
-between threads.  All heavier operations live in the sibling modules and
-are pure functions of these types.
+Instances are immutable, so safe to share between threads.  Data are
+checked where they enter, by the public constructors and loaders.
+`_unchecked` only freezes; it serves prefixes of checked data
+(`direct.spectral_prefix`), (0, I) plus checked reduced data
+(`accelerant.prepend_unit_mass`) and grids Hermitized as (A + A^H) / 2
+(`KreinSolution.tau`, `build_accelerant`, `fourier_tau`).
 """
 
 from __future__ import annotations
@@ -71,19 +73,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _herm_defect(a: np.ndarray) -> float:
-    """Max over grid of ||A - A*|| relative to 1 + ||A||, in 2-norms; or
-    the Frobenius bound on it, ||D||_2 <= ||D||_F and ||A||_2 >=
-    ||A||_F / sqrt(r), when that bound is within HERMITIAN_RTOL, which
-    settles the check without an SVD."""
+def _herm_defects(a: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, ||A - A*|| relative to 1 + ||A|| in 2-norms;
+    or, when every matrix passes HERMITIAN_RTOL with it, the Frobenius
+    bound on that (||D||_2 <= ||D||_F, ||A||_2 >= ||A||_F / sqrt(r)),
+    which settles the check without an SVD."""
     skew = a - np.conj(np.swapaxes(a, -1, -2))
-    bound = float(np.max(np.linalg.norm(skew, axis=(-2, -1)) / (
-        1.0 + np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(a.shape[-1]))))
-    if bound <= HERMITIAN_RTOL:
+    bound = np.linalg.norm(skew, axis=(-2, -1)) / (
+        1.0 + np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(a.shape[-1]))
+    if np.all(bound <= HERMITIAN_RTOL):
         return bound
-    d = np.linalg.norm(skew, ord=2, axis=(-2, -1))
-    s = np.linalg.norm(a, ord=2, axis=(-2, -1))
-    return float(np.max(d / (1.0 + s)))
+    return np.linalg.norm(skew, ord=2, axis=(-2, -1)) / (
+        1.0 + np.linalg.norm(a, ord=2, axis=(-2, -1)))
 
 
 @dataclass
@@ -166,7 +167,7 @@ class MatrixGrid:
         if v.shape != want:
             raise ValidationError(f"matrix grid values have shape {v.shape}, expected {want}")
         if self.hermitian:
-            defect = _herm_defect(v)
+            defect = float(np.max(_herm_defects(v)))
             if defect > HERMITIAN_RTOL:
                 raise ValidationError(
                     f"grid flagged hermitian but worst sample defect is {defect:.3e}"
@@ -237,19 +238,18 @@ def matrix_rank_psd(alpha: np.ndarray):
     return int(ranks) if np.ndim(alpha) == 2 else ranks
 
 
-def _check_alphas(al: np.ndarray) -> None:
+def _check_alphas(al: np.ndarray) -> np.ndarray:
     """Each alpha must be nonzero, Hermitian and PSD; the first entry that
-    fails raises, with the first of those checks it fails."""
+    fails raises, with the first of those checks it fails.  Returns the
+    smallest eigenvalue of each alpha's Hermitian part."""
     nrm = np.linalg.norm(al, 2, axis=(-2, -1))
-    herm = np.conj(np.swapaxes(al, -1, -2))
-    asym = np.linalg.norm(al - herm, 2, axis=(-2, -1))
-    eigmin = np.linalg.eigvalsh((al + herm) / 2.0).min(axis=-1)
+    eigmin = np.linalg.eigvalsh((al + np.conj(np.swapaxes(al, -1, -2))) / 2.0).min(-1)
     zero = nrm == 0.0
-    skew = asym > HERMITIAN_RTOL * (1.0 + nrm)
+    skew = _herm_defects(al) > HERMITIAN_RTOL
     neg = eigmin < -PSD_RTOL * nrm
     bad = np.flatnonzero(zero | skew | neg)
     if bad.size == 0:
-        return
+        return eigmin
     idx = int(bad[0])
     if zero[idx]:
         raise ValidationError(f"zero norming matrix at index {idx}")
@@ -259,6 +259,15 @@ def _check_alphas(al: np.ndarray) -> None:
         f"norming matrix at index {idx} is not positive semidefinite "
         f"(eigenvalue {eigmin[idx]:.3e})"
     )
+
+
+def _unchecked(cls, *fields):
+    """A SpectralData or MatrixGrid `cls` of fields that hold its invariants
+    by construction: the arrays are frozen, nothing is checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, (
+        _frozen(f) if isinstance(f, np.ndarray) else f for f in fields)))
+    return obj
 
 
 @dataclass
@@ -290,15 +299,14 @@ class SpectralData:
                 raise ValidationError(f"non-finite {name} at index {np.argmin(finite)}")
         if lam[0] < 0:
             raise ValidationError("negative lambda at index 0")
-        for j in range(1, lam.size):
-            if lam[j] <= lam[j - 1]:
-                raise ValidationError(f"non-increasing lambda at index {j}")
-        _check_alphas(al)
+        down = np.flatnonzero(lam[1:] <= lam[:-1])
+        if down.size:
+            raise ValidationError(f"non-increasing lambda at index {down[0] + 1}")
+        eigmin = _check_alphas(al)
         if self.includes_zero:
             if lam[0] != 0.0:
                 raise ValidationError("dataset flagged includes_zero but lambda_0 != 0")
-            a0 = (al[0] + al[0].conj().T) / 2.0
-            if float(np.min(np.linalg.eigvalsh(a0))) <= 0.0:
+            if eigmin[0] <= 0.0:
                 raise ValidationError("alpha_0 must be positive definite when lambda_0 = 0")
         elif lam[0] == 0.0:
             raise ValidationError("lambda_0 = 0 requires includes_zero")

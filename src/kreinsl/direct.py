@@ -45,6 +45,7 @@ from .core import (
     PoleProximityError,
     SpectralData,
     ValidationError,
+    _unchecked,
     bin_index,
     matrix_rank_psd,
 )
@@ -726,15 +727,12 @@ def norming_constants(tau: MatrixGrid, pairs, *, hermitize: bool = True,
                 @ np.conj(np.swapaxes(v, -1, -2)))
 
 
-def checked_ranks(alphas: np.ndarray, kernel_dims, n_bins: int) -> np.ndarray:
-    """Numerical ranks of the norming constants of bins 0..n_bins
-    (alpha_0 first), after checking the cumulative rank identity
-    sum_{n <= N} sum_{lambda_j in bin n} rank alpha_j = N r at
-    N = n_bins; kernel_dims are the multiplicities the eigenvalue count
-    gave the same entries.  A violation raises ConsistencyError.
-    """
-    r = alphas.shape[-1]
-    ranks = matrix_rank_psd(alphas)
+def checked_ranks(ranks: np.ndarray, kernel_dims, n_bins: int, r: int) -> None:
+    """Check the cumulative rank identity sum_{n <= N} sum_{lambda_j in bin n}
+    rank alpha_j = N r at N = n_bins on the numerical ranks of the norming
+    constants of bins 0..n_bins (alpha_0 first); kernel_dims are the
+    multiplicities the eigenvalue count gave the same entries.  A violation
+    raises ConsistencyError."""
     total_rank = int(ranks[1:].sum())
     if total_rank != n_bins * r:
         roots = sum(kernel_dims[1:])
@@ -744,7 +742,6 @@ def checked_ranks(alphas: np.ndarray, kernel_dims, n_bins: int) -> np.ndarray:
             f"count finds {roots} roots with multiplicity, where the "
             f"identity needs n_bins r = {n_bins * r}"
         )
-    return ranks
 
 
 def spectral_data(tau: MatrixGrid, n_bins: int, report: dict | None = None,
@@ -764,8 +761,8 @@ def spectral_data(tau: MatrixGrid, n_bins: int, report: dict | None = None,
     pairs = find_eigenvalues(fac, np.pi * (n_bins + 0.5), report=report)
     alphas = np.stack(norming_constants(fac, pairs, report=report,
                                         probes=probes))
-    ranks = checked_ranks(alphas, [basis.shape[1] for _, basis in pairs],
-                          n_bins)
+    ranks = matrix_rank_psd(alphas)
+    checked_ranks(ranks, [basis.shape[1] for _, basis in pairs], n_bins, tau.r)
     if report is not None:
         report["alpha_rank"] = ranks
     lambdas = np.array([lam for lam, _ in pairs])
@@ -783,17 +780,16 @@ def spectral_data(tau: MatrixGrid, n_bins: int, report: dict | None = None,
     )
 
 
-def spectral_prefix(data: SpectralData, kernel_dims,
-                    n_bins: int) -> SpectralData:
+def spectral_prefix(data: SpectralData, report: dict, n_bins: int) -> SpectralData:
     """The entries of a direct solve's data in bins 0..n_bins: the data a
     solve at n_bins would give, up to roundoff.  They must pass the rank
     identity that spectral_data checks at its own truncation
-    (checked_ranks); kernel_dims are the solve's multiplicities per
-    entry, its report's "kernel_dim"."""
+    (checked_ranks), read off the solve's report."""
     keep = 1 + int((bin_index(data.lambdas[1:]) <= n_bins).sum())
-    checked_ranks(data.alphas[:keep], kernel_dims[:keep], n_bins)
-    return SpectralData(r=data.r, lambdas=data.lambdas[:keep],
-                        alphas=data.alphas[:keep], includes_zero=True)
+    checked_ranks(report["alpha_rank"][:keep], report["kernel_dim"][:keep],
+                  n_bins, data.r)
+    return _unchecked(SpectralData, data.r, data.lambdas[:keep],
+                      data.alphas[:keep], True)
 
 
 def rank_checks(data: SpectralData, report: dict) -> dict:

@@ -52,6 +52,7 @@ from .core import (
     NotAnAccelerantError,
     TriangularKernel,
     ValidationError,
+    _unchecked,
     block_flatten,
 )
 
@@ -110,7 +111,7 @@ class KreinSolution:
         if not self.hermitian:
             return MatrixGrid(r, spec, raw)
         sym = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
-        return MatrixGrid(r, spec, sym, hermitian=True)
+        return _unchecked(MatrixGrid, r, spec, sym, True)
 
     def extract_tau(self) -> tuple[MatrixGrid, float]:
         """`tau()` and the pre-symmetrization Hermiticity defect (NaN for
@@ -222,12 +223,12 @@ def _row_blocks(H: MatrixGrid, pivots: _Pivots):
         yield i0, buf[:i1 - i0]
 
 
-def _pivot_size(block: np.ndarray, hermitian: bool) -> float:
-    """Smallest eigenvalue (signed) of a Hermitian pivot, else smallest
-    singular value."""
+def _pivot_size(E: np.ndarray, hermitian: bool):
+    """Smallest eigenvalue (signed) of a Hermitian pivot block, else its
+    smallest singular value; of each of a stack of blocks."""
     if hermitian:
-        return float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0])
-    return float(np.linalg.svd(block, compute_uv=False)[-1])
+        return np.linalg.eigvalsh((E + np.conj(np.swapaxes(E, -1, -2))) / 2.0)[..., 0]
+    return np.linalg.svd(E, compute_uv=False)[..., -1]
 
 
 def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots,
@@ -261,7 +262,7 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots,
     eps = Td[0].copy()
     E = eye + h * eps
     scale = float(np.linalg.norm(E, 2))
-    pivot = _pivot_size(E, hermitian) / scale if scale > 0 else 0.0
+    pivot = float(_pivot_size(E, hermitian)) / scale if scale > 0 else 0.0
     if not pivot >= LEVINSON_FLOOR:
         yield 1
         return
@@ -326,11 +327,7 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
     """
     r = E.shape[-1]
     n = _leading(np.isfinite(E).all(axis=(1, 2)))
-    if hermitian:
-        pivot = np.linalg.eigvalsh((E[:n] + np.conj(np.swapaxes(E[:n], -1, -2))) / 2.0)[:, 0]
-    else:
-        pivot = np.linalg.svd(E[:n], compute_uv=False)[:, -1]
-    pivot /= scale
+    pivot = _pivot_size(E[:n], hermitian) / scale
     n = _leading(pivot >= LEVINSON_FLOOR)
     i = np.arange(lo, lo + n)
     # the Woodbury matrix's block pattern [[first, last], [last, first]];

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GridSpec, MatrixGrid
+from .core import GridSpec, MatrixGrid, _unchecked
 
 _MASK = (1 << 64) - 1
 
@@ -49,4 +49,4 @@ def fourier_tau(r: int, order: int, scale: float, seed: int,
     phases = np.exp(2j * np.pi * np.outer(np.arange(order + 1), x))
     f = np.einsum("ki,kab->iab", phases, coeffs)
     tau = scale * (f + np.conj(np.swapaxes(f, -1, -2))) / 2.0
-    return MatrixGrid(r, spec, tau, hermitian=True)
+    return _unchecked(MatrixGrid, r, spec, tau, True)

@@ -406,6 +406,53 @@ def test_roundtrip_builds_no_tail_proxy(tmp_path, monkeypatch):
     assert calls == [4]
 
 
+def _count_checks(monkeypatch):
+    """Live counts of spectral-data checks, alpha rankings in the direct
+    map, and Hermitian grid checks."""
+    import kreinsl.direct as direct
+
+    counts = dict.fromkeys(["data", "rank", "grid"], 0)
+
+    def counted(key, fn, applies=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[key] += bool(applies(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SpectralData, "__post_init__",
+                        counted("data", SpectralData.__post_init__))
+    monkeypatch.setattr(MatrixGrid, "__post_init__",
+                        counted("grid", MatrixGrid.__post_init__, lambda g: g.hermitian))
+    monkeypatch.setattr(direct, "matrix_rank_psd",
+                        counted("rank", direct.matrix_rank_psd))
+    return counts
+
+
+def test_roundtrip_checks_each_value_once(tmp_path, monkeypatch):
+    # the three direct solves check their data and rank their alphas; the
+    # prefixes, accelerants and reconstructions hold their invariants by
+    # construction, so only the resampled input grid is checked
+    counts = _count_checks(monkeypatch)
+    assert main(["roundtrip", "--synthetic", "1:3:0.3", "--seed", "3",
+                 "--grid-m", "128", "--n-bins", "16",
+                 "--out", str(tmp_path)]) == 0
+    assert counts == {"data": 3, "rank": 3, "grid": 1}
+
+
+def test_inverse_checks_its_grids_once(tmp_path, monkeypatch):
+    # the loaded data are checked once; of the grids only sigma, which is
+    # not Hermitian by construction, is checked
+    from kreinsl.direct import spectral_data
+    from kreinsl.synthetic import fourier_tau
+
+    path = tmp_path / "d.json"
+    save_spectral_data(spectral_data(fourier_tau(2, 3, 0.3, 1, GridSpec(64)), 8), path)
+    counts = _count_checks(monkeypatch)
+    assert main(["inverse", str(path), "--grid-m", "384", "--n-bins", "8",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"data": 1, "rank": 0, "grid": 1}
+
+
 def test_roundtrip_prefix_rank_identity_exits_1(tmp_path, capsys):
     # the 24-bin solve of this strong potential passes its own check, but
     # its 12-bin prefix has total rank 11: the rows that read the prefix

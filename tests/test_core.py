@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +335,102 @@ def test_includes_zero_requires_zero_lambda():
         # rank-deficient alpha_0 is PSD but not positive definite
         SpectralData(2, np.array([0.0]), np.diag([1.0, 0.0])[None].astype(complex),
                      includes_zero=True)
+
+
+def _alphas(*mats):
+    return np.array(mats, dtype=complex)
+
+
+_I2 = np.eye(2)
+# (r, lambdas, alphas, includes_zero, the whole error message); the first
+# entry that fails a check is named, with the first check it fails
+DATA_CHECK_CASES = {
+    "zero-alpha": (1, [1.0, 4.0, 9.0], _alphas([[1.0]], [[0.0]], [[0.0]]), False,
+                   "zero norming matrix at index 1"),
+    "non-hermitian-alpha": (2, [1.0, 4.0], _alphas(_I2, [[1.0, 1e-3], [0.0, 1.0]]),
+                            False, "non-Hermitian norming matrix at index 1"),
+    "first-bad-entry-wins": (2, [1.0, 4.0, 9.0],
+                             _alphas(_I2, [[1.0, 1e-3], [0.0, 1.0]], 0 * _I2), False,
+                             "non-Hermitian norming matrix at index 1"),
+    "non-psd-alpha": (2, [1.0, 4.0, 9.0], _alphas(_I2, _I2, np.diag([1.0, -0.5])),
+                      False, "norming matrix at index 2 is not positive "
+                             "semidefinite (eigenvalue -5.000e-01)"),
+    "alpha0-not-definite": (2, [0.0, 4.0], _alphas(np.diag([1.0, 0.0]), _I2), True,
+                            "alpha_0 must be positive definite when lambda_0 = 0"),
+    "non-increasing-lambda": (1, [1.0, 2.0, 2.0, 5.0, 4.0], np.ones((5, 1, 1)), False,
+                              "non-increasing lambda at index 2"),
+    "infinite-lambda": (1, [1.0, 2.0, np.inf], np.ones((3, 1, 1)), False,
+                        "non-finite lambda at index 2"),
+    "nan-alpha": (1, [1.0, 2.0, 3.0], _alphas([[1.0]], [[np.nan]], [[1.0]]), False,
+                  "non-finite alpha at index 1"),
+}
+
+
+def _write_data_doc(path, r, lams, alphas, includes_zero):
+    """The spectral-data file of raw entries, written without the checks."""
+    alphas = np.asarray(alphas, dtype=complex)
+    doc = {"r": r, "includes_zero": includes_zero, "entries": [
+        {"lambda": float(lam), "alpha": np.stack([a.real, a.imag], -1).tolist()}
+        for lam, a in zip(lams, alphas)]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case", list(DATA_CHECK_CASES))
+def test_data_check_message(tmp_path, case):
+    r, lams, alphas, includes_zero, msg = DATA_CHECK_CASES[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(msg)}$"):
+        SpectralData(r, np.array(lams), alphas, includes_zero=includes_zero)
+    path = _write_data_doc(tmp_path / "d.json", r, lams, alphas, includes_zero)
+    with pytest.raises(ValidationError, match=f"^{re.escape(msg)}$"):
+        load_spectral_data(path)
+
+
+@pytest.mark.parametrize("case", list(DATA_CHECK_CASES))
+def test_data_check_message_exits_4(tmp_path, capsys, case):
+    from kreinsl.cli import main
+
+    r, lams, alphas, includes_zero, msg = DATA_CHECK_CASES[case]
+    path = _write_data_doc(tmp_path / "d.json", r, lams, alphas, includes_zero)
+    out = tmp_path / "out"
+    assert main(["inverse", str(path), "--n-bins", "2", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
+    assert not out.exists()
+
+
+def _same_through_constructor(value):
+    """Passing a value's fields to its public constructor raises nothing
+    and gives the same bytes."""
+    names = [f.name for f in dataclasses.fields(value)]
+    again = type(value)(*(getattr(value, n) for n in names))
+    for n in names:
+        a, b = getattr(value, n), getattr(again, n)
+        if isinstance(a, np.ndarray):
+            assert not a.flags.writeable
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_derived_values_are_valid_values(r):
+    # the values built without the constructors' checks hold their invariants
+    from kreinsl.accelerant import build_accelerant, prepend_unit_mass
+    from kreinsl.direct import spectral_data, spectral_prefix
+    from kreinsl.krein import solve_krein
+    from kreinsl.synthetic import fourier_tau
+
+    tau = fourier_tau(r, 3, 0.3, r, GridSpec(64))
+    report = {}
+    data = spectral_data(tau, 4, report)
+    reduced = SpectralData(r, data.lambdas[1:], data.alphas[1:], includes_zero=False)
+    H = build_accelerant(data, GridSpec(64), 4)
+    derived = [tau, spectral_prefix(data, report, 2), prepend_unit_mass(reduced),
+               H, solve_krein(H).tau()]
+    for value in derived:
+        _same_through_constructor(value)
+    assert tau.hermitian and H.hermitian and derived[-1].hermitian
 
 
 def test_bin_index_boundaries():

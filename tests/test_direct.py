@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from kreinsl.direct import (
     norming_constants,
     propagate,
     spectral_data,
+    spectral_prefix,
     weyl_m,
 )
 
@@ -925,6 +928,37 @@ class TestSpectralData:
         with pytest.raises(ConsistencyError,
                            match="count finds 11 roots .* needs n_bins r = 12"):
             spectral_data(tau, 12)
+
+    def test_prefix_reads_the_solve_ranks(self, monkeypatch):
+        # the prefix holds the entries of bins 0..N and checks the rank
+        # identity at N on the ranks the solve's report holds
+        import kreinsl.direct as direct
+        from kreinsl.synthetic import fourier_tau
+
+        report = {}
+        full = spectral_data(fourier_tau(2, 3, 0.3, 1, GridSpec(64)), 8, report)
+        monkeypatch.setattr(direct, "matrix_rank_psd", None)
+        prefix = spectral_prefix(full, report, 4)
+        keep = 1 + int(np.sum(bin_index(full.lambdas[1:]) <= 4))
+        assert len(prefix) == keep < len(full)
+        assert prefix.includes_zero and prefix.r == 2
+        assert prefix.lambdas.tobytes() == full.lambdas[:keep].tobytes()
+        assert prefix.alphas.tobytes() == full.alphas[:keep].tobytes()
+        assert int(np.sum(report["alpha_rank"][1:keep])) == 4 * 2
+
+    def test_prefix_rank_identity_error(self):
+        # the 24-bin solve passes its own check; its 12-bin prefix holds 11
+        # roots of rank 1, as a 12-bin solve does
+        from kreinsl.synthetic import fourier_tau
+
+        report = {}
+        full = spectral_data(fourier_tau(1, 3, 8.0, 0, GridSpec(128)), 24, report)
+        with pytest.raises(ConsistencyError, match="^" + re.escape(
+                "rank bookkeeping failed at truncation 12: the norming "
+                "constants have total rank 11 and the eigenvalue count finds "
+                "11 roots with multiplicity, where the identity needs "
+                "n_bins r = 12") + "$"):
+            spectral_prefix(full, report, 12)
 
 
 def test_a1_diagnostics_flatten_with_bins():
