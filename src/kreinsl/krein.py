@@ -23,6 +23,9 @@ failing truncation point.  G_i and A_i are different discretizations and
 need not go singular at the same row near the edge of the accelerant
 class; from the first row where a recursion pivot degrades, the remaining
 rows are solved by one dense LU each, whose condition estimate decides.
+A dense row's system is built from T itself, so the fallback holds one
+row's system plus LAPACK's column-major copy of it, never the (m+1) r
+square of every row; its time is still O(m^4 r^3).
 
 The rows come out in blocks of _RESIDUAL_ROWS, in order, in one buffer
 that is refilled for every block.  Within a block the recursion carries
@@ -46,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     MatrixGrid,
@@ -145,12 +149,13 @@ def _working_values(H: MatrixGrid) -> np.ndarray:
     return H.values if np.any(H.values.imag) else H.values.real
 
 
-def _row_weights(i: int, h: float) -> np.ndarray:
-    """Trapezoid weights on [0, x_i]; the zero-length row 0 gets weight 0."""
-    if i == 0:
-        return np.zeros(1)
-    w = np.full(i + 1, h)
-    w[0] = w[-1] = h / 2.0
+def _trapezoid_weights(lo: int, i1: int, h: float) -> np.ndarray:
+    """Trapezoid weights on [0, x_i] of the rows i = lo..i1-1: w[i - lo, k]
+    for k < i1, zero for k > i; the zero-length row 0 gets weight 0."""
+    w = np.tril(np.full((i1 - lo, i1), h), k=lo)
+    w[:, 0] = w[np.arange(i1 - lo), np.arange(lo, i1)] = h / 2.0
+    if lo == 0:
+        w[0, 0] = 0.0
     return w
 
 
@@ -372,22 +377,28 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
 def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
     """Yield rows start.. of R, by one dense LU each.
 
-    Each row's reciprocal condition estimate goes to `pivots`; a row below
-    PIVOT_TOL raises NotAnAccelerantError.
+    Row i's system I + T_i D_i is built from T itself: block (j, k) of T_i
+    is T[|j - k|], so its block rows are windows of T's two-sided extension
+    [T[m], ..., T[1], T[0], ..., T[m]], copied once into the C-ordered
+    matrix that is then scaled in place.  Only that (i+1) r square and
+    LAPACK's column-major copy of it are held, never the (m+1) r square of
+    every row; the time is still O(m^4 r^3) over the rows.  Each row's
+    reciprocal condition estimate goes to `pivots`; a row below PIVOT_TOL
+    raises NotAnAccelerantError.
     """
     from scipy.linalg import lapack, lu_factor, lu_solve
 
     n_full, r = Td.shape[0], Td.shape[1]
-    d_idx = np.abs(np.arange(n_full)[:, None] - np.arange(n_full)[None, :])
-    big = block_flatten(Td[d_idx])  # (n r, n r), entry (j,k) block = H((j-k)h)^T
+    ext = np.concatenate([Td[:0:-1], Td])  # ext[n_full - 1 + d] = T[|d|]
     gecon = lapack.dgecon if Td.dtype.kind == "f" else lapack.zgecon
 
     for i in range(start, n_full):
         n = i + 1
-        a = big[: n * r, : n * r].copy()
-        w = _row_weights(i, h)
-        wcol = np.repeat(w, r)
-        a *= wcol[None, :]
+        # window s is ext[s + k] over k = 0..i: block row j of T_i is window
+        # n_full - 1 - j, a view (read-only) until the one copy into `a`
+        windows = sliding_window_view(ext, n, axis=0)[n_full - n:n_full][::-1]
+        a = np.array(windows.transpose(0, 1, 3, 2), order="C").reshape(n * r, n * r)
+        a *= np.repeat(_trapezoid_weights(i, n, h)[0], r)
         a[np.arange(n * r), np.arange(n * r)] += 1.0
         b = -Td[i::-1].reshape(n * r, r)  # column stack of H((i-j)h)^T over j
         anorm = float(np.max(np.abs(a).sum(axis=0)))
@@ -481,10 +492,7 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
         i1 = min(lo + _RESIDUAL_ROWS, i0 + n)
         b = i1 - lo
         block = rows[b0:b0 + b, :i1]
-        weights = np.tril(np.full((b, i1), h), k=lo)
-        weights[:, 0] = weights[np.arange(b), np.arange(lo, i1)] = h / 2.0
-        if lo == 0:
-            weights[0, 0] = 0.0
+        weights = _trapezoid_weights(lo, i1, h)
         if i1 * r >= _FFT_FROM:
             panels = _fft_defects(H, lo, block, weights)
         else:

@@ -14,9 +14,10 @@ its root search, and the Nystrom matrices sym_nystrom_square and
 sym_nystrom_triangular, completeness_via_heo, theta, accelerant_positivity
 and roundtrip_per_row, routes that only the tests use, built on the
 package's own kernels.  The fresh_* coefficient functions,
-per_column_eigen_sweep and per_entry_residues are the package's earlier
-forms of the propagator's coefficients, its eigenbasis loop and its
-residue math, kept as references for the forms that replaced them.
+per_column_eigen_sweep, per_entry_residues and krein_square_rows are the
+package's earlier forms of the propagator's coefficients, its eigenbasis
+loop, its residue math and the Krein solve's dense rows, kept as
+references for the forms that replaced them.
 """
 
 from __future__ import annotations
@@ -211,6 +212,59 @@ def krein_residual_one_gemm(h_values: np.ndarray, r_values: np.ndarray) -> float
         return 0.0
     near = defect[fro >= 0.99 * top / np.sqrt(r)]
     return float(np.max(np.linalg.norm(near, ord=2, axis=(-2, -1))))
+
+
+def _row_weights(i: int, h: float) -> np.ndarray:
+    """Trapezoid weights on [0, x_i]; the zero-length row 0 gets weight 0."""
+    if i == 0:
+        return np.zeros(1)
+    w = np.full(i + 1, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
+def krein_square_rows(Td: np.ndarray, h: float, start: int, pivots):
+    """Yield rows start.. of R, by one dense LU each.
+
+    Each row's reciprocal condition estimate goes to `pivots`; a row below
+    PIVOT_TOL raises NotAnAccelerantError.
+
+    The package's `krein._dense_rows` before it built each row's system
+    from T in place: this form copies every row's system out of the whole
+    (m+1) r square, gathered by an (m+1)^2 index array.  Same signature and
+    generator protocol, so a test can patch it in.
+    """
+    from scipy.linalg import lapack, lu_factor, lu_solve
+
+    from kreinsl.core import NotAnAccelerantError, block_flatten
+    from kreinsl.krein import PIVOT_TOL
+
+    n_full, r = Td.shape[0], Td.shape[1]
+    d_idx = np.abs(np.arange(n_full)[:, None] - np.arange(n_full)[None, :])
+    big = block_flatten(Td[d_idx])  # (n r, n r), entry (j,k) block = H((j-k)h)^T
+    gecon = lapack.dgecon if Td.dtype.kind == "f" else lapack.zgecon
+
+    for i in range(start, n_full):
+        n = i + 1
+        a = big[: n * r, : n * r].copy()
+        w = _row_weights(i, h)
+        wcol = np.repeat(w, r)
+        a *= wcol[None, :]
+        a[np.arange(n * r), np.arange(n * r)] += 1.0
+        b = -Td[i::-1].reshape(n * r, r)  # column stack of H((i-j)h)^T over j
+        anorm = float(np.max(np.abs(a).sum(axis=0)))
+        lu, piv = lu_factor(a, check_finite=False)
+        rcond = gecon(lu, anorm, norm="1")[0]
+        if not np.isfinite(rcond) or rcond < PIVOT_TOL:
+            raise NotAnAccelerantError(
+                f"kernel fails invertibility at truncation x = {i * h:.9g} "
+                f"(normalized pivot {rcond:.3e}); not an accelerant",
+                x=i * h,
+                pivot=float(rcond),
+            )
+        pivots.see(float(rcond), i * h)
+        y = lu_solve((lu, piv), b, check_finite=False)
+        yield np.swapaxes(y.reshape(n, r, r), -1, -2)
 
 
 def cf4_fundamental_matrix(tau_values: np.ndarray, lams) -> np.ndarray:

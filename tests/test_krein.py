@@ -27,6 +27,7 @@ from oracles import (
     constant_tau_lambdas,
     krein_dense_rows,
     krein_residual_one_gemm,
+    krein_square_rows,
     sym_nystrom_square,
     sym_nystrom_triangular,
     theta,
@@ -228,6 +229,57 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestDenseRowsFromT:
+    # krein_square_rows is the dense fallback as it was when it copied each
+    # row's system out of the whole (m+1) r square: the LU gets the same
+    # array, so the rows keep their bytes.  LAPACK's condition estimate
+    # moves in its last digits from run to run, so the pivots agree within
+    # 1e-12.  The cos kernels are TestStreaming's block-edge cases.
+    @staticmethod
+    def both(monkeypatch, run, H):
+        new = run(H)
+        monkeypatch.setattr(krein, "_dense_rows", krein_square_rows)
+        ref = run(H)
+        monkeypatch.undo()
+        return new, ref
+
+    @pytest.mark.parametrize("m", [77, 78, 96, 154, 155])
+    def test_rows_match_square_rows(self, monkeypatch, m):
+        H = cos_kernel(m)
+        new, ref = self.both(monkeypatch, krein_kernel, H)
+        assert new.values.tobytes() == ref.values.tobytes()
+        new, ref = self.both(monkeypatch, solve_krein, H)
+        assert new.column.values.tobytes() == ref.column.values.tobytes()
+        assert ((new.residual, new.residual_x, new.min_pivot_x, new.dense_from_x)
+                == (ref.residual, ref.residual_x, ref.min_pivot_x, ref.dense_from_x))
+        assert new.min_pivot == pytest.approx(ref.min_pivot, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [96, 256])
+    def test_singular_row_matches_square_rows(self, monkeypatch, m):
+        def failure(H):
+            with pytest.raises(NotAnAccelerantError) as exc:
+                solve_krein(H)
+            return exc.value
+
+        new, ref = self.both(monkeypatch, failure, const_kernel(-2.0, m))
+        assert new.x == ref.x
+        assert new.pivot == pytest.approx(ref.pivot, rel=1e-12)
+
+    def test_fallback_memory(self):
+        # rows 422..512 go dense; building each row's system out of the
+        # whole square, with its index array, peaked at 11.2 MB, and one
+        # row's system with LAPACK's copy of it peaks at 7.0 MB
+        H = cos_kernel(512)
+        tracemalloc.start()
+        try:
+            sol = solve_krein(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.dense_from_x is not None
+        assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestResidual:
