@@ -36,12 +36,10 @@ the whole block.  `solve_krein` keeps R(x_i, 0) for the potential and
 scores the block's defect in place, so it never holds more of R than one
 block of rows; `krein_kernel` copies every block into the whole triangle
 for the callers that need R itself.  The defect of a block of rows is a
-block-Toeplitz product along each row: a block that ends at row i1 with
-i1 r < _FFT_FROM takes it in GEMM panels, each a contiguous row slice of
-one small strip of H (`toeplitz_strip`), and a larger block takes it as a
-convolution by FFT, in O(m r^2 log m + m r^3) per row instead of
-O(m^2 r^3); so the residual costs O(m^2 log m) in m and builds no (m+1) r
-square matrix.
+block-Toeplitz product along each row, taken as a convolution by FFT in
+O(m r^2 log m + m r^3) per row instead of O(m^2 r^3); so the residual
+costs O(m^2 log m) in m, builds no (m+1) r square matrix, and its figure
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .core import (
     TriangularKernel,
     ValidationError,
     _unchecked,
-    block_flatten,
 )
 
 # Reciprocal condition estimate below which a dense row is singular.
@@ -68,14 +65,9 @@ PIVOT_TOL = 1e-10
 # so no row's A_i is singular while every pivot of G_i stays positive.
 LEVINSON_FLOOR = 1e-6
 # Triangle rows per block of the streamed solve and of the residual's
-# quadrature product; also the width of the Toeplitz strip.
+# quadrature product.
 _RESIDUAL_ROWS = 64
-# A residual block of rows i0..i1-1 takes its quadrature by FFT along k when
-# i1 r reaches this, by GEMM panels below it.  The two routes break even
-# for i1 r between 256 and 384 (r = 1, 2); the top of that band keeps small
-# solves off numpy's FFT module, which costs a cold import and 0.5 MB.
-_FFT_FROM = 384
-# Transform entries per sub-block of rows on the FFT route.
+# Transform entries per sub-block of rows of the residual's FFT.
 _FFT_ENTRIES = 1 << 15
 
 
@@ -175,12 +167,11 @@ def solve_krein(H: MatrixGrid) -> KreinSolution:
     spec = H.spec
     m, r, h = spec.m, H.r, spec.h
     pivots = _Pivots()
-    strip = toeplitz_strip(H)
     column = np.zeros((m + 1, r, r), dtype=complex)
     residual, residual_x = 0.0, 0.0
     for i0, block in _row_blocks(H, pivots):
         column[i0:i0 + len(block)] = block[:, 0]
-        defect, i = krein_residual(H, strip, i0, block)
+        defect, i = krein_residual(H, i0, block)
         if defect > residual:
             residual, residual_x = defect, i * h
     return KreinSolution(MatrixGrid(r, spec, column), residual, residual_x,
@@ -416,31 +407,6 @@ def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
         yield np.swapaxes(y.reshape(n, r, r), -1, -2)
 
 
-def _gemm_reach(m: int, r: int) -> int:
-    """The largest end row i1 of a residual block on the GEMM route."""
-    return max(1, min(m + 1, (_FFT_FROM - 1) // r))
-
-
-def toeplitz_strip(H: MatrixGrid) -> np.ndarray:
-    """The (2g - 1) r x _RESIDUAL_ROWS r matrix of blocks
-    S[d, c] = H(|d - g + 1 - c| h), in the arithmetic of the solve, with g
-    the largest end row of a residual block on the GEMM route.
-
-    Rows g - 1 - j0 .. g - 2 - j0 + n of it are the block-Toeplitz matrix
-    of H(|k - j| h), k < n, in the columns j = j0 .. j0 + _RESIDUAL_ROWS - 1:
-    every panel of columns a GEMM block needs (n <= g) is a contiguous row
-    slice.  Blocks with |d - g + 1 - c| > m hold zero.  Its size does not
-    grow with m once m + 1 > g.
-    """
-    m, r = H.spec.m, H.r
-    g = _gemm_reach(m, r)
-    hv = _working_values(H)
-    padded = np.zeros((g + _RESIDUAL_ROWS,) + hv.shape[1:], dtype=hv.dtype)
-    padded[:min(m + 1, len(padded))] = hv[:len(padded)]
-    d = np.abs(np.arange(2 * g - 1)[:, None] - (g - 1) - np.arange(_RESIDUAL_ROWS)[None, :])
-    return block_flatten(padded[d])
-
-
 def _fast_len(n: int) -> int:
     """The least 5-smooth integer >= n: a transform length that numpy's
     FFT factors into radices 2, 3 and 5 (others fall back to Bluestein)."""
@@ -455,25 +421,23 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
-                   rows: np.ndarray) -> tuple[float, int]:
+def krein_residual(H: MatrixGrid, i0: int, rows: np.ndarray) -> tuple[float, int]:
     """Max blockwise defect of the discrete equation on the consecutive
     rows i0, i0 + 1, ... of R, and the row that holds it.
 
     rows[a, k] = R(x_{i0+a}, t_k) for k = 0..m, zero for k > i0 + a as a
-    TriangularKernel stores it; `strip` is `toeplitz_strip(H)`.  The defect
-    is recomputed from scratch with the same quadrature as the solver, so
-    an exact discrete solution scores at roundoff level.  The rows go
-    _RESIDUAL_ROWS at a time, i0..i1-1 say: their quadrature is those rows,
-    every block (i, k) scaled by its row's trapezoid weight w_k (zero for
-    k > i), times the block-Toeplitz matrix of H(|k - j| h), k, j < i1 (the
-    defect needs t_j <= x_i only).  A block with i1 r < _FFT_FROM takes
-    that product in GEMM panels (`_gemm_defects`); a larger one takes it
-    by FFT along k (`_fft_defects`), in O(i1 log i1) per row instead of
-    O(i1^2), and then its figure does not depend on the BLAS thread count.
-    The 2-norm lies within a factor sqrt(r) below the Frobenius norm, so
-    only blocks within that factor of the largest Frobenius norm can hold
-    the maximum: each panel keeps the blocks within that factor of the
+    TriangularKernel stores it.  The defect is recomputed from scratch
+    with the same quadrature as the solver, so an exact discrete solution
+    scores at roundoff level.  The rows go _RESIDUAL_ROWS at a time,
+    i0..i1-1 say: their quadrature is those rows, every block (i, k)
+    scaled by its row's trapezoid weight w_k (zero for k > i), times the
+    block-Toeplitz matrix of H(|k - j| h), k, j < i1 (the defect needs
+    t_j <= x_i only), taken by FFT along k (`_fft_defects`) in
+    O(i1 log i1) per row instead of O(i1^2).  No BLAS product enters, so
+    the figure does not depend on the BLAS thread count.  The 2-norm lies
+    within a factor sqrt(r) below the Frobenius norm, so only blocks
+    within that factor of the largest Frobenius norm can hold the maximum:
+    each sub-block of rows keeps the blocks within that factor of the
     largest Frobenius norm so far, and one stacked 2-norm call per block
     of rows takes those still within it of the block's largest.  Besides
     the rows, the work arrays hold O(_RESIDUAL_ROWS m) entries and buffers
@@ -481,10 +445,8 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
     returned is i0.
     """
     m, r, h = H.spec.m, H.r, H.spec.h
-    n_full = m + 1
     n = rows.shape[0]
-    if (rows.shape[1:] != (n_full, r, r) or not 0 <= i0 <= n_full - n
-            or strip.shape != ((2 * _gemm_reach(m, r) - 1) * r, _RESIDUAL_ROWS * r)):
+    if rows.shape[1:] != (m + 1, r, r) or not 0 <= i0 <= m + 1 - n:
         raise ValidationError("kernel shapes disagree")
     worst, worst_i = 0.0, i0
     for b0 in range(0, n, _RESIDUAL_ROWS):
@@ -493,15 +455,11 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
         b = i1 - lo
         block = rows[b0:b0 + b, :i1]
         weights = _trapezoid_weights(lo, i1, h)
-        if i1 * r >= _FFT_FROM:
-            panels = _fft_defects(H, lo, block, weights)
-        else:
-            panels = _gemm_defects(strip, lo, block, weights)
         top, fro, at, blocks = 0.0, [], [], []
-        for a0, j0, defect in panels:
+        for a0, defect in _fft_defects(H, lo, block, weights):
             # blocks with t_j > x_i lie outside the triangle
             size = np.tril(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(2, 3))),
-                           k=lo + a0 - j0)
+                           k=lo + a0)
             top = max(top, float(size.max()))
             if top > 0.0:
                 a, col = np.nonzero(size >= 0.99 * top / np.sqrt(r))
@@ -517,37 +475,9 @@ def krein_residual(H: MatrixGrid, strip: np.ndarray, i0: int,
     return worst, worst_i
 
 
-def _gemm_defects(strip: np.ndarray, lo: int, block: np.ndarray,
-                  weights: np.ndarray):
-    """The defects of rows lo.. (`block`, cut at column i1) by one product
-    per panel of _RESIDUAL_ROWS columns j0..j1-1: yields (0, j0, defect)
-    with defect[a, j - j0] the block of row lo + a, column j.
-
-    The weighted rows, built in one (b, r, i1, r) array, are the left
-    factor (b r, i1 r); the panel is the row slice
-    (g - 1 - j0) r .. (g - 1 - j0 + i1) r of the strip, and H(x_i - t_j)
-    another row slice of it.
-    """
-    b, i1, r = block.shape[:3]
-    mid = strip.shape[0] // r // 2  # g - 1, the strip's row of H(0) at c = 0
-    rw = np.empty((b, r, i1, r), dtype=block.dtype)
-    np.multiply(np.swapaxes(block, 1, 2), weights[:, None, :, None], out=rw)
-    rw = rw.reshape(b * r, i1 * r)
-    for j0 in range(0, i1, _RESIDUAL_ROWS):
-        j1 = min(j0 + _RESIDUAL_ROWS, i1)
-        c = j1 - j0
-        panel = strip[(mid - j0) * r:(mid - j0 + i1) * r, :c * r]
-        # defect_j = R(x_i,t_j) + H(x_i - t_j) + sum_k w_k R(x_i,s_k) H(s_k - t_j),
-        # laid out [a, :, j - j0, :] like the product
-        h_ij = strip[(mid + lo - j0) * r:(mid + lo + b - j0) * r, :c * r]
-        defect = np.swapaxes(block[:, j0:j1], 1, 2) + h_ij.reshape(b, r, c, r)
-        defect += (rw @ panel).reshape(b, r, c, r)
-        yield 0, j0, np.swapaxes(defect, 1, 2)
-
-
 def _fft_defects(H: MatrixGrid, lo: int, block: np.ndarray, weights: np.ndarray):
     """The defects of rows lo.. (`block`, cut at column i1) by FFT along
-    k, a few rows at a time: yields (a0, 0, defect) with defect[a, j] the
+    k, a few rows at a time: yields (a0, defect) with defect[a, j] the
     block of row lo + a0 + a, column j < i1, valid until the next yield.
 
     Row i's quadrature sum_k u_k H(|k - j| h), u_k = w_k R(x_i, s_k), is a
@@ -589,7 +519,7 @@ def _fft_defects(H: MatrixGrid, lo: int, block: np.ndarray, weights: np.ndarray)
         inverse(prod[:c], n=n, out=u[:c])
         defect = u[:c, ..., :i1]
         defect += rk
-        yield a0, 0, np.moveaxis(defect, -1, 1)
+        yield a0, np.moveaxis(defect, -1, 1)
 
 
 def transformation_kernels(R: TriangularKernel) -> tuple[TriangularKernel, TriangularKernel]:

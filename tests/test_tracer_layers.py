@@ -31,7 +31,7 @@ def test_residual_scored_once_per_row_block(monkeypatch):
     score = krein.krein_residual
 
     def spy(*args):
-        starts.append(args[2])
+        starts.append(args[1])
         return score(*args)
 
     monkeypatch.setattr(krein, "krein_residual", spy)
