@@ -425,14 +425,23 @@ class TestFFTRoute:
         assert row == 200
         assert abs(worst - krein_residual_one_gemm(H.values, vals)) <= fft_bound(H, vals)
 
-    def test_short_block_finds_its_last_row(self):
-        # rows 128..190 alone, a block of 63 rows that does not start at
-        # row 0, find the perturbed last row
+    @pytest.mark.parametrize("i1, former_route", [(191, "gemm"), (192, "fft")])
+    def test_blocks_straddling_the_switch(self, monkeypatch, i1, former_route):
+        # r = 2: blocks of rows 128..i1-1 that do not start at row 0, ending
+        # on either side of i1 r = 384, where a GEMM/FFT size switch once
+        # stood; both now take one FFT pass and find the perturbed last row
+        seen = []
+
+        def spy(*args, _f=krein._fft_defects):
+            seen.append(former_route)
+            return _f(*args)
+        monkeypatch.setattr(krein, "_fft_defects", spy)
         H = smooth_kernel(384, hermitian=True)
         vals = krein_kernel(H).values.copy()
-        vals[190, 10] += 1e-3
-        worst, row = krein_residual(H, 128, vals[128:191])
-        assert row == 190
+        vals[i1 - 1, 10] += 1e-3
+        worst, row = krein_residual(H, 128, vals[128:i1])
+        assert seen == [former_route]
+        assert row == i1 - 1
         assert abs(worst - krein_residual_one_gemm(H.values, vals)) <= fft_bound(H, vals)
 
     def test_fast_len_is_least_5_smooth(self):
