@@ -661,33 +661,51 @@ def find_eigenvalues(tau: MatrixGrid, lambda_max: float, *,
     return sorted(found, key=lambda pair: pair[0])
 
 
-def norming_constants(tau: MatrixGrid, pairs, *, hermitize: bool = True,
-                      report: dict | None = None,
+def norming_constants(tau: MatrixGrid, pairs, *, report: dict | None = None,
                       probes=()) -> list[np.ndarray]:
     """Norming constants of the (lambda_j, kernel_basis) pairs that
-    find_eigenvalues returns: alpha_j is minus the residue of the Weyl
-    function m = -phi^{-1} psi at lambda_j (half of it at lambda_0 = 0),
-    with phi = phi(1, lam, tau) and psi = psi(1, lam, -tau).
+    find_eigenvalues returns: the residues of `_keldysh_residues`,
+    symmetrized and clipped to the positive cone; an eigenvalue of alpha
+    below -1e-6 aborts with an extraction failure.  `report` and `probes`
+    go to `_keldysh_residues`.  Needs scalar or Hermitian tau.
+    """
+    alphas = _keldysh_residues(tau, pairs, report, probes)
+    w_eig, v = np.linalg.eigh(
+        (alphas + np.conj(np.swapaxes(alphas, -1, -2))) / 2.0)
+    low = w_eig.min(axis=-1)
+    if np.any(low < -1e-6):
+        j = np.argmax(low < -1e-6)
+        raise ExtractionError(
+            f"norming constant at lambda = {float(pairs[j][0]):.9g} has eigenvalue "
+            f"{low[j]:.3e} below the -1e-6 positivity floor"
+        )
+    return list(v * np.clip(w_eig, 0.0, None)[:, None]
+                @ np.conj(np.swapaxes(v, -1, -2)))
+
+
+def _keldysh_residues(tau: MatrixGrid, pairs, report: dict | None = None,
+                      probes=()) -> np.ndarray:
+    """Raw norming constants of the (lambda_j, kernel_basis) pairs, stacked:
+    alpha_j is minus the residue of the Weyl function m = -phi^{-1} psi at
+    lambda_j (half of it at lambda_0 = 0), with phi = phi(1, lam, tau) and
+    psi = psi(1, lam, -tau).
 
     The poles are semisimple, so by Keldysh's theorem
     alpha_j = K (L^* phi'(lam_j) K)^{-1} L^* psi(lam_j), K and L the
     singular vectors of the k smallest singular values of phi(lam_j), k
     the multiplicity the count gave (the columns of the pair's basis),
     from one propagation of W and dW/dlambda at all eigenvalues, taken
-    in one stacked call per k.  With hermitize the results are
-    symmetrized and clipped to the positive cone; an eigenvalue of alpha
-    below -1e-6 aborts with an extraction failure.  With a report dict,
-    its "sigma" gets the singular values of phi(lam_j), (L, r) in
-    descending order, its "kernel_dim" the k of every entry, and its
-    "identity_residuals" ||W(lam) S W(-lam)^* S - I||_2,
-    S = [[0, I], [I, 0]], at each real lambda in probes, taken in the
-    same propagation: for Hermitian tau, S Q(lam, tau) S = Q(-lam, -tau)
-    factor by factor, so this is propagate's inverse-pair identity.
-    Needs scalar or Hermitian tau.
+    in one stacked call per k.  With a report dict, its "sigma" gets the
+    singular values of phi(lam_j), (L, r) in descending order, its
+    "kernel_dim" the k of every entry, and its "identity_residuals"
+    ||W(lam) S W(-lam)^* S - I||_2, S = [[0, I], [I, 0]], at each real
+    lambda in probes, taken in the same propagation: for Hermitian tau,
+    S Q(lam, tau) S = Q(-lam, -tau) factor by factor, so this is
+    propagate's inverse-pair identity.
     """
     fac = _factors(tau)
     if len(pairs) == 0:
-        return []
+        return np.empty((0, fac.tau.r, fac.tau.r), dtype=complex)
     lams = np.asarray([float(lam) for lam, _ in pairs])
     dims = np.array([basis.shape[1] for _, basis in pairs])
     if lams[0] != 0.0:
@@ -712,19 +730,7 @@ def norming_constants(tau: MatrixGrid, pairs, *, hermitize: bool = True,
         alphas[at] = right @ np.linalg.solve(
             left_h @ -dw[:n][at, r:] @ right, left_h @ w[:n][at, r:, r:])
     alphas[0] = 0.5 * alphas[0]
-    if not hermitize:
-        return list(alphas)
-    w_eig, v = np.linalg.eigh(
-        (alphas + np.conj(np.swapaxes(alphas, -1, -2))) / 2.0)
-    low = w_eig.min(axis=-1)
-    if np.any(low < -1e-6):
-        j = np.argmax(low < -1e-6)
-        raise ExtractionError(
-            f"norming constant at lambda = {lams[j]:.9g} has eigenvalue "
-            f"{low[j]:.3e} below the -1e-6 positivity floor"
-        )
-    return list(v * np.clip(w_eig, 0.0, None)[:, None]
-                @ np.conj(np.swapaxes(v, -1, -2)))
+    return alphas
 
 
 def checked_ranks(ranks: np.ndarray, kernel_dims, n_bins: int, r: int) -> None:

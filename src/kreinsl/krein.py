@@ -19,13 +19,16 @@ row's solution.  The whole triangle costs O(m^2 r^3).
 
 Solvability of every row is exactly the defining property of an
 accelerant, so a numerically singular row aborts the solve and names the
-failing truncation point.  G_i and A_i are different discretizations and
-need not go singular at the same row near the edge of the accelerant
-class; from the first row where a recursion pivot degrades, the remaining
-rows are solved by one dense LU each, whose condition estimate decides.
-A dense row's system is built from T itself, so the fallback holds one
-row's system plus LAPACK's column-major copy of it, never the (m+1) r
-square of every row; its time is still O(m^4 r^3).
+failing truncation point.  A recursion pivot degrades on its size, not its
+sign: a kernel whose G_i loses definiteness stays in the recursion while
+its pivots and Woodbury matrices stay regular.  G_i and A_i are different
+discretizations and need not go singular at the same row, so from the
+first row where a recursion pivot degrades (a numerically singular G_i),
+the remaining rows are solved densely, one at a time, each certified by
+its exact reciprocal 2-norm condition number.  A dense row's system is
+built from T itself, so the fallback holds one row's system and LAPACK's
+working copies of it, never the (m+1) r square of every row; its time is
+O(m^4 r^3).
 
 The rows come out in blocks of _RESIDUAL_ROWS, in order, in one buffer
 that is refilled for every block.  Within a block the recursion carries
@@ -57,12 +60,13 @@ from .core import (
     _unchecked,
 )
 
-# Reciprocal condition estimate below which a dense row is singular.
+# Reciprocal 2-norm condition number below which a dense row is singular.
 PIVOT_TOL = 1e-10
-# Normalized recursion pivot below which the remaining rows go dense.
-# For Hermitian kernels a pivot block that loses definiteness counts as
-# degraded, however large its eigenvalues: h A_i D_i^{-1} = G_i + E_0 + E_i,
-# so no row's A_i is singular while every pivot of G_i stays positive.
+# Size of a normalized recursion pivot (the magnitude of a Hermitian
+# pivot's smallest eigenvalue, else its smallest singular value), and
+# reciprocal condition number of a Woodbury matrix, below which the
+# remaining rows go dense.  The sign of a Hermitian pivot does not enter:
+# a nonsingular G_i with a regular Woodbury matrix certifies the row's A_i.
 LEVINSON_FLOOR = 1e-6
 # Triangle rows per block of the streamed solve and of the residual's
 # quadrature product.
@@ -80,15 +84,17 @@ class KreinSolution:
     of the discrete equation over the triangle, and `residual_x` the x_i
     of the row that holds it.  `min_pivot` is the smallest normalized
     pivot seen across the row solves: on rows solved by the recursion, the
-    smallest eigenvalue (Hermitian kernels) or singular value of each
-    pivot block relative to the first one, and the reciprocal 2-norm
-    condition number of each row's 2r x 2r Woodbury matrix; on rows solved
-    densely, the LAPACK reciprocal condition estimate.  `min_pivot_x` is
-    x_i of the row whose pivot set it (0 when no pivot fell below 1).  tau
-    extracted from the first column agrees with the alternative form
-    H(x) + int_0^x R(x, s) H(s) ds by construction of the row systems.
-    `dense_from_x` is x_i of the first row solved by dense LU after the
-    recursion degraded, or None when the recursion solved every row.
+    smallest eigenvalue (Hermitian kernels, signed, so that a kernel whose
+    G_i loses definiteness reads negative) or singular value of each pivot
+    block relative to the first one, and the reciprocal 2-norm condition
+    number of each row's 2r x 2r Woodbury matrix; on rows solved densely,
+    the row system's exact reciprocal 2-norm condition number.
+    `min_pivot_x` is x_i of the row whose pivot set it (0 when no pivot
+    fell below 1).  tau extracted from the first column agrees with the
+    alternative form H(x) + int_0^x R(x, s) H(s) ds by construction of the
+    row systems.  `dense_from_x` is x_i of the first row solved densely
+    after a recursion pivot became numerically singular, or None when the
+    recursion solved every row.
     `hermitian` is H's flag; `tau` Hermitizes tau when it is set.
     """
 
@@ -159,8 +165,8 @@ def solve_krein(H: MatrixGrid) -> KreinSolution:
     when differences go negative (on the uniform grid all differences land
     on nodes, so no interpolation enters).  Rows are solved by the block
     Levinson recursion until a recursion pivot degrades, and densely from
-    that row on; a dense row whose estimated reciprocal condition number
-    falls below PIVOT_TOL raises NotAnAccelerantError carrying the failing
+    that row on; a dense row whose reciprocal condition number falls below
+    PIVOT_TOL raises NotAnAccelerantError carrying the failing
     x_i.  Each block of _RESIDUAL_ROWS rows is scored by `krein_residual`
     as soon as it is complete.
     """
@@ -259,7 +265,7 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots,
     E = eye + h * eps
     scale = float(np.linalg.norm(E, 2))
     pivot = float(_pivot_size(E, hermitian)) / scale if scale > 0 else 0.0
-    if not pivot >= LEVINSON_FLOOR:
+    if not abs(pivot) >= LEVINSON_FLOOR:
         yield 1
         return
     pivots.see(pivot, 0.0)
@@ -309,11 +315,11 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
 
     rows[a, :i + 1] holds row i's column and E[a] its recursion pivot
     block.  The rows are taken up to the first whose pivot degrades: the
-    smallest eigenvalue (Hermitian kernels) or singular value of E
-    relative to `scale`, then the reciprocal 2-norm condition number of
-    the 2r x 2r Woodbury matrix.  Returns the first row not taken; the
-    pivots of the taken ones go to `pivots`.  Each step is one stacked
-    call for all rows.
+    magnitude of the smallest eigenvalue (Hermitian kernels) or the
+    smallest singular value of E relative to `scale`, then the reciprocal
+    2-norm condition number of the 2r x 2r Woodbury matrix.  Returns the
+    first row not taken; the pivots of the taken ones go to `pivots`.
+    Each step is one stacked call for all rows.
 
     With w0 the column and wi its block reversal (the last block column),
     A_i = G_i - (h/2) T_i [e_0 e_i][e_0 e_i]^T and the right-hand side
@@ -324,7 +330,7 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
     r = E.shape[-1]
     n = _leading(np.isfinite(E).all(axis=(1, 2)))
     pivot = _pivot_size(E[:n], hermitian) / scale
-    n = _leading(pivot >= LEVINSON_FLOOR)
+    n = _leading(np.abs(pivot) >= LEVINSON_FLOOR)
     i = np.arange(lo, lo + n)
     # the Woodbury matrix's block pattern [[first, last], [last, first]];
     # its right block column [last; first] is the right-hand side
@@ -366,22 +372,19 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
 
 
 def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
-    """Yield rows start.. of R, by one dense LU each.
+    """Yield rows start.. of R, by one dense solve each.
 
     Row i's system I + T_i D_i is built from T itself: block (j, k) of T_i
     is T[|j - k|], so its block rows are windows of T's two-sided extension
     [T[m], ..., T[1], T[0], ..., T[m]], copied once into the C-ordered
     matrix that is then scaled in place.  Only that (i+1) r square and
-    LAPACK's column-major copy of it are held, never the (m+1) r square of
-    every row; the time is still O(m^4 r^3) over the rows.  Each row's
-    reciprocal condition estimate goes to `pivots`; a row below PIVOT_TOL
-    raises NotAnAccelerantError.
+    LAPACK's working copies of it are held, never the (m+1) r square of
+    every row; the time is O(m^4 r^3) over the rows.  Each row's exact reciprocal 2-norm condition number, from its
+    singular values, goes to `pivots`; a row below PIVOT_TOL raises
+    NotAnAccelerantError.
     """
-    from scipy.linalg import lapack, lu_factor, lu_solve
-
     n_full, r = Td.shape[0], Td.shape[1]
     ext = np.concatenate([Td[:0:-1], Td])  # ext[n_full - 1 + d] = T[|d|]
-    gecon = lapack.dgecon if Td.dtype.kind == "f" else lapack.zgecon
 
     for i in range(start, n_full):
         n = i + 1
@@ -392,10 +395,9 @@ def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
         a *= np.repeat(_trapezoid_weights(i, n, h)[0], r)
         a[np.arange(n * r), np.arange(n * r)] += 1.0
         b = -Td[i::-1].reshape(n * r, r)  # column stack of H((i-j)h)^T over j
-        anorm = float(np.max(np.abs(a).sum(axis=0)))
-        lu, piv = lu_factor(a, check_finite=False)
-        rcond = gecon(lu, anorm, norm="1")[0]
-        if not np.isfinite(rcond) or rcond < PIVOT_TOL:
+        s = np.linalg.svd(a, compute_uv=False)
+        rcond = s[-1] / s[0]
+        if not rcond >= PIVOT_TOL:
             raise NotAnAccelerantError(
                 f"kernel fails invertibility at truncation x = {i * h:.9g} "
                 f"(normalized pivot {rcond:.3e}); not an accelerant",
@@ -403,7 +405,7 @@ def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
                 pivot=float(rcond),
             )
         pivots.see(float(rcond), i * h)
-        y = lu_solve((lu, piv), b, check_finite=False)
+        y = np.linalg.solve(a, b)
         yield np.swapaxes(y.reshape(n, r, r), -1, -2)
 
 

@@ -145,7 +145,7 @@ def constant_accelerant_r(hval: float, x: np.ndarray) -> np.ndarray:
     return -hval / (1.0 + hval * x)
 
 
-def krein_dense_rows(h_values: np.ndarray) -> np.ndarray:
+def krein_dense_rows(h_values: np.ndarray, rows=None) -> np.ndarray:
     """Discrete Krein solution by one dense numpy solve per grid row.
 
     h_values holds r x r kernel samples H(x_k), k = 0..m, on the uniform
@@ -155,7 +155,8 @@ def krein_dense_rows(h_values: np.ndarray) -> np.ndarray:
     into the column system (I + Hblk W) Y = -[H(i h)^T; ...; H(0)^T] for
     Y = [R_i0^T; ...; R_ii^T], where Hblk has blocks H(|j - k| h)^T.
     Real kernels are solved in real arithmetic.  Returns values[i, j] =
-    R(x_i, t_j), zero above the diagonal.
+    R(x_i, t_j), zero above the diagonal; only the grid rows in `rows`
+    (all by default) are solved, the others stay zero.
     """
     m = h_values.shape[0] - 1
     r = h_values.shape[-1]
@@ -164,7 +165,7 @@ def krein_dense_rows(h_values: np.ndarray) -> np.ndarray:
         h_values = np.real(h_values)
     ht = np.swapaxes(h_values, -1, -2)
     out = np.zeros((m + 1, m + 1, r, r), dtype=complex)
-    for i in range(m + 1):
+    for i in range(m + 1) if rows is None else rows:
         n = i + 1
         w = np.full(n, h)
         w[0] = w[-1] = h / 2.0
@@ -226,13 +227,14 @@ def _row_weights(i: int, h: float) -> np.ndarray:
 def krein_square_rows(Td: np.ndarray, h: float, start: int, pivots):
     """Yield rows start.. of R, by one dense LU each.
 
-    Each row's reciprocal condition estimate goes to `pivots`; a row below
-    PIVOT_TOL raises NotAnAccelerantError.
+    Each row's reciprocal 1-norm condition estimate (LAPACK's gecon) goes
+    to `pivots`; a row below PIVOT_TOL raises NotAnAccelerantError.
 
     The package's `krein._dense_rows` before it built each row's system
-    from T in place: this form copies every row's system out of the whole
-    (m+1) r square, gathered by an (m+1)^2 index array.  Same signature and
-    generator protocol, so a test can patch it in.
+    from T in place and certified it by its exact 2-norm condition number:
+    this form copies every row's system out of the whole (m+1) r square,
+    gathered by an (m+1)^2 index array.  Same signature and generator
+    protocol, so a test can patch it in.
     """
     from scipy.linalg import lapack, lu_factor, lu_solve
 

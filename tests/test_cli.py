@@ -100,9 +100,17 @@ def test_inverse_diagnostics_report_dense_start(tmp_path, monkeypatch):
 
 
 def test_inverse_diagnostics_report_worst_rows(tmp_path, monkeypatch):
-    # with every row from x = h on sent to dense LU, the smallest pivot is
-    # a dense row's condition estimate
-    data = nu0_file(tmp_path / "d.json", n=8)
+    # with every row from x = h on sent to the dense rows, the smallest
+    # pivot is a dense row's reciprocal condition number.  Free data's
+    # accelerant vanishes, which leaves every row at condition number 1,
+    # so the data are those of tau = 1
+    from oracles import constant_tau_alphas, constant_tau_lambdas
+
+    data = tmp_path / "d.json"
+    save_spectral_data(SpectralData(
+        1, constant_tau_lambdas(1.0, 9),
+        constant_tau_alphas(1.0, 9)[:, None, None].astype(complex),
+        includes_zero=True), data)
     monkeypatch.setattr("kreinsl.krein.LEVINSON_FLOOR", 2.0)
     assert main(["inverse", str(data), "--grid-m", "64", "--n-bins", "8",
                  "--out", str(tmp_path)]) == 0
@@ -111,6 +119,46 @@ def test_inverse_diagnostics_report_worst_rows(tmp_path, monkeypatch):
     for key in ("residual_x", "min_pivot_x"):
         assert 0.0 <= diag[key] <= 1.0 and diag[key] * 64 % 1 == 0
     assert diag["min_pivot_x"] >= diag["dense_from_x"] == 1.0 / 64
+    assert diag["min_pivot"] < 1.0
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy serves only the tests: with it blocked, the package imports,
+    # every command runs, and the Krein solve's dense rows name the -2
+    # kernel's singular row
+    import subprocess
+    import sys
+
+    tau = tmp_path / "tau.json"
+    write_zero_tau(tau)
+    data = nu0_file(tmp_path / "d.json", n=8)
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import kreinsl\n"
+        "from kreinsl.cli import main\n"
+        "from kreinsl.core import GridSpec, MatrixGrid, NotAnAccelerantError\n"
+        "from kreinsl.krein import solve_krein\n"
+        "tau, data, out = sys.argv[1:]\n"
+        "size = ['--grid-m', '64', '--n-bins', '8', '--out', out]\n"
+        "rcs = [main(['direct', tau, *size]), main(['validate', data, *size]),\n"
+        "       main(['inverse', data, *size]),\n"
+        "       main(['roundtrip', '--synthetic', '1:3:0.3', *size])]\n"
+        "try:\n"
+        "    solve_krein(MatrixGrid(1, GridSpec(96), np.full((97, 1, 1), -2.0),\n"
+        "                           hermitian=True))\n"
+        "except NotAnAccelerantError as exc:\n"
+        "    rcs.append(exc.x)\n"
+        "print(rcs)\n"
+    )
+    import kreinsl
+    src = os.path.dirname(os.path.dirname(kreinsl.__file__))
+    done = subprocess.run([sys.executable, "-c", code, str(tau), str(data),
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          timeout=120)
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0.5]"
 
 
 def test_inverse_reduced_data_reconstructs_zero_potential(tmp_path):

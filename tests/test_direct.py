@@ -17,6 +17,7 @@ from kreinsl.core import (
 from kreinsl.direct import (
     _SPLIT_FLOOR,
     _factors,
+    _keldysh_residues,
     _lift_plan,
     _propagate_many,
     _sweep,
@@ -588,7 +589,7 @@ class TestKeldyshResidues:
     def test_matches_contour_oracle(self, tau, n_bins):
         pairs = find_eigenvalues(tau, np.pi * (n_bins + 0.5))
         lams = [lam for lam, _ in pairs]
-        got = norming_constants(tau, pairs, hermitize=False)
+        got = _keldysh_residues(tau, pairs)
         want = contour_norming_constants(tau.values, lams)
         assert max(np.linalg.norm(a - b, 2) for a, b in zip(got, want)) <= 1e-9
 
@@ -613,7 +614,7 @@ class TestNormingConstants:
     def test_hermitian_before_symmetrization(self):
         tau = smooth_tau(2, 128)
         pairs = find_eigenvalues(tau, 8.0)
-        raw = norming_constants(tau, pairs, hermitize=False)
+        raw = _keldysh_residues(tau, pairs)
         for a in raw:
             assert np.linalg.norm(a - a.conj().T, 2) <= 1e-8
 
@@ -637,7 +638,7 @@ class TestStackedResidues:
         dims = [basis.shape[1] for _, basis in pairs]
         assert (dims == [2] * len(dims)) == double  # c I: every k = 2
         w, dw, _ = _sweep(_factors(tau), lams, 2 * tau.r, deriv=True)
-        got = norming_constants(tau, pairs, hermitize=hermitize)
+        got = (norming_constants if hermitize else _keldysh_residues)(tau, pairs)
         want = per_entry_residues(lams, dims, w, dw, hermitize)
         assert len(got) == len(want)
         for a, b in zip(got, want):

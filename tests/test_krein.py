@@ -38,6 +38,13 @@ def const_kernel(hval, m, r=1):
     return MatrixGrid(r, GridSpec(m), vals, hermitian=True)
 
 
+def edge_kernel(m):
+    # the constant kernel -m / (m + 1): G_m = I + h T_m is singular on its
+    # last row, whose A_m stays regular, so the last row alone goes to the
+    # dense rows
+    return const_kernel(-m / (m + 1), m)
+
+
 def zero_kernel(m, r=1):
     return MatrixGrid(r, GridSpec(m), np.zeros((m + 1, r, r)), hermitian=True)
 
@@ -56,7 +63,8 @@ def smooth_kernel(m, r=2, scale=0.15, seed=3, hermitian=False):
 
 def cos_kernel(m):
     # not an accelerant: the pivots of I + h T_i lose definiteness at row
-    # 79 of 96, while every trapezoid row stays solvable
+    # 79 of 96, while every trapezoid row stays solvable; the recursion
+    # solves every row, since no pivot comes near singular
     x = GridSpec(m).points()
     return MatrixGrid(1, GridSpec(m), (-1.1 - 0.2 * np.cos(np.pi * x))[:, None, None],
                       hermitian=True)
@@ -130,6 +138,9 @@ class TestDenseOracle:
             solve_krein(H)
 
     def test_fallback_starts_at_first_degraded_pivot(self, monkeypatch):
+        # a pivot degrades on its size: the cos kernel's indefinite pivots
+        # stay in the recursion, the constant -2 kernel's singular pivot on
+        # row 47 of 96 and the edge kernel's on row 96 send the rows on
         starts = []
         dense = krein._dense_rows
 
@@ -138,20 +149,48 @@ class TestDenseOracle:
             return dense(Td, h, start, pivots)
 
         monkeypatch.setattr(krein, "_dense_rows", spy)
-        sol = solve_krein(cos_kernel(96))
-        assert starts == [79]
-        assert sol.residual < 1e-12
+        assert solve_krein(cos_kernel(96)).residual < 1e-12
+        assert starts == []
+        with pytest.raises(NotAnAccelerantError) as exc:
+            solve_krein(const_kernel(-2.0, 96))
+        assert exc.value.x == 0.5
+        assert starts == [47]
+        assert solve_krein(edge_kernel(96)).residual < 1e-12
+        assert starts == [47, 96]
 
     def test_dense_start_reported(self):
-        assert solve_krein(cos_kernel(96)).dense_from_x == pytest.approx(79 / 96,
-                                                                         abs=1e-15)
+        assert solve_krein(edge_kernel(96)).dense_from_x == 1.0
+        assert solve_krein(cos_kernel(96)).dense_from_x is None
         assert solve_krein(smooth_kernel(96, hermitian=True)).dense_from_x is None
 
     def test_worst_pivot_row_reported(self):
-        # the dense rows' smallest condition estimate (1.4e-3) lies far
-        # below the recursion rows' pivots (0.21)
+        # the edge kernel's dense row has reciprocal condition number
+        # 0.0103, below every recursion pivot; the cos kernel's worst pivot
+        # is the negative one of row 79, where G_i loses definiteness
+        sol = solve_krein(edge_kernel(96))
+        assert sol.min_pivot_x == sol.dense_from_x == 1.0
+        assert sol.min_pivot == pytest.approx(0.010257489395781604, rel=1e-12)
         sol = solve_krein(cos_kernel(96))
-        assert sol.min_pivot_x >= sol.dense_from_x
+        assert sol.min_pivot_x == pytest.approx(79 / 96, abs=1e-15)
+        assert sol.min_pivot == pytest.approx(-2.7894472653797435, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [96, 384, 768])
+    def test_indefinite_kernel_matches_dense_rows(self, monkeypatch, m):
+        # the cos kernels' rows all come from the recursion, with a negative
+        # pivot; tau agrees with the dense solves on every 16th row and on
+        # both sides of the row where definiteness is lost
+        def refuse(*args):
+            raise AssertionError("dense fallback entered")
+
+        monkeypatch.setattr(krein, "_dense_rows", refuse)
+        H = cos_kernel(m)
+        sol = solve_krein(H)
+        assert sol.min_pivot < 0.0
+        lost = round(sol.min_pivot_x * m)
+        rows = sorted({*range(0, m + 1, m // 16), lost - 1, lost})
+        want = -krein_dense_rows(H.values, rows)[rows, 0]
+        got = -sol.column.values[rows]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def hermitian_kernel(m):
@@ -160,40 +199,54 @@ def hermitian_kernel(m):
 
 class TestStreaming:
     # the rows reach the residual 64 at a time: m + 1 = 64 and 128 fill
-    # the last block, 65 and 129 leave one row in it, and the cos kernel's
-    # dense rows start at row 79, inside the second block.  At m = 77, 78,
-    # 154 and 155 the first degraded recursion pivot is on row 63, 64, 127
-    # and 127: the last or the first row of a block.  The pivots are those
-    # of the row solves before they were blocked.
-    @pytest.mark.parametrize("make, min_pivot, dense_from_x", [
-        (lambda: hermitian_kernel(63), 0.9797862556848314, None),
-        (lambda: hermitian_kernel(64), 0.9800992160248965, None),
-        (lambda: hermitian_kernel(127), 0.9899257160616813, None),
-        (lambda: hermitian_kernel(128), 0.9900040612809882, None),
-        (lambda: cos_kernel(96), 0.0014266971898237457, 79 / 96),
-        (lambda: cos_kernel(77), 0.0027681822714144873, 63 / 77),
-        (lambda: cos_kernel(78), 0.0026623630694300035, 64 / 78),
-        (lambda: cos_kernel(154), 0.0005228826059971654, 127 / 154),
-        (lambda: cos_kernel(155), 5.569888633656357e-05, 127 / 155),
+    # the last block, 65 and 129 leave one row in it.  The cos kernels'
+    # G_i loses definiteness on row 79 of 96, inside the second block, and
+    # at m = 77, 78, 154 and 155 on row 63, 64, 127 and 127: the last or
+    # the first row of a block.  Their most negative pivot, on that row,
+    # is min_pivot; the recursion solves every row (the ids keep the names
+    # of the rows where a pivot's sign once sent the rest to dense rows).
+    @pytest.mark.parametrize("make, min_pivot, min_pivot_x", [
+        (lambda: hermitian_kernel(63), 0.9797862556848314, 1.0),
+        (lambda: hermitian_kernel(64), 0.9800992160248965, 1.0),
+        (lambda: hermitian_kernel(127), 0.9899257160616813, 1.0),
+        (lambda: hermitian_kernel(128), 0.9900040612809882, 1.0),
+        (lambda: cos_kernel(96), -2.7894472653797435, 79 / 96),
+        (lambda: cos_kernel(77), -0.7405801867761661, 63 / 77),
+        (lambda: cos_kernel(78), -1.4980687676955802, 64 / 78),
+        (lambda: cos_kernel(154), -5.436805418826212, 127 / 154),
+        (lambda: cos_kernel(155), -0.018618812324743408, 127 / 155),
     ], ids=["m63", "m64", "m127", "m128", "fallback-cos-m96",
             "degraded-last-row-m77", "degraded-first-row-m78",
             "degraded-last-row-m154", "degraded-last-row-m155"])
-    def test_block_edges(self, make, min_pivot, dense_from_x):
+    def test_block_edges(self, make, min_pivot, min_pivot_x):
         H = make()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_krein(H)
             R = krein_kernel(H)
         assert (-sol.column.values).tobytes() == (-R.values[:, 0]).tobytes()
-        # the cos kernels' rows fall back to dense LU; their defects are
-        # scored at the FFT's roundoff scale, not the one product's
-        tol = 1e-15 if dense_from_x is None else fft_bound(H, R.values)
+        # the cos kernels' R is O(5); their defects are scored at the FFT's
+        # roundoff scale, not the one product's
+        tol = 1e-15 if min_pivot > 0 else fft_bound(H, R.values)
         assert abs(sol.residual - krein_residual_one_gemm(H.values, R.values)) <= tol
         assert sol.min_pivot == pytest.approx(min_pivot, rel=1e-12)
-        if dense_from_x is None:
-            assert sol.dense_from_x is None
-        else:
-            assert sol.dense_from_x == pytest.approx(dense_from_x, abs=1e-15)
+        assert sol.min_pivot_x == pytest.approx(min_pivot_x, abs=1e-15)
+        assert sol.dense_from_x is None
+
+    @pytest.mark.parametrize("m", [63, 64, 127, 128])
+    def test_dense_row_at_block_edges(self, m):
+        # the edge kernel's one dense row is the last row of a block at
+        # m = 63 and 127, and the first of a block at m = 64 and 128
+        H = edge_kernel(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_krein(H)
+            R = krein_kernel(H)
+        assert sol.dense_from_x == sol.min_pivot_x == 1.0
+        assert (-sol.column.values).tobytes() == (-R.values[:, 0]).tobytes()
+        assert abs(sol.residual - krein_residual_one_gemm(H.values, R.values)) \
+            <= fft_bound(H, R.values)
+        assert np.abs(R.values - krein_dense_rows(H.values)).max() <= 1e-12
 
     def test_singular_pivot_inside_block(self, monkeypatch):
         # the constant -2 kernel's recursion pivot E is exactly singular on
@@ -216,8 +269,40 @@ class TestStreaming:
                 warnings.simplefilter("error")
                 run(H)
             assert exc.value.x == 0.5
-            assert exc.value.pivot == pytest.approx(3.06951027431273e-17, rel=1e-12)
+            assert exc.value.pivot == pytest.approx(6.402458455818395e-17, rel=1e-12,
+                                                    abs=0)
         assert len(singular) == 2
+
+    def test_pivots_independent_of_process_and_blas_threads(self):
+        # a dense row's pivot (the -2 kernel's error) and a recursion pivot
+        # (the cos kernel's min_pivot) are the same bytes in every process,
+        # at one BLAS thread or two: the dense pivot is an exact reciprocal
+        # condition number from one SVD, not a condition estimate
+        import os
+        import subprocess
+        import sys
+
+        code = ("import numpy as np\n"
+                "from kreinsl.core import GridSpec, MatrixGrid, NotAnAccelerantError\n"
+                "from kreinsl.krein import solve_krein\n"
+                "try:\n"
+                "    solve_krein(MatrixGrid(1, GridSpec(96), np.full((97, 1, 1), -2.0),\n"
+                "                           hermitian=True))\n"
+                "except NotAnAccelerantError as exc:\n"
+                "    print(np.float64(exc.pivot).tobytes().hex())\n"
+                "x = GridSpec(768).points()\n"
+                "cos = MatrixGrid(1, GridSpec(768), (-1.1 - 0.2 * np.cos(np.pi * x))\n"
+                "                 [:, None, None], hermitian=True)\n"
+                "print(np.float64(solve_krein(cos).min_pivot).tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(krein.__file__)))
+        runs = [subprocess.Popen([sys.executable, "-c", code], text=True,
+                                 stdout=subprocess.PIPE,
+                                 env={**os.environ, "PYTHONPATH": src,
+                                      "OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "1", "2", "2")]
+        out = {run.communicate(timeout=120)[0] for run in runs}
+        assert all(run.returncode == 0 for run in runs)
+        assert len(out) == 1 and len(out.pop().split()) == 2
 
     def test_solve_memory_bounded(self):
         # m = 1024, r = 2 complex: the whole triangle plus the square
@@ -235,28 +320,38 @@ class TestStreaming:
 
 class TestDenseRowsFromT:
     # krein_square_rows is the dense fallback as it was when it copied each
-    # row's system out of the whole (m+1) r square: the LU gets the same
-    # array, so the rows keep their bytes.  LAPACK's condition estimate
-    # moves in its last digits from run to run, so the pivots agree within
-    # 1e-12.  The cos kernels are TestStreaming's block-edge cases.
+    # row's system out of the whole (m+1) r square and solved it by LU,
+    # with a 1-norm condition estimate: its rows are a reference at
+    # roundoff, not in bytes, and its pivots are not the exact 2-norm
+    # figures the package reports, which are pinned instead.  A floor no
+    # pivot can clear sends the cos kernels' rows from x = h on to the
+    # dense rows.
+    FORCED_MIN_PIVOT = {77: 0.005809254534756541, 78: 0.005549116647445671,
+                        96: 0.002978841398526887, 154: 0.001093409510438795,
+                        155: 0.00011655968636206464}
+
     @staticmethod
     def both(monkeypatch, run, H):
         new = run(H)
-        monkeypatch.setattr(krein, "_dense_rows", krein_square_rows)
-        ref = run(H)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(krein, "_dense_rows", krein_square_rows)
+            ref = run(H)
         return new, ref
 
     @pytest.mark.parametrize("m", [77, 78, 96, 154, 155])
     def test_rows_match_square_rows(self, monkeypatch, m):
+        monkeypatch.setattr(krein, "LEVINSON_FLOOR", 2.0)
         H = cos_kernel(m)
         new, ref = self.both(monkeypatch, krein_kernel, H)
-        assert new.values.tobytes() == ref.values.tobytes()
+        assert np.abs(new.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
         new, ref = self.both(monkeypatch, solve_krein, H)
-        assert new.column.values.tobytes() == ref.column.values.tobytes()
-        assert ((new.residual, new.residual_x, new.min_pivot_x, new.dense_from_x)
-                == (ref.residual, ref.residual_x, ref.min_pivot_x, ref.dense_from_x))
-        assert new.min_pivot == pytest.approx(ref.min_pivot, rel=1e-12)
+        assert np.abs(new.column.values - ref.column.values).max() \
+            <= 1e-13 * np.abs(ref.column.values).max()
+        assert abs(new.residual - ref.residual) <= fft_bound(H, krein_kernel(H).values)
+        assert ((new.residual_x, new.min_pivot_x, new.dense_from_x)
+                == (ref.residual_x, ref.min_pivot_x, ref.dense_from_x))
+        assert new.dense_from_x == 1.0 / m
+        assert new.min_pivot == pytest.approx(self.FORCED_MIN_PIVOT[m], rel=1e-12)
 
     @pytest.mark.parametrize("m", [96, 256])
     def test_singular_row_matches_square_rows(self, monkeypatch, m):
@@ -266,21 +361,24 @@ class TestDenseRowsFromT:
             return exc.value
 
         new, ref = self.both(monkeypatch, failure, const_kernel(-2.0, m))
-        assert new.x == ref.x
-        assert new.pivot == pytest.approx(ref.pivot, rel=1e-12)
+        assert new.x == ref.x == 0.5
+        pivot = {96: 6.402458455818395e-17, 256: 1.9260268994792088e-16}[m]
+        assert new.pivot == pytest.approx(pivot, rel=1e-12, abs=0)
 
     def test_fallback_memory(self):
-        # rows 422..512 go dense; building each row's system out of the
-        # whole square, with its index array, peaked at 11.2 MB, and one
-        # row's system with LAPACK's copy of it peaks at 7.0 MB
-        H = cos_kernel(512)
+        # the -2 kernel's rows 511 and 512 go dense at m = 1024; building
+        # each row's system out of the whole square, with its index array,
+        # holds two (m+1)^2 arrays of 8.4 MB, and the stream peaked at
+        # 4.8 MB
+        H = const_kernel(-2.0, 1024)
         tracemalloc.start()
         try:
-            sol = solve_krein(H)
+            with pytest.raises(NotAnAccelerantError) as exc:
+                solve_krein(H)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sol.dense_from_x is not None
+        assert exc.value.x == 0.5
         assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -290,9 +388,9 @@ class TestResidual:
         H = make()
         sol = solve_krein(H)
         R = krein_kernel(H)
-        # the cos kernel's rows fall back to dense LU; its defects are
-        # scored at the FFT's roundoff scale, not the one product's
-        tol = 1e-15 if sol.dense_from_x is None else fft_bound(H, R.values)
+        # the cos kernel's R is O(5); its defects are scored at the FFT's
+        # roundoff scale, not the one product's
+        tol = 1e-15 if sol.min_pivot > 0 else fft_bound(H, R.values)
         assert abs(sol.residual - krein_residual_one_gemm(H.values, R.values)) <= tol
         vals = R.values.copy()
         vals[70, 10] += 1e-3
@@ -457,25 +555,6 @@ class TestFFTRoute:
 
         n = range(1, 5001)
         assert [krein._fast_len(k) for k in n] == [least_smooth(k) for k in n]
-
-    def test_no_scipy_on_the_fft_route(self):
-        # the solver's only scipy import is the dense fallback's
-        import os
-        import subprocess
-        import sys
-
-        code = ("import sys\n"
-                "import numpy as np\n"
-                "from kreinsl.core import GridSpec, MatrixGrid\n"
-                "from kreinsl.krein import solve_krein\n"
-                "x = GridSpec(384).points()\n"
-                "solve_krein(MatrixGrid(2, GridSpec(384), "
-                "np.exp(-x)[:, None, None] * np.eye(2), hermitian=True))\n"
-                "print('scipy' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(krein.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
 
     def test_residual_independent_of_blas_threads(self):
         # no BLAS product enters the residual: on this Hermitian r = 2
