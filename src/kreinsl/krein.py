@@ -62,8 +62,8 @@ from .core import (
 
 # Reciprocal 2-norm condition number below which a dense row is singular.
 PIVOT_TOL = 1e-10
-# Size of a normalized recursion pivot (the magnitude of a Hermitian
-# pivot's smallest eigenvalue, else its smallest singular value), and
+# Size of a normalized recursion pivot (the smallest eigenvalue magnitude
+# of a Hermitian pivot, else its smallest singular value), and
 # reciprocal condition number of a Woodbury matrix, below which the
 # remaining rows go dense.  The sign of a Hermitian pivot does not enter:
 # a nonsingular G_i with a regular Woodbury matrix certifies the row's A_i.
@@ -226,11 +226,14 @@ def _row_blocks(H: MatrixGrid, pivots: _Pivots):
 
 
 def _pivot_size(E: np.ndarray, hermitian: bool):
-    """Smallest eigenvalue (signed) of a Hermitian pivot block, else its
-    smallest singular value; of each of a stack of blocks."""
+    """(signed, size) of a pivot block, or of each of a stack of blocks:
+    for a Hermitian kernel the smallest eigenvalue and the smallest
+    eigenvalue magnitude, else the smallest singular value twice."""
     if hermitian:
-        return np.linalg.eigvalsh((E + np.conj(np.swapaxes(E, -1, -2))) / 2.0)[..., 0]
-    return np.linalg.svd(E, compute_uv=False)[..., -1]
+        eig = np.linalg.eigvalsh((E + np.conj(np.swapaxes(E, -1, -2))) / 2.0)
+        return eig[..., 0], np.abs(eig).min(axis=-1)
+    s = np.linalg.svd(E, compute_uv=False)[..., -1]
+    return s, s
 
 
 def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots,
@@ -264,8 +267,9 @@ def _levinson_rows(Td: np.ndarray, h: float, hermitian: bool, pivots: _Pivots,
     eps = Td[0].copy()
     E = eye + h * eps
     scale = float(np.linalg.norm(E, 2))
-    pivot = float(_pivot_size(E, hermitian)) / scale if scale > 0 else 0.0
-    if not abs(pivot) >= LEVINSON_FLOOR:
+    pivot, size = (float(p) / scale if scale > 0 else 0.0
+                   for p in _pivot_size(E, hermitian))
+    if not size >= LEVINSON_FLOOR:
         yield 1
         return
     pivots.see(pivot, 0.0)
@@ -315,8 +319,8 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
 
     rows[a, :i + 1] holds row i's column and E[a] its recursion pivot
     block.  The rows are taken up to the first whose pivot degrades: the
-    magnitude of the smallest eigenvalue (Hermitian kernels) or the
-    smallest singular value of E relative to `scale`, then the reciprocal
+    smallest eigenvalue magnitude (Hermitian kernels) or the smallest
+    singular value of E relative to `scale`, then the reciprocal
     2-norm condition number of the 2r x 2r Woodbury matrix.  Returns the
     first row not taken; the pivots of the taken ones go to `pivots`.
     Each step is one stacked call for all rows.
@@ -329,8 +333,8 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
     """
     r = E.shape[-1]
     n = _leading(np.isfinite(E).all(axis=(1, 2)))
-    pivot = _pivot_size(E[:n], hermitian) / scale
-    n = _leading(np.abs(pivot) >= LEVINSON_FLOOR)
+    pivot, size = (p / scale for p in _pivot_size(E[:n], hermitian))
+    n = _leading(size >= LEVINSON_FLOOR)
     i = np.arange(lo, lo + n)
     # the Woodbury matrix's block pattern [[first, last], [last, first]];
     # its right block column [last; first] is the right-hand side
@@ -366,7 +370,7 @@ def _woodbury_rows(rows: np.ndarray, E: np.ndarray, lo: int, h: float,
     # R(x_i, t_k) = y_k^T for k <= i: every row takes all columns k < lo
     y = np.swapaxes(y, -1, -2)
     np.copyto(cols[:, :lo], y[:, :lo])
-    inside = np.arange(lo, width) <= i[:, None]
+    inside = np.arange(lo, width) <= i[:n, None]
     np.copyto(cols[:, lo:], y[:, lo:], where=inside[:, :, None, None])
     return lo + n
 
@@ -379,9 +383,9 @@ def _dense_rows(Td: np.ndarray, h: float, start: int, pivots: _Pivots):
     [T[m], ..., T[1], T[0], ..., T[m]], copied once into the C-ordered
     matrix that is then scaled in place.  Only that (i+1) r square and
     LAPACK's working copies of it are held, never the (m+1) r square of
-    every row; the time is O(m^4 r^3) over the rows.  Each row's exact reciprocal 2-norm condition number, from its
-    singular values, goes to `pivots`; a row below PIVOT_TOL raises
-    NotAnAccelerantError.
+    every row; the time is O(m^4 r^3) over the rows.  Each row's exact
+    reciprocal 2-norm condition number, from its singular values, goes to
+    `pivots`; a row below PIVOT_TOL raises NotAnAccelerantError.
     """
     n_full, r = Td.shape[0], Td.shape[1]
     ext = np.concatenate([Td[:0:-1], Td])  # ext[n_full - 1 + d] = T[|d|]

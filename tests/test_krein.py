@@ -158,6 +158,46 @@ class TestDenseOracle:
         assert solve_krein(edge_kernel(96)).residual < 1e-12
         assert starts == [47, 96]
 
+    def test_pivot_size_is_smallest_eigenvalue_magnitude(self):
+        # a Hermitian pivot degrades on its eigenvalue nearest zero, not on
+        # the magnitude of its most negative one; the sign stays for
+        # min_pivot
+        assert krein._pivot_size(np.diag([-2.8, 1e-16]), True) == (-2.8, 1e-16)
+        assert krein._pivot_size(np.diag([-2.8, 1e-16]), False) == (1e-16, 1e-16)
+
+    def test_indefinite_channel_beside_singular_one(self, monkeypatch):
+        # diag(-1.1 - 0.2 cos(pi x), -1.2) at m = 96: on row 79 the cos
+        # channel's pivot is negative (-2.79) while the constant channel's
+        # G_i is singular (1 - 1.2 * 80 / 96 = 0), so the dense rows start
+        # there, inside the second block of rows; its A_i is singular on
+        # row 80
+        m = 96
+        x = GridSpec(m).points()
+        vals = np.zeros((m + 1, 2, 2), dtype=complex)
+        vals[:, 0, 0] = -1.1 - 0.2 * np.cos(np.pi * x)
+        vals[:, 1, 1] = -1.2
+        H = MatrixGrid(2, GridSpec(m), vals, hermitian=True)
+        dense, got = krein._dense_rows, {}
+
+        def spy(Td, h, start, pivots):
+            for i, row in enumerate(dense(Td, h, start, pivots), start):
+                got[i] = row.copy()
+                yield row
+
+        monkeypatch.setattr(krein, "_dense_rows", spy)
+        blocks = krein._row_blocks(H, krein._Pivots())
+        i0, first = next(blocks)
+        want = krein_dense_rows(vals)
+        assert i0 == 0
+        assert np.abs(first - want[:64]).max() <= 1e-13 * np.abs(want[:64]).max()
+        with pytest.raises(NotAnAccelerantError) as exc:
+            next(blocks)
+        assert exc.value.x == pytest.approx(80 / 96, rel=1e-15)
+        assert list(got) == [79]
+        assert np.abs(got[79] - want[79, :80]).max() <= 1e-13 * np.abs(want[79]).max()
+        with pytest.raises(NotAnAccelerantError):
+            solve_krein(H)
+
     def test_dense_start_reported(self):
         assert solve_krein(edge_kernel(96)).dense_from_x == 1.0
         assert solve_krein(cos_kernel(96)).dense_from_x is None
