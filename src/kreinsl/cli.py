@@ -245,7 +245,7 @@ def _relative_errors(a, b):
     plus the relative L2 error over the nodes x < 0.9 alone, away from
     the boundary layer at x = 1."""
     import numpy as np
-    from .core import trapezoid_weights
+    from .core import _trapezoid_weights, trapezoid_weights
     w = trapezoid_weights(a.spec)
     diff = np.linalg.norm(a.values - b.values, ord="fro", axis=(-2, -1))
     ref = np.linalg.norm(b.values, ord="fro", axis=(-2, -1))
@@ -255,8 +255,7 @@ def _relative_errors(a, b):
     linf_ref = float(ref.max())
     # trapezoid weights of [0, x_k], x_k the last node below 0.9
     k = int(np.count_nonzero(a.spec.points() < 0.9)) - 1
-    w_in = w[:k + 1].copy()
-    w_in[k] = a.spec.h / 2.0
+    w_in = _trapezoid_weights(k, k + 1, a.spec.h)[0]
     l2_in = float(np.sqrt(diff[:k + 1] ** 2 @ w_in))
     l2_in_ref = float(np.sqrt(ref[:k + 1] ** 2 @ w_in))
     return {

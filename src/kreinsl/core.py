@@ -1,5 +1,10 @@
 """Shared domain types, uniform grids, quadrature, and JSON file I/O.
 
+The package's one trapezoid rule lives here: `_trapezoid_weights` gives
+the weights on [0, x_i] of a band of rows (the Krein solve and its
+residual, the roundtrip's interior error), `trapezoid_weights` its row
+on [0, 1].
+
 Instances are immutable, so safe to share between threads.  Data are
 checked where they enter, by the public constructors and loaders.
 `_unchecked` only freezes; it serves prefixes of checked data
@@ -106,11 +111,19 @@ class GridSpec:
         return np.arange(self.m + 1) / self.m
 
 
+def _trapezoid_weights(lo: int, i1: int, h: float) -> np.ndarray:
+    """Trapezoid weights on [0, x_i] of the rows i = lo..i1-1: w[i - lo, k]
+    for k < i1, zero for k > i; the zero-length row 0 gets weight 0."""
+    w = np.tril(np.full((i1 - lo, i1), h), k=lo)
+    w[:, 0] = w[np.arange(i1 - lo), np.arange(lo, i1)] = h / 2.0
+    if lo == 0:
+        w[0, 0] = 0.0
+    return w
+
+
 def trapezoid_weights(spec: GridSpec) -> np.ndarray:
     """Composite trapezoid weights on [0, 1]; w_0 = w_m = h/2, else h."""
-    w = np.full(spec.m + 1, spec.h)
-    w[0] = w[-1] = spec.h / 2.0
-    return w
+    return _trapezoid_weights(spec.m, spec.m + 1, spec.h)[0]
 
 
 def resample_matrix_grid(grid: MatrixGrid, spec: GridSpec) -> MatrixGrid:

@@ -57,6 +57,7 @@ from .core import (
     NotAnAccelerantError,
     TriangularKernel,
     ValidationError,
+    _trapezoid_weights,
     _unchecked,
 )
 
@@ -145,16 +146,6 @@ def _working_values(H: MatrixGrid) -> np.ndarray:
     """H's samples in the arithmetic of the solve: real when H is real,
     which then gives a real R."""
     return H.values if np.any(H.values.imag) else H.values.real
-
-
-def _trapezoid_weights(lo: int, i1: int, h: float) -> np.ndarray:
-    """Trapezoid weights on [0, x_i] of the rows i = lo..i1-1: w[i - lo, k]
-    for k < i1, zero for k > i; the zero-length row 0 gets weight 0."""
-    w = np.tril(np.full((i1 - lo, i1), h), k=lo)
-    w[:, 0] = w[np.arange(i1 - lo), np.arange(lo, i1)] = h / 2.0
-    if lo == 0:
-        w[0, 0] = 0.0
-    return w
 
 
 def solve_krein(H: MatrixGrid) -> KreinSolution:
@@ -440,44 +431,40 @@ def krein_residual(H: MatrixGrid, i0: int, rows: np.ndarray) -> tuple[float, int
     block-Toeplitz matrix of H(|k - j| h), k, j < i1 (the defect needs
     t_j <= x_i only), taken by FFT along k (`_fft_defects`) in
     O(i1 log i1) per row instead of O(i1^2).  No BLAS product enters, so
-    the figure does not depend on the BLAS thread count.  The 2-norm lies
-    within a factor sqrt(r) below the Frobenius norm, so only blocks
-    within that factor of the largest Frobenius norm can hold the maximum:
-    each sub-block of rows keeps the blocks within that factor of the
-    largest Frobenius norm so far, and one stacked 2-norm call per block
-    of rows takes those still within it of the block's largest.  Besides
-    the rows, the work arrays hold O(_RESIDUAL_ROWS m) entries and buffers
-    whose size does not grow with m.  When every defect is zero the row
-    returned is i0.
+    the figure does not depend on the BLAS thread count.  The maximum is
+    kept in one pass over the FFT's sub-blocks of rows: each keeps the
+    blocks whose Frobenius norm is at least 0.99 max(F / sqrt(r), worst),
+    F its largest Frobenius norm and worst the largest 2-norm so far,
+    takes their 2-norms in one stacked call and replaces (worst, row)
+    only on a strictly larger one, so the earliest row of the maximum
+    stays.  The rule is exact: the 2-norm of a block is at most its
+    Frobenius norm, so a block below worst cannot beat it, and at least
+    its Frobenius norm / sqrt(r), so the sub-block's largest 2-norm is
+    at least F / sqrt(r); the 0.99 absorbs the rounding of both norms.
+    Besides the rows, the work arrays hold O(_RESIDUAL_ROWS m) entries and
+    buffers whose size does not grow with m.  When every defect is zero
+    the row returned is i0.
     """
     m, r, h = H.spec.m, H.r, H.spec.h
     n = rows.shape[0]
     if rows.shape[1:] != (m + 1, r, r) or not 0 <= i0 <= m + 1 - n:
         raise ValidationError("kernel shapes disagree")
     worst, worst_i = 0.0, i0
-    for b0 in range(0, n, _RESIDUAL_ROWS):
-        lo = i0 + b0
+    for lo in range(i0, i0 + n, _RESIDUAL_ROWS):
         i1 = min(lo + _RESIDUAL_ROWS, i0 + n)
-        b = i1 - lo
-        block = rows[b0:b0 + b, :i1]
-        weights = _trapezoid_weights(lo, i1, h)
-        top, fro, at, blocks = 0.0, [], [], []
-        for a0, defect in _fft_defects(H, lo, block, weights):
+        block = rows[lo - i0:i1 - i0, :i1]
+        for a0, defect in _fft_defects(H, lo, block, _trapezoid_weights(lo, i1, h)):
             # blocks with t_j > x_i lie outside the triangle
             size = np.tril(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(2, 3))),
                            k=lo + a0)
-            top = max(top, float(size.max()))
-            if top > 0.0:
-                a, col = np.nonzero(size >= 0.99 * top / np.sqrt(r))
-                fro.append(size[a, col])
-                at.append(lo + a0 + a)
-                blocks.append(defect[a, col])
-        if top > 0.0:
-            keep = np.concatenate(fro) >= 0.99 * top / np.sqrt(r)
-            norms = np.linalg.norm(np.concatenate(blocks)[keep], ord=2, axis=(-2, -1))
-            k = int(np.argmax(norms))
-            if norms[k] > worst:
-                worst, worst_i = float(norms[k]), int(np.concatenate(at)[keep][k])
+            top = float(size.max())
+            cut = 0.99 * max(top / np.sqrt(r), worst)
+            if top > 0.0 and top >= cut:  # else no block here beats `worst`
+                a, col = np.nonzero(size >= cut)
+                norms = np.linalg.norm(defect[a, col], ord=2, axis=(-2, -1))
+                k = int(np.argmax(norms))
+                if norms[k] > worst:
+                    worst, worst_i = float(norms[k]), lo + a0 + int(a[k])
     return worst, worst_i
 
 

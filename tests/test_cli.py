@@ -331,6 +331,23 @@ def test_one_bin_inverse_diagnostics_are_strict_json(tmp_path):
     _schema_validator("inverse_diagnostics").validate(diag)
 
 
+def test_inverse_clamps_bins_to_the_data(tmp_path):
+    # 8 bins of direct data asked for 12: the truncation is clamped to the
+    # data's last bin and the run says so
+    from kreinsl.synthetic import fourier_tau
+    tau = tmp_path / "tau.json"
+    save_matrix_grid(fourier_tau(2, 3, 0.3, 1, GridSpec(64)), tau)
+    assert main(["direct", str(tau), "--grid-m", "64", "--n-bins", "8",
+                 "--out", str(tmp_path / "d")]) == 0
+    assert main(["inverse", str(tmp_path / "d" / "spectral_data.json"),
+                 "--grid-m", "64", "--n-bins", "12",
+                 "--out", str(tmp_path / "i")]) == 0
+    diag = read_json(tmp_path / "i" / "inverse_diagnostics.json")
+    assert diag["notes"] == ["data covers 8 bins; truncation clamped from 12"]
+    assert diag["n_bins_used"] == 8
+    _schema_validator("inverse_diagnostics").validate(diag)
+
+
 def test_validate_short_data_exits_6(tmp_path):
     data = nu0_file(tmp_path / "d.json", n=3)
     rc = main(["validate", str(data), "--grid-m", "64", "--n-bins", "16",
@@ -562,6 +579,22 @@ def test_roundtrip_bad_potential_exits_2(tmp_path, capsys, argv):
     lines = capsys.readouterr().err.splitlines()
     assert [line for line in lines if line.startswith("error:")] == lines[-1:]
     assert argv[-1:] == [] or repr(argv[-1]) in lines[-1]
+    assert not out.exists()
+
+
+def test_roundtrip_non_hermitian_file_exits_4(tmp_path, capsys):
+    # a roundtrip compares real spectra, which a non-Hermitian potential
+    # need not have
+    rng = np.random.default_rng(5)
+    vals = 0.2 * (rng.normal(size=(65, 2, 2)) + 1j * rng.normal(size=(65, 2, 2)))
+    tau = tmp_path / "tau.json"
+    save_matrix_grid(MatrixGrid(2, GridSpec(64), vals), tau)
+    out = tmp_path / "out"
+    assert main(["roundtrip", str(tau), "--grid-m", "64", "--n-bins", "2",
+                 "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert "roundtrip requires a Hermitian potential" in lines[-1]
     assert not out.exists()
 
 
@@ -826,6 +859,10 @@ GRID_CASES = {
     "sample-nan": (_set(["values", 3, 0, 0, 1], float("nan")), 4, "values[3]"),
     "sample-inf": (_set(["values", 5, 0, 0, 0], float("-inf")), 4, "values[5]"),
     "sample-huge-int": (_set(["values", 7, 0, 0, 0], -10 ** 400), 4, "values[7]"),
+    "sample-shape": (_set(["values", 3], [[0.0, 0.0]]), 2,
+                     "values[3]: expected a matrix of 1 x 1 [re, im] number pairs"),
+    "values-short": (lambda d: d.update(m=8, values=d["values"][:8]), 2,
+                     "expected 9 matrices in 'values'"),
 }
 
 

@@ -162,6 +162,9 @@ class TestPropagatorOracle:
                       + 1j * rng.normal(size=(m + 1, 2, 2)))
         tau = MatrixGrid(2, GridSpec(m), vals)
         assert _oracle_gap(tau, [2.0 + 1.5j]) <= 1e-12
+        # at lambda = 99.5, v = h lambda / 2 gives v^2 ~ 0.6, past the
+        # block series' 1/4, so its scaling and double-angle steps run
+        assert _oracle_gap(tau, ORACLE_LAMBDAS) <= 1e-12
 
     @staticmethod
     def _check_scalar_chain(tau, plan, run, monkeypatch):

@@ -459,6 +459,21 @@ class TestResidual:
         # the block of rows 64..127 alone scores the same
         assert krein_residual(H, 64, vals[64:128]) == (worst, row)
 
+    def test_pruning_ranks_blocks_by_two_norm(self):
+        # at m = 384, r = 2 a sub-block of the FFT holds about 10 rows; in
+        # the block of rows 320..383, row 322 carries an isotropic defect
+        # a I (Frobenius norm a sqrt 2, 2-norm a) and row 360, in a later
+        # sub-block, diag(1.2 a, 0): a rule that ranked the blocks by their
+        # Frobenius norm alone would name row 322
+        H = smooth_kernel(384, hermitian=True)
+        vals = krein_kernel(H).values.copy()
+        a = 1e-3
+        vals[322, 100] += a * np.eye(2)
+        vals[360, 200] += np.diag([1.2 * a, 0.0])
+        worst, row = krein_residual(H, 0, vals)
+        assert row == 360
+        assert worst == pytest.approx(1.2 * a, rel=1e-2)
+
     def test_solution_residual_roundoff(self):
         sol = solve_krein(const_kernel(0.8, 128))
         assert sol.residual < 1e-12
